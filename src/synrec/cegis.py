@@ -91,11 +91,8 @@ class SynthesisConfig:
     # None: interpreters get input_depth + 2 frames (at least 5), so they can
     # always consume fully enumerated inputs.
     unroll_depth: int | None = None
-    max_steps: int = 2_000_000
     timeout_secs: float = 300.0
-    seed: int = 0  # reserved: the search has no randomized tie-breaking
     indecomp: bool = True
-    compiled_verify: bool = True
 
     def __post_init__(self):
         if self.input_depth <= 0 or self.inline_bound <= 0:
@@ -122,7 +119,7 @@ class SynthesisConfig:
         )
 
     def eval_limits(self) -> EvalLimits:
-        return EvalLimits(max_depth=self.effective_unroll, max_steps=self.max_steps)
+        return EvalLimits(max_depth=self.effective_unroll, max_steps=2_000_000)
 
 
 class SynthesisTimeout(Exception):
@@ -341,6 +338,19 @@ class _Stats:
     candidate_evaluations: int = 0
 
 
+def _passes(program, controls, cexs, limits, decomp, stats, harness) -> bool:
+    """Run the harness on each counterexample in turn, counting every run;
+    False at the first failure."""
+    for sigma in cexs:
+        out = evaluate_harness(
+            program, controls, sigma, limits, decomposition=decomp, harness=harness
+        )
+        stats.candidate_evaluations += 1
+        if not out.passed:
+            return False
+    return True
+
+
 def _search(
     expanded: ExpandedProgram,
     cexs: list[dict],
@@ -349,29 +359,23 @@ def _search(
     deadline: float | None,
     stats: _Stats,
     harness: FuncDecl,
-) -> LazyBinder | None:
-    """Complete deterministic search over assignments reachable by reads."""
+) -> tuple[LazyBinder, bool]:
+    """Complete deterministic search over assignments reachable by reads.
+
+    Returns the binder and whether its bindings pass every counterexample;
+    the binder's `ever_read` stays meaningful when the search runs out.
+    """
     binder = LazyBinder(expanded.control_space)
     limits = cfg.eval_limits()
     if not cexs:
-        return binder
+        return binder, True
     while True:
         if deadline is not None and time.monotonic() > deadline:
             raise SynthesisTimeout
-        ok = True
-        for sigma in cexs:
-            out = evaluate_harness(
-                expanded.program, binder, sigma, limits, decomposition=decomp,
-                harness=harness,
-            )
-            stats.candidate_evaluations += 1
-            if not out.passed:
-                ok = False
-                break
-        if ok:
-            return binder
+        if _passes(expanded.program, binder, cexs, limits, decomp, stats, harness):
+            return binder, True
         if not binder.advance():
-            return None
+            return binder, False
 
 
 def synthesize_inductive(
@@ -387,8 +391,8 @@ def synthesize_inductive(
     or None when the (finite) space has no solution."""
     stats = stats if stats is not None else _Stats()
     harness = harness or expanded.program.harnesses[0]
-    binder = _search(expanded, cexs, cfg, decomp, deadline, stats, harness)
-    if binder is None:
+    binder, found = _search(expanded, cexs, cfg, decomp, deadline, stats, harness)
+    if not found:
         return None
     return total_assignment(expanded.control_space, binder.bound)
 
@@ -430,20 +434,8 @@ def verify(
     verdict and the same counterexample.
     """
     harness = expanded.program.harnesses[0]
-    limits = cfg.eval_limits()
     if len(phi) != len(expanded.control_space):
         phi = total_assignment(expanded.control_space, phi)
-    if not cfg.compiled_verify:
-        evals = 0
-        for args in iter_inputs(expanded.program, harness, cfg):
-            if deadline is not None and evals % _CHUNK == 0 and time.monotonic() > deadline:
-                raise SynthesisTimeout
-            sigma = {n: v for (n, _), v in zip(harness.params, args)}
-            out = evaluate_harness(expanded.program, phi, sigma, limits, harness=harness)
-            evals += 1
-            if not out.passed:
-                return VerifyResult(False, sigma, out, evals)
-        return VerifyResult(True, evaluations=evals)
     concrete = substitute_controls(expanded, phi, unbox=False)
     if value_classes is not None:
         return _verify_value_classes(concrete, value_classes, cfg, deadline, harness)
@@ -698,7 +690,6 @@ class CegisState:
     counterexamples: list[dict] = field(default_factory=list)
     cex_keys: set[str] = field(default_factory=set)
     iterations: int = 0
-    candidate_history: list[dict] = field(default_factory=list)
     arm_cache: dict[str, dict[int, int]] = field(default_factory=dict)
     arm_reads: dict[str, set[int]] = field(default_factory=dict)
     arm_cex_count: dict[str, int] = field(default_factory=dict)
@@ -769,7 +760,6 @@ def _solve_per_arm(
     groups: dict[str, list[dict]] = {}
     for sigma in state.counterexamples:
         groups.setdefault(_root_variant(sigma, shape), []).append(sigma)
-    limits = cfg.eval_limits()
     for variant in (v.name for v in adt.variants):
         cexs = groups.get(variant, [])
         if not cexs:
@@ -778,35 +768,15 @@ def _solve_per_arm(
         if state.arm_cex_count.get(variant) == len(cexs) and variant in state.arm_cache:
             continue
         start = time.monotonic()
-        binder = LazyBinder(expanded.control_space)
-        solved = None
-        while True:
-            if deadline is not None and time.monotonic() > deadline:
-                state.arm_ms[variant] = state.arm_ms.get(variant, 0.0) + (
-                    (time.monotonic() - start) * 1000
-                )
-                raise SynthesisTimeout
-            ok = True
-            for sigma in cexs:
-                out = evaluate_harness(
-                    expanded.program, binder, sigma, limits,
-                    decomposition=shape, harness=harness,
-                )
-                stats.candidate_evaluations += 1
-                if not out.passed:
-                    ok = False
-                    break
-            if ok:
-                solved = dict(binder.bound)
-                break
-            if not binder.advance():
-                break
-        state.arm_ms[variant] = state.arm_ms.get(variant, 0.0) + (
-            (time.monotonic() - start) * 1000
-        )
+        try:
+            binder, found = _search(expanded, cexs, cfg, shape, deadline, stats, harness)
+        finally:
+            state.arm_ms[variant] = state.arm_ms.get(variant, 0.0) + (
+                (time.monotonic() - start) * 1000
+            )
         state.arm_cex_count[variant] = len(cexs)
-        state.arm_reads[variant] = set(binder.ever_read)
-        if solved is None:
+        state.arm_reads[variant] = binder.ever_read
+        if not found:
             state.arm_solved[variant] = False
             # Unsat for this arm is global unsat only if its reads are
             # independent of every other arm's.
@@ -814,26 +784,20 @@ def _solve_per_arm(
                 if other != variant and reads & binder.ever_read:
                     return "fallback"
             return None
-        state.arm_cache[variant] = solved
+        state.arm_cache[variant] = binder.bound
         state.arm_solved[variant] = True
-    # disjointness of final solutions
-    seen: dict[int, str] = {}
-    for variant, frag in state.arm_cache.items():
-        for cp in frag:
-            if cp in seen and seen[cp] != variant:
-                return "fallback"
-            seen[cp] = variant
+    # the arm solutions must bind disjoint control points
     merged: dict[int, int] = {}
     for frag in state.arm_cache.values():
+        if merged.keys() & frag.keys():
+            return "fallback"
         merged.update(frag)
     phi = total_assignment(expanded.control_space, merged)
-    for sigma in state.counterexamples:
-        out = evaluate_harness(
-            expanded.program, phi, sigma, limits, decomposition=shape, harness=harness
-        )
-        stats.candidate_evaluations += 1
-        if not out.passed:
-            return "fallback"
+    if not _passes(
+        expanded.program, phi, state.counterexamples, cfg.eval_limits(), shape, stats,
+        harness,
+    ):
+        return "fallback"
     return phi
 
 
@@ -915,11 +879,7 @@ def run_cegis(
                 if got == "fallback":
                     log.warning("per-arm decoupling failed; falling back to joint solve")
                     per_arm = False
-                    got = synthesize_inductive(
-                        search_prog, state.counterexamples, cfg, decomp, deadline,
-                        stats, harness,
-                    )
-            else:
+            if not per_arm:
                 got = synthesize_inductive(
                     search_prog, state.counterexamples, cfg, decomp, deadline,
                     stats, harness,
@@ -937,7 +897,6 @@ def run_cegis(
             if got is None:
                 return finish(UNSAT, None, None)
             phi = got
-            state.candidate_history.append(phi)
             # Verification always checks the plain program: the deferred
             # placeholders exist to speed up the inductive step, and the
             # emitted solution must pass without them.  While decomposition

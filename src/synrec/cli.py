@@ -48,7 +48,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--inline-bound", type=int, default=None, metavar="N")
     p.add_argument("--unroll", type=int, default=None, metavar="N")
     p.add_argument("--timeout-secs", type=float, default=None, metavar="N")
-    p.add_argument("--seed", type=int, default=None, metavar="N")
     p.add_argument("--no-indecomp", action="store_true", help="disable inductive decomposition")
     p.add_argument("--lib", default=None, metavar="PATH", help="template library override")
 
@@ -59,7 +58,6 @@ def _cli_overrides(args) -> dict:
         "inline_bound": args.inline_bound,
         "unroll_depth": args.unroll,
         "timeout_secs": args.timeout_secs,
-        "seed": args.seed,
     }
     if args.int_domain is not None:
         lo, hi = parse_range(args.int_domain)

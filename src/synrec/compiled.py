@@ -10,11 +10,10 @@ Python functions over native values: ints, variant-tagged tuples
 for deferred recursion.
 
 Semantics mirror the reference evaluator (same decomposition rewrite,
-recursion-depth limits, assert ids, out-of-bounds behavior) with two
-documented deviations: no per-step budget (termination is already forced
-by the depth limits) and unwrapped arithmetic (leaf domains are small
-enough that 64-bit wrapping is unobservable).  The equivalence test suite
-pins the compiled path against the reference evaluator.
+recursion-depth limits, assert ids, out-of-bounds behavior, 64-bit
+wrapping arithmetic) with one documented deviation: no per-step budget
+(termination is already forced by the depth limits).  The equivalence
+test suite pins the compiled path against the reference evaluator.
 
 Optional memoization caches non-root calls of unary recursive ADT
 functions.  A call's outcome depends on its argument and on how deep the
@@ -58,6 +57,7 @@ from .ast import (
     walk,
 )
 from .errors import InternalError
+from .evaluator import VBoxed, VRecord, wrap64
 from .typesys import TypeEnv, type_of
 
 
@@ -88,9 +88,6 @@ class CompiledProgram:
     program: SurfaceProgram
 
     def func(self, name: str):
-        return self.namespace[f"f_{name}"]
-
-    def harness_runner(self, name: str):
         return self.namespace[f"f_{name}"]
 
     def clear_memos(self) -> None:
@@ -235,7 +232,7 @@ class _FnCompiler:
             return f"(1 if ({self.cond(e, env, indent)}) else 0)"
         lhs = self.expr(e.lhs, env, indent)
         rhs = self.expr(e.rhs, env, indent)
-        return f"({lhs} {op} {rhs})"
+        return f"_wrap64({lhs} {op} {rhs})"
 
     def cond(self, e: Expr, env: TypeEnv, indent: int) -> str:
         """Compile a bit-valued expression as a Python truth expression."""
@@ -470,6 +467,7 @@ def compile_concrete(
         "CInfeasible": CInfeasible,
         "CExhausted": CExhausted,
         "InternalError": InternalError,
+        "_wrap64": wrap64,
     }
     try:
         exec(compile(source, "<synrec-compiled>", "exec"), namespace)
@@ -491,8 +489,6 @@ def compile_concrete(
 
 def to_native(value):
     """Convert a reference value (VRecord/tuple/int) to the native form."""
-    from .evaluator import VBoxed, VRecord
-
     if isinstance(value, VRecord):
         return (value.variant,) + tuple(to_native(v) for v in value.fields.values())
     if isinstance(value, tuple):

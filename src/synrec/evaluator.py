@@ -396,7 +396,9 @@ def evaluate_harness(
         harness = harnesses[0]
     if not hasattr(controls, "read"):
         controls = FixedControls(controls)
-    if sys.getrecursionlimit() < 100_000:
+    # The tree walk recurses deeply; raise the limit for this call only.
+    recursion_limit = sys.getrecursionlimit()
+    if recursion_limit < 100_000:
         sys.setrecursionlimit(200_000)
     ctx = _Ctx(program, controls, limits, decomposition)
     env = {name: sigma[name] for name, _ in harness.params}
@@ -408,4 +410,6 @@ def evaluate_harness(
         return Outcome(INFEASIBLE, detail=f.detail)
     except _Exhausted as f:
         return Outcome(RESOURCE, detail=f.which)
+    finally:
+        sys.setrecursionlimit(recursion_limit)
     return OUTCOME_PASS

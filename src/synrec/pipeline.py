@@ -90,18 +90,20 @@ class Prepared:
     expanded: ExpandedProgram
     shape: SpecShape | None
     report: ClassificationReport | None
-    harness: FuncDecl
 
 
-def prepare(program: SurfaceProgram, cfg: SynthesisConfig) -> Prepared:
-    expanded = expand_program(program, cfg.expansion_context())
-    harnesses = expanded.program.harnesses
+def _only_harness(program: SurfaceProgram) -> FuncDecl:
+    harnesses = program.harnesses
     if not harnesses:
         raise SynrecError("program has no harness")
     if len(harnesses) > 1:
         raise SynrecError("exactly one harness per program is supported")
-    harness = harnesses[0]
-    shape = detect_spec_shape(expanded.program, harness)
+    return harnesses[0]
+
+
+def prepare(program: SurfaceProgram, cfg: SynthesisConfig) -> Prepared:
+    expanded = expand_program(program, cfg.expansion_context())
+    shape = detect_spec_shape(expanded.program, _only_harness(expanded.program))
     report = None
     if shape is not None:
         report = classify_transformer(
@@ -114,7 +116,7 @@ def prepare(program: SurfaceProgram, cfg: SynthesisConfig) -> Prepared:
             shape.interp_d,
             report.verdict,
         )
-    return Prepared(expanded, shape, report, harness)
+    return Prepared(expanded, shape, report)
 
 
 def synthesize(text: str, cfg: SynthesisConfig, lib_text: str | None = None) -> SynthesisResult:
@@ -143,8 +145,7 @@ def check_concrete(
         raise SynrecError(
             f"solution still contains {len(expanded.control_space)} synthesis constructs"
         )
-    if not expanded.program.harnesses:
-        raise SynrecError("program has no harness")
+    _only_harness(expanded.program)
     phi = total_assignment(expanded.control_space, {})
     return verify(expanded, phi, cfg)
 

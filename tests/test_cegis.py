@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 from synrec.ast import BIT, AdtType, Choice, Hole, walk
 from synrec.cegis import (
@@ -12,10 +13,11 @@ from synrec.cegis import (
 from synrec.evaluator import EvalLimits, VRecord, evaluate_harness, format_value
 from synrec.expand import ExpansionContext, expand_program
 from synrec.parser import parse_program
-from synrec.pipeline import check_concrete
+from synrec.pipeline import check_concrete, load_with_library, prepare
 from synrec.printer import pretty_print_program
 
 import toys
+from conftest import reference_verify
 
 LIMITS = EvalLimits(max_depth=12, max_steps=500_000)
 
@@ -183,8 +185,8 @@ def test_verify_counterexample_is_depth_minimal(lang_expected_text):
 def test_verify_reference_and_compiled_agree(lang_expected_text):
     mutant = lang_expected_text.replace("op = new AndOp()", "op = new OrOp()")
     exp = expand_text(mutant)
-    fast = verify(exp, {}, SynthesisConfig(input_depth=2, compiled_verify=True))
-    slow = verify(exp, {}, SynthesisConfig(input_depth=2, compiled_verify=False))
+    fast = verify(exp, {}, SynthesisConfig(input_depth=2))
+    slow = reference_verify(exp, {}, SynthesisConfig(input_depth=2))
     assert not fast.passed and not slow.passed
     assert format_value(fast.counterexample["exp"]) == format_value(
         slow.counterexample["exp"]
@@ -245,6 +247,55 @@ def test_cegis_per_arm_stats(lang_program):
         "BetweenS",
     ]
     assert all(a.solved for a in res.stats.per_arm)
+
+
+# Both arms of `shift` read the one hole of `off`: alone, the SNil arm
+# binds it to 1 and the SCons arm to 2.
+SHARED_HOLE_SHIFT = """
+adt slist { SNil {} SCons { int h; slist t; } }
+adt dlist { DNil {} DCons { int h; dlist t; } }
+
+int sumS(slist l) {
+  switch (l) {
+    case SNil: return 1;
+    case SCons: return l.h + 2 + sumS(l.t);
+  }
+}
+
+int sumD(dlist l) {
+  switch (l) {
+    case DNil: return 0;
+    case DCons: return l.h + sumD(l.t);
+  }
+}
+
+int off() { return ??; }
+
+dlist shift(slist l) {
+  switch (l) {
+    case SNil: return new DCons(h = choose(off(), 1), t = new DNil());
+    case SCons: return new DCons(h = l.h + off(), t = shift(l.t));
+  }
+}
+
+harness void main(slist l) {
+  assert(sumS(l) == sumD(shift(l)));
+}
+"""
+
+
+def test_per_arm_solutions_sharing_a_hole_fall_back_to_joint_search(caplog):
+    cfg = SynthesisConfig(input_depth=2)
+    prep = prepare(load_with_library(SHARED_HOLE_SHIFT), cfg)
+    assert prep.report.is_morphism
+    with caplog.at_level(logging.WARNING, logger="synrec"):
+        res = run_cegis(prep.expanded, cfg, prep.shape, prep.report)
+    assert "per-arm decoupling failed" in caplog.text
+    assert res.solved
+    assert (res.stats.iterations, res.stats.candidate_evaluations) == (3, 32)
+    solution = pretty_print_program(res.solution)
+    assert "int off() {\n  return 2;\n}" in solution
+    assert check_concrete(SHARED_HOLE_SHIFT, cfg, solution_text=solution).passed
 
 
 def test_decomposition_reduces_search_evaluations(lang_program):

@@ -70,6 +70,32 @@ def test_check_rejects_harnessless_file(tmp_path, capsys):
     assert run_cli("check", f) == 1
 
 
+def test_check_rejects_a_second_harness(tmp_path, capsys):
+    f = tmp_path / "two.synrec"
+    f.write_text(
+        "adt L { N {} C { L t; } }\n"
+        "harness void ok(L l) { assert(1); }\n"
+        "harness void bad(L l) { assert(0); }\n"
+    )
+    assert run_cli("check", f, "--input-depth", "1") == 1
+    assert "exactly one harness per program is supported" in capsys.readouterr().err
+
+
+def test_check_wraps_arithmetic_at_64_bits(tmp_path, capsys):
+    """(2^32)^2 wraps to 0, as in the reference evaluator."""
+    f = tmp_path / "sq.synrec"
+    f.write_text(
+        "adt e { E { int v; } }\n"
+        "int sq(e x) { switch (x) { case E: return x.v * x.v; } }\n"
+        "harness void main(e x) { assert(sq(x) != 0); }\n"
+    )
+    code = run_cli(
+        "check", f, "--int-domain", "4294967296..4294967296", "--input-depth", "1"
+    )
+    assert code == 2
+    assert "x = E(v = 4294967296)" in capsys.readouterr().err
+
+
 def test_check_rejects_residual_synthesis_constructs(tmp_path, capsys):
     f = tmp_path / "holes.synrec"
     f.write_text("adt L { N {} } int f(L l) { return ??; } harness void m(L l) { assert(f(l) == 0); }")

@@ -27,6 +27,7 @@ from synrec.indecomp import (
 )
 from synrec.parser import parse_program
 import toys
+from conftest import reference_verify
 
 MAX_DEPTH = 12
 LIMITS = EvalLimits(max_depth=MAX_DEPTH, max_steps=1_000_000)
@@ -157,14 +158,12 @@ def test_depth_limit_matches_reference():
 def test_memoized_scan_matches_reference_at_depth_limit(lang_expected_text, cfg):
     """A memoized result is reused only at the nesting it was computed at:
     deeper down, the reference evaluator may run out of depth instead."""
-    import dataclasses
-
     from synrec.cegis import verify
     from synrec.evaluator import format_value
 
     exp = expand_program(parse_program(lang_expected_text), ExpansionContext())
     memoized = verify(exp, {}, cfg)
-    reference = verify(exp, {}, dataclasses.replace(cfg, compiled_verify=False))
+    reference = reference_verify(exp, {}, cfg)
     assert not reference.passed
     assert not memoized.passed
     assert memoized.evaluations == reference.evaluations

@@ -5,17 +5,11 @@ import pytest
 from synrec.cegis import SynthesisConfig, run_cegis
 from synrec.parser import parse_program
 from synrec.pipeline import check_concrete, load_with_library, prepare
-from synrec.prelude import prelude_text
 from synrec.printer import pretty_print_program
 
-from conftest import CORPUS, ROOT, corpus_text
+from conftest import CORPUS, corpus_text
 
 SMALL = ("elimBool", "lIns", "tIns")
-
-
-def test_prelude_copies_in_sync():
-    lib = (ROOT / "lib" / "prelude.synrec").read_text()
-    assert lib == prelude_text()
 
 
 @pytest.mark.parametrize("name", SMALL)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,6 +101,21 @@ def test_step_limit_trips(solution):
     sigma = {"exp": between(num(0), num(1), num(2))}
     out = evaluate_harness(solution, {}, sigma, EvalLimits(max_depth=10, max_steps=10))
     assert out.kind == "resource"
+
+
+def test_evaluate_harness_restores_recursion_limit(solution):
+    """The tree walk raises the interpreter's recursion limit for one call only."""
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(3000)
+    try:
+        sigma = {"exp": between(num(0), num(1), num(2))}
+        outcomes = []
+        for limits in (LIMITS, EvalLimits(max_depth=1, max_steps=200_000)):
+            outcomes.append(evaluate_harness(solution, {}, sigma, limits).kind)
+            assert sys.getrecursionlimit() == 3000
+        assert outcomes == ["pass", "resource"]
+    finally:
+        sys.setrecursionlimit(before)
 
 
 def test_values_equal():

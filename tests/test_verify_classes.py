@@ -25,7 +25,7 @@ from synrec.pipeline import load_with_library, prepare
 from synrec.scaling import scaling_benchmark
 
 import toys
-from conftest import corpus_text
+from conftest import corpus_text, reference_verify
 
 
 def _key(vr):
@@ -122,7 +122,7 @@ def test_value_classes_match_reference_at_depth_limit(case):
     cfg = DEPTH_LIMIT_CASES[case]
     exp, vr = _decomposed_check(corpus_text("lang.expected"), cfg)
     assert vr.strategy == VALUE_CLASS
-    reference = cegis.verify(exp, {}, dataclasses.replace(cfg, compiled_verify=False))
+    reference = reference_verify(exp, {}, cfg)
     assert not reference.passed and reference.failure.kind == "resource"
     assert _key(vr) == _key(reference)
 
@@ -310,6 +310,6 @@ def test_value_classes_match_reference_at_source_depth_limit(unroll):
     cfg = SynthesisConfig(input_depth=4, unroll_depth=unroll)
     exp, vr = _decomposed_check(WRAPPED_PARITY, cfg, lib=False)
     assert vr.strategy == VALUE_CLASS
-    reference = cegis.verify(exp, {}, dataclasses.replace(cfg, compiled_verify=False))
+    reference = reference_verify(exp, {}, cfg)
     assert _key(vr) == _key(reference)
     assert reference.passed == (unroll >= 4)
