@@ -136,10 +136,6 @@ class Expr:
     __slots__ = ()
 
 
-def _span_field() -> Span:
-    return NO_SPAN
-
-
 @dataclass(eq=True)
 class Var(Expr):
     name: str

@@ -1,16 +1,19 @@
 """Counterexample-guided inductive synthesis over the finite control space.
 
-The inductive step is a deterministic, complete backtracking search with
-lazy binding: control points are bound to their first domain value when
-evaluation first reads them, and backtracking advances the most recently
-bound point that still has untried values.  Verification is bounded
-checking of the plain program over depth-major enumerated inputs, so the
-first counterexample found is depth-minimal; total candidates are checked
-through the compiled fast path.  It has two strategies with the same
-verdict and counterexample: exhaustive enumeration of every input, and,
-for the candidates of a decomposed run that pass `value_class_blocker`,
-a bottom-up check of one witness tree per class of children that the
-plain program cannot tell apart (see `_verify_value_classes`).
+Both halves run one executor: the expanded program compiled once per run
+(see `compiled`), holes and choices included.  The inductive step is a
+deterministic, complete backtracking search with lazy binding: control
+points are bound to their first domain value when evaluation first reads
+them, and backtracking advances the most recently bound point that still
+has untried values.  Verification is bounded checking of the plain
+program under the candidate's total assignment over depth-major
+enumerated native inputs, so the first counterexample found is
+depth-minimal.  It has two strategies with the same verdict and
+counterexample: exhaustive enumeration of every input, and, for the
+candidates of a decomposed run that pass `value_class_blocker`, a
+bottom-up check of one witness tree per class of children that the plain
+program cannot tell apart (see `_verify_value_classes`).  Each
+counterexample is re-run once on the reference evaluator.
 
 When inductive decomposition produced a morphism, switch arms of the
 function under synthesis share no control points with each other, so the
@@ -56,7 +59,7 @@ from .ast import (
     rebuild,
     walk,
 )
-from .compiled import CAssertFail, CExhausted, CInfeasible, compile_concrete
+from .compiled import CAssertFail, CExhausted, CInfeasible, CompiledProgram, compile_concrete
 from .errors import InternalError, SynrecError
 from .evaluator import (
     EvalLimits,
@@ -130,22 +133,13 @@ class SynthesisTimeout(Exception):
 # Bounded-depth value enumeration
 
 
-def _ref_record(variant, labels, fields):
-    return VRecord(variant, dict(zip(labels, fields)))
-
-
-def _native_record(variant, labels, fields):
-    return (variant,) + tuple(fields)
-
-
 class Enumerator:
-    """Depth-major enumeration of values, with per-level caching so deep
-    levels share substructure with shallow ones."""
+    """Depth-major enumeration of native values (see `compiled`), with
+    per-level caching so deep levels share substructure with shallow ones."""
 
-    def __init__(self, program: SurfaceProgram, cfg: SynthesisConfig, record=_ref_record):
+    def __init__(self, program: SurfaceProgram, cfg: SynthesisConfig):
         self.program = program
         self.cfg = cfg
-        self.record = record
         self._exact: dict[tuple, list] = {}
 
     def exact(self, ty: TypeExpr, depth: int) -> list:
@@ -178,11 +172,10 @@ class Enumerator:
         if adt is None:
             raise SynrecError(f"cannot enumerate values of unknown type {ty}")
         for variant in adt.variants:
-            labels = tuple(l for l, _ in variant.fields)
             ftys = tuple(t for _, t in variant.fields)
             if not ftys:
                 if depth == 1:
-                    yield self.record(variant.name, labels, ())
+                    yield (variant.name,)
                 continue
             child_depth = depth - 1
             pools = []
@@ -198,15 +191,14 @@ class Enumerator:
                 pools.append(pool)
             if any(not p for p in pools):
                 continue
-            yield from self._combos(variant.name, labels, pools, shallow)
+            yield from self._combos(variant.name, pools, shallow)
 
-    def _combos(self, name: str, labels, pools, shallow):
+    def _combos(self, name: str, pools, shallow):
         """Product of pools, skipping combinations where every component is
         shallow; same sequence as filtering the plain product."""
-        record = self.record
         if len(pools) == 1:
             for v in pools[0][shallow[0]:]:
-                yield record(name, labels, (v,))
+                yield (name, v)
             return
         if len(pools) == 2:
             p0, p1 = pools
@@ -215,7 +207,7 @@ class Enumerator:
             for i0, v0 in enumerate(p0):
                 inner = p1 if i0 >= shallow[0] else deep1
                 for v1 in inner:
-                    yield record(name, labels, (v0, v1))
+                    yield (name, v0, v1)
             return
         if len(pools) == 3:
             p0, p1, p2 = pools
@@ -226,11 +218,11 @@ class Enumerator:
                 for i1, v1 in enumerate(p1):
                     inner = p2 if d0 or i1 >= s1 else deep2
                     for v2 in inner:
-                        yield record(name, labels, (v0, v1, v2))
+                        yield (name, v0, v1, v2)
             return
         for combo in itertools.product(*(list(enumerate(p)) for p in pools)):
             if any(i >= s for (i, _), s in zip(combo, shallow)):
-                yield record(name, labels, tuple(v for _, v in combo))
+                yield (name,) + tuple(v for _, v in combo)
 
     def iter_cumulative(self, ty: TypeExpr, depth: int):
         """All values up to `depth`, depth-major; the deepest level streams."""
@@ -241,25 +233,21 @@ class Enumerator:
             yield from self.exact(ty, d)
         yield from self.iter_exact(ty, depth)
 
-    def count(self, ty: TypeExpr, depth: int) -> int:
-        if isinstance(ty, PrimType):
-            return 2 if ty.name == "bit" else len(self.cfg.int_domain)
-        return sum(len(self.exact(ty, d)) for d in range(1, depth + 1))
-
 
 def enumerate_values(
     program: SurfaceProgram, ty: TypeExpr, depth: int, cfg: SynthesisConfig
 ) -> list:
     """All values of `ty` with constructor-nesting depth <= `depth`,
-    depth-major then declaration-order, duplicate-free."""
-    return list(Enumerator(program, cfg).iter_cumulative(ty, depth))
+    depth-major then declaration-order, duplicate-free, in the reference
+    evaluator's form."""
+    values = Enumerator(program, cfg).iter_cumulative(ty, depth)
+    return [_to_reference(program, v) for v in values]
 
 
-def iter_inputs(
-    program: SurfaceProgram, harness: FuncDecl, cfg: SynthesisConfig, record=_ref_record
-):
-    """Joint enumeration of harness arguments, ordered by max parameter depth."""
-    en = Enumerator(program, cfg, record)
+def iter_inputs(program: SurfaceProgram, harness: FuncDecl, cfg: SynthesisConfig):
+    """Joint enumeration of native harness arguments, ordered by max
+    parameter depth."""
+    en = Enumerator(program, cfg)
     ptys = [t for _, t in harness.params]
     if not ptys:
         yield ()
@@ -338,27 +326,25 @@ class _Stats:
     candidate_evaluations: int = 0
 
 
-def _passes(program, controls, cexs, limits, decomp, stats, harness) -> bool:
-    """Run the harness on each counterexample in turn, counting every run;
-    False at the first failure."""
-    for sigma in cexs:
-        out = evaluate_harness(
-            program, controls, sigma, limits, decomposition=decomp, harness=harness
-        )
+def _passes(compiled: CompiledProgram, run, cexs: list[tuple], stats: _Stats) -> bool:
+    """Run `run`, the compiled harness, on each counterexample in turn,
+    counting every run; False at the first failure."""
+    for args in cexs:
         stats.candidate_evaluations += 1
-        if not out.passed:
+        try:
+            run(*args)
+        except _FAILURES:
+            compiled.namespace["_reset_depths"]()
             return False
     return True
 
 
 def _search(
     expanded: ExpandedProgram,
-    cexs: list[dict],
-    cfg: SynthesisConfig,
-    decomp,
+    compiled: CompiledProgram,
+    cexs: list[tuple],
     deadline: float | None,
     stats: _Stats,
-    harness: FuncDecl,
 ) -> tuple[LazyBinder, bool]:
     """Complete deterministic search over assignments reachable by reads.
 
@@ -366,13 +352,14 @@ def _search(
     the binder's `ever_read` stays meaningful when the search runs out.
     """
     binder = LazyBinder(expanded.control_space)
-    limits = cfg.eval_limits()
     if not cexs:
         return binder, True
+    compiled.bind_controls(binder.read)
+    run = compiled.func(expanded.program.harnesses[0].name)
     while True:
         if deadline is not None and time.monotonic() > deadline:
             raise SynthesisTimeout
-        if _passes(expanded.program, binder, cexs, limits, decomp, stats, harness):
+        if _passes(compiled, run, cexs, stats):
             return binder, True
         if not binder.advance():
             return binder, False
@@ -380,18 +367,16 @@ def _search(
 
 def synthesize_inductive(
     expanded: ExpandedProgram,
-    cexs: list[dict],
-    cfg: SynthesisConfig,
-    decomp: SpecShape | None = None,
+    compiled: CompiledProgram,
+    cexs: list[tuple],
     deadline: float | None = None,
     stats: _Stats | None = None,
-    harness: FuncDecl | None = None,
 ) -> dict[int, int] | None:
-    """Find a total control assignment satisfying every counterexample,
-    or None when the (finite) space has no solution."""
+    """Find a total control assignment under which the compiled program
+    (`expanded`, or its decomposition) passes every counterexample (native
+    harness arguments), or None when the (finite) space has no solution."""
     stats = stats if stats is not None else _Stats()
-    harness = harness or expanded.program.harnesses[0]
-    binder, found = _search(expanded, cexs, cfg, decomp, deadline, stats, harness)
+    binder, found = _search(expanded, compiled, cexs, deadline, stats)
     if not found:
         return None
     return total_assignment(expanded.control_space, binder.bound)
@@ -411,6 +396,8 @@ class VerifyResult:
     failure: Outcome | None = None
     evaluations: int = 0
     strategy: str = EXHAUSTIVE
+    # the counterexample as native harness arguments
+    args: tuple | None = None
 
 
 _CHUNK = 65536
@@ -422,6 +409,7 @@ def verify(
     cfg: SynthesisConfig,
     value_classes: SpecShape | None = None,
     deadline: float | None = None,
+    compiled: CompiledProgram | None = None,
 ) -> VerifyResult:
     """Bounded check of the plain program under a total assignment.
 
@@ -431,15 +419,18 @@ def verify(
     of a decomposition whose decomposed program passes
     `value_class_blocker`, the candidate is checked by value classes;
     otherwise every input is checked.  Both strategies give the same
-    verdict and the same counterexample.
+    verdict and the same counterexample.  `compiled` is the plain program
+    compiled with memoization; `run_cegis` keeps one for the whole run.
     """
     harness = expanded.program.harnesses[0]
     if len(phi) != len(expanded.control_space):
         phi = total_assignment(expanded.control_space, phi)
-    concrete = substitute_controls(expanded, phi, unbox=False)
+    if compiled is None:
+        compiled = compile_concrete(expanded.program, None, cfg.effective_unroll, memoize=True)
+    compiled.bind_controls(phi.__getitem__)
     if value_classes is not None:
-        return _verify_value_classes(concrete, value_classes, cfg, deadline, harness)
-    return _verify_compiled(concrete, cfg, deadline, harness)
+        return _verify_value_classes(compiled, value_classes, cfg, deadline, harness)
+    return _verify_compiled(compiled, cfg, deadline, harness)
 
 
 # IndexError comes from statically-indexed array literals going out of
@@ -456,14 +447,6 @@ def _failure(err: Exception) -> Outcome:
     return Outcome("infeasible", detail="candidate infeasible")
 
 
-def _run_compiled(fn, *args) -> tuple:
-    """One compiled call: (result, None), or (None, failure outcome)."""
-    try:
-        return fn(*args), None
-    except _FAILURES as err:
-        return None, _failure(err)
-
-
 def _to_reference(program: SurfaceProgram, value):
     """Convert a native value (variant-tagged tuple) to the reference form."""
     if isinstance(value, tuple):
@@ -477,16 +460,16 @@ def _to_reference(program: SurfaceProgram, value):
     return value
 
 
-def _counterexample(program: SurfaceProgram, harness: FuncDecl, args) -> dict:
-    return {n: _to_reference(program, v) for (n, _), v in zip(harness.params, args)}
+def _counterexample(program, harness, args, failure, evals, strategy) -> VerifyResult:
+    sigma = {n: _to_reference(program, v) for (n, _), v in zip(harness.params, args)}
+    return VerifyResult(False, sigma, failure, evals, strategy, args)
 
 
-def _verify_compiled(concrete, cfg, deadline, harness):
+def _verify_compiled(prog, cfg, deadline, harness):
     """Exhaustive check: every input up to the bound, in enumeration order."""
-    prog = compile_concrete(concrete, max_depth=cfg.effective_unroll, memoize=True)
     runner = prog.func(harness.name)
     evals = 0
-    for args in iter_inputs(concrete, harness, cfg, record=_native_record):
+    for args in iter_inputs(prog.program, harness, cfg):
         if evals % _CHUNK == 0:
             prog.clear_memos()
             if deadline is not None and time.monotonic() > deadline:
@@ -495,13 +478,13 @@ def _verify_compiled(concrete, cfg, deadline, harness):
         try:
             runner(*args)
         except _FAILURES as err:
-            return VerifyResult(
-                False, _counterexample(concrete, harness, args), _failure(err), evals
+            return _counterexample(
+                prog.program, harness, args, _failure(err), evals, EXHAUSTIVE
             )
     return VerifyResult(True, evaluations=evals)
 
 
-def _verify_value_classes(concrete, shape, cfg, deadline, harness):
+def _verify_value_classes(prog, shape, cfg, deadline, harness):
     """Bottom-up check of a decomposed morphism candidate by value classes.
 
     Under `value_class_blocker`'s conditions the plain program observes a
@@ -522,15 +505,19 @@ def _verify_value_classes(concrete, shape, cfg, deadline, harness):
     failure found here is the exhaustive check's first failure.
     """
     max_depth = cfg.effective_unroll
-    prog = compile_concrete(concrete, max_depth=max_depth)
-    en = Enumerator(concrete, cfg, _native_record)
+    program = prog.program
+    en = Enumerator(program, cfg)
     src = AdtType(shape.source_adt)
     evals = 0
 
     def call_at(name, depth, arg):
+        """One compiled call: (result, None), or (None, failure outcome)."""
         nonlocal evals
         evals += 1
-        return _run_compiled(prog.call_at, name, depth, arg)
+        try:
+            return prog.call_at(name, depth, arg), None
+        except _FAILURES as err:
+            return None, _failure(err)
 
     def observe(name, arg):
         # Outcomes from the deepest nesting up.  Running out of depth at a
@@ -563,7 +550,7 @@ def _verify_value_classes(concrete, shape, cfg, deadline, harness):
     for level in range(1, cfg.input_depth + 1):
         last = level == cfg.input_depth
         fresh: list = []
-        for variant in concrete.adt(shape.source_adt).variants:
+        for variant in program.adt(shape.source_adt).variants:
             # the enumerator's pools, with class witnesses for source fields
             pools, shallow = [], []
             for _, ft in variant.fields:
@@ -577,16 +564,14 @@ def _verify_value_classes(concrete, shape, cfg, deadline, harness):
             if not variant.fields:
                 trees = [(variant.name,)] if level == 1 else []
             else:
-                labels = tuple(l for l, _ in variant.fields)
-                trees = en._combos(variant.name, labels, pools, shallow)
+                trees = en._combos(variant.name, pools, shallow)
             for tree in trees:
                 if deadline is not None and time.monotonic() > deadline:
                     raise SynthesisTimeout
                 _, failure = call_at(harness.name, 0, tree)
                 if failure is not None:
-                    return VerifyResult(
-                        False, _counterexample(concrete, harness, (tree,)), failure, evals,
-                        VALUE_CLASS,
+                    return _counterexample(
+                        program, harness, (tree,), failure, evals, VALUE_CLASS
                     )
                 if not last:
                     key = class_of(tree)
@@ -599,25 +584,6 @@ def _verify_value_classes(concrete, shape, cfg, deadline, harness):
 
 # ---------------------------------------------------------------------------
 # Concretization
-
-
-def substitute_controls(
-    expanded: ExpandedProgram, phi: dict[int, int], unbox: bool
-) -> SurfaceProgram:
-    """Replace holes by literals and choices by their selected arm."""
-
-    def go(e: Expr) -> Expr:
-        if isinstance(e, Hole):
-            return IntLit(phi[e.cp], span=e.span)
-        if isinstance(e, Choice):
-            return go(e.arms[phi[e.cp]])
-        if isinstance(e, BoxMake) and unbox:
-            args = (go(e.term),) if e.gamma is None else (go(e.term), go(e.gamma))
-            return Call(e.trans, args, span=e.span)
-        return rebuild(e, [go(c) for c in children(e)])
-
-    funcs = tuple(replace(f, body=go(f.body)) for f in expanded.functions)
-    return SurfaceProgram(expanded.program.adts, funcs)
 
 
 def _is_pure(e: Expr) -> bool:
@@ -652,15 +618,23 @@ _CONCRETE_FORBIDDEN = (Hole, Choice, BoxMake, GenLambda, FieldsOf, FlexSwitch, U
 def concretize(expanded: ExpandedProgram, phi: dict[int, int]) -> SurfaceProgram:
     """Substitute a total assignment and clean up the result.
 
-    The output contains only standard expressions, type-checks at every
-    declared signature, and keeps let bindings whose values could have
-    observable effects.
+    Holes become literals and choices their selected arm.  The output
+    contains only standard expressions, type-checks at every declared
+    signature, and keeps let bindings whose values could have observable
+    effects.
     """
     if len(phi) != len(expanded.control_space):
         phi = total_assignment(expanded.control_space, phi)
-    program = substitute_controls(expanded, phi, unbox=True)
-    funcs = tuple(replace(f, body=simplify_expr(f.body)) for f in program.functions)
-    out = SurfaceProgram(program.adts, funcs)
+
+    def go(e: Expr) -> Expr:
+        if isinstance(e, Hole):
+            return IntLit(phi[e.cp], span=e.span)
+        if isinstance(e, Choice):
+            return go(e.arms[phi[e.cp]])
+        return rebuild(e, [go(c) for c in children(e)])
+
+    funcs = tuple(replace(f, body=simplify_expr(go(f.body))) for f in expanded.functions)
+    out = SurfaceProgram(expanded.program.adts, funcs)
     for f in out.functions:
         for node in walk(f.body):
             if isinstance(node, _CONCRETE_FORBIDDEN):
@@ -687,8 +661,9 @@ class ArmStatus:
 
 @dataclass
 class CegisState:
-    counterexamples: list[dict] = field(default_factory=list)
-    cex_keys: set[str] = field(default_factory=set)
+    # native harness arguments, and their renderings in the same order
+    counterexamples: list[tuple] = field(default_factory=list)
+    cex_keys: list[str] = field(default_factory=list)
     iterations: int = 0
     arm_cache: dict[str, dict[int, int]] = field(default_factory=dict)
     arm_reads: dict[str, set[int]] = field(default_factory=dict)
@@ -739,37 +714,30 @@ def _sigma_key(sigma: dict) -> str:
     return ";".join(f"{k}={format_value(v)}" for k, v in sorted(sigma.items()))
 
 
-def _root_variant(sigma: dict, shape: SpecShape) -> str:
-    v = sigma[shape.ast_param]
-    if not isinstance(v, VRecord):
-        raise InternalError("inductive input is not an ADT value")
-    return v.variant
-
-
 def _solve_per_arm(
     expanded: ExpandedProgram,
-    cfg: SynthesisConfig,
+    compiled: CompiledProgram,
     shape: SpecShape,
     state: CegisState,
     deadline: float | None,
     stats: _Stats,
-    harness: FuncDecl,
 ) -> dict[int, int] | None | str:
     """Per-arm inductive step; returns phi, None (unsat), or "fallback"."""
     adt = expanded.program.adt(shape.source_adt)
-    groups: dict[str, list[dict]] = {}
-    for sigma in state.counterexamples:
-        groups.setdefault(_root_variant(sigma, shape), []).append(sigma)
+    harness = expanded.program.harnesses[0]
+    root = [n for n, _ in harness.params].index(shape.ast_param)
+    groups: dict[str, list[tuple]] = {}
+    for args in state.counterexamples:
+        groups.setdefault(args[root][0], []).append(args)
     for variant in (v.name for v in adt.variants):
         cexs = groups.get(variant, [])
         if not cexs:
-            state.arm_solved.setdefault(variant, True)
             continue
         if state.arm_cex_count.get(variant) == len(cexs) and variant in state.arm_cache:
             continue
         start = time.monotonic()
         try:
-            binder, found = _search(expanded, cexs, cfg, shape, deadline, stats, harness)
+            binder, found = _search(expanded, compiled, cexs, deadline, stats)
         finally:
             state.arm_ms[variant] = state.arm_ms.get(variant, 0.0) + (
                 (time.monotonic() - start) * 1000
@@ -793,10 +761,8 @@ def _solve_per_arm(
             return "fallback"
         merged.update(frag)
     phi = total_assignment(expanded.control_space, merged)
-    if not _passes(
-        expanded.program, phi, state.counterexamples, cfg.eval_limits(), shape, stats,
-        harness,
-    ):
+    compiled.bind_controls(phi.__getitem__)
+    if not _passes(compiled, compiled.func(harness.name), state.counterexamples, stats):
         return "fallback"
     return phi
 
@@ -808,7 +774,12 @@ def run_cegis(
     report: ClassificationReport | None = None,
 ) -> SynthesisResult:
     """The CEGIS loop: inductive synthesis against accumulated
-    counterexamples, bounded verification, repeat."""
+    counterexamples, bounded verification, repeat.
+
+    The search and the check run compiled programs, each compiled once
+    per run: the search program (the decomposition, or the plain program)
+    and the plain program, memoized, for verification.
+    """
     start = time.monotonic()
     deadline = start + cfg.timeout_secs
     stats = _Stats()
@@ -840,21 +811,26 @@ def run_cegis(
         # check is the decomposition's induction argument, so the baseline
         # without it keeps the exhaustive scan.
         blocker = "no inductive decomposition"
-    per_arm = decomp_active and report.is_morphism
+    search = compile_concrete(search_prog.program, decomp, cfg.effective_unroll)
+    plain = compile_concrete(expanded.program, None, cfg.effective_unroll, memoize=True)
+    morphism = decomp_active and report.is_morphism
+    per_arm = morphism
 
     def finish(status, assignment, solution) -> SynthesisResult:
         s = SynthesisStats(
             iterations=state.iterations,
             candidate_evaluations=stats.candidate_evaluations,
-            counterexamples=[_sigma_key(c) for c in state.counterexamples],
+            counterexamples=list(state.cex_keys),
             wall_ms=int((time.monotonic() - start) * 1000),
         )
-        if per_arm:
+        if morphism:
+            # an arm is solved when its search found an assignment, or
+            # when the whole run is
             adt = expanded.program.adt(shape.source_adt)
             s.per_arm = [
                 ArmStatus(
                     v.name,
-                    state.arm_solved.get(v.name, False),
+                    status == SOLVED or state.arm_solved.get(v.name, False),
                     state.arm_ms.get(v.name, 0.0),
                 )
                 for v in adt.variants
@@ -862,9 +838,10 @@ def run_cegis(
         return SynthesisResult(status, assignment, solution, s)
 
     def drop_decomposition():
-        nonlocal per_arm, search_prog, decomp
+        nonlocal per_arm, search_prog, search, decomp
         per_arm = False
         search_prog = expanded
+        search = compile_concrete(expanded.program, None, cfg.effective_unroll)
         decomp = None
         state.arm_cache.clear()
         state.arm_cex_count.clear()
@@ -873,16 +850,13 @@ def run_cegis(
         while True:
             state.iterations += 1
             if per_arm:
-                got = _solve_per_arm(
-                    search_prog, cfg, shape, state, deadline, stats, harness
-                )
+                got = _solve_per_arm(search_prog, search, shape, state, deadline, stats)
                 if got == "fallback":
                     log.warning("per-arm decoupling failed; falling back to joint solve")
                     per_arm = False
             if not per_arm:
                 got = synthesize_inductive(
-                    search_prog, state.counterexamples, cfg, decomp, deadline,
-                    stats, harness,
+                    search_prog, search, state.counterexamples, deadline, stats
                 )
             if got is None and decomp is not None:
                 # Near the resource limits the decomposed and plain semantics
@@ -891,8 +865,7 @@ def run_cegis(
                 log.warning("decomposed search exhausted; re-running plain search")
                 drop_decomposition()
                 got = synthesize_inductive(
-                    search_prog, state.counterexamples, cfg, None, deadline,
-                    stats, harness,
+                    search_prog, search, state.counterexamples, deadline, stats
                 )
             if got is None:
                 return finish(UNSAT, None, None)
@@ -904,21 +877,22 @@ def run_cegis(
             # plain program is checked by value classes, which gives the
             # exhaustive check's verdict and counterexample.
             classes = decomp if blocker is None else None
-            vr = verify(expanded, phi, cfg, classes, deadline)
+            vr = verify(expanded, phi, cfg, classes, deadline, plain)
             stats.candidate_evaluations += vr.evaluations
             if vr.passed:
                 solution = concretize(expanded, phi)
                 return finish(SOLVED, phi, solution)
-            sigma = vr.counterexample
+            # the runtime differential check of the compiled executor
             check = evaluate_harness(
-                expanded.program, phi, sigma, cfg.eval_limits(), harness=harness
+                expanded.program, phi, vr.counterexample, cfg.eval_limits(),
+                harness=harness,
             )
             if check.passed:
                 raise InternalError(
                     "compiled verifier and reference evaluator disagree on a "
                     "counterexample"
                 )
-            key = _sigma_key(sigma)
+            key = _sigma_key(vr.counterexample)
             if key in state.cex_keys:
                 if decomp is not None:
                     # The candidate passes this input under decomposition but
@@ -931,8 +905,8 @@ def run_cegis(
                     drop_decomposition()
                     continue
                 raise InternalError(f"counterexample repeated: {key}")
-            state.cex_keys.add(key)
-            state.counterexamples.append(sigma)
+            state.cex_keys.append(key)
+            state.counterexamples.append(vr.args)
             log.info(
                 "iteration %d: counterexample %s", state.iterations, key
             )

@@ -1,19 +1,24 @@
-"""Compilation of concrete (control-free) programs to Python for fast
-bounded verification.
+"""Compilation of expanded programs to Python: the executor of both the
+inductive search and the bounded check.
 
-Exhaustive checking at the default depth means millions of harness
-evaluations per full verification pass, which the tree-walking evaluator
-cannot sustain; this module translates a concrete program (holes and
-choices already substituted, decomposition nodes allowed) into plain
-Python functions over native values: ints, variant-tagged tuples
-``(name, f1, ...)``, tuples for arrays, ``None`` for unit, and ``Box``
-for deferred recursion.
+A program is compiled once per synthesis run and runs under any control
+assignment: a hole becomes the runtime read ``_rd(cp)``, and a choice an
+inline conditional that reads its point once and evaluates only the
+selected arm.  ``CompiledProgram.bind_controls`` installs the read: the
+lazy binder's during the search, a total assignment's during the check.
+Values are native: ints, variant-tagged tuples ``(name, f1, ...)``,
+tuples for arrays, ``None`` for unit, and ``Box`` for deferred recursion.
 
 Semantics mirror the reference evaluator (same decomposition rewrite,
 recursion-depth limits, assert ids, out-of-bounds behavior, 64-bit
-wrapping arithmetic) with one documented deviation: no per-step budget
-(termination is already forced by the depth limits).  The equivalence
-test suite pins the compiled path against the reference evaluator.
+wrapping arithmetic), and so does the order of control reads: operands
+run left to right, ``&&``/``||`` short-circuit, and nothing of an
+unselected arm runs.  Where a later operand needs statements (a ``let``,
+``switch`` or ``assert``), the earlier operands are spilled to
+temporaries first.  One documented deviation: no per-step budget, in the
+search as in the check (termination is already forced by the depth
+limits).  Property tests pin the compiled path, and the compiled search,
+against the reference evaluator.
 
 Optional memoization caches non-root calls of unary recursive ADT
 functions.  A call's outcome depends on its argument and on how deep the
@@ -54,11 +59,14 @@ from .ast import (
     UnitLit,
     UnOp,
     Var,
-    walk,
 )
-from .errors import InternalError
-from .evaluator import VBoxed, VRecord, wrap64
+from .errors import InternalError, TypeCheckError
+from .evaluator import wrap64
 from .typesys import TypeEnv, type_of
+
+
+def _tuple(parts: list[str]) -> str:
+    return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
 
 
 class Box:
@@ -105,13 +113,20 @@ class CompiledProgram:
             ns[f"_d_{name}"] = depth
         return ns[f"f_{name}"](*args)
 
-    def reset(self) -> None:
-        """Rebalance depth counters after an escaping exception."""
+    def bind_controls(self, read) -> None:
+        """Read holes and choices through `read(cp)` from now on.  Memo
+        entries hold only under the assignment that computed them, so they
+        are dropped, and the depth counters are rebalanced (an escaping
+        exception leaves them raised)."""
+        self.namespace["_rd"] = read
         self.namespace["_reset_depths"]()
         self.clear_memos()
 
 
 class _FnCompiler:
+    """Compiles one function's body, collecting its callees; `compile` adds
+    the depth and memo bookkeeping once the whole call graph is known."""
+
     def __init__(self, comp: "_Compiler", fn: FuncDecl):
         self.comp = comp
         self.fn = fn
@@ -119,6 +134,13 @@ class _FnCompiler:
         self.tmp = 0
         self.scope: dict[str, str] = {}
         self.used: set[str] = set()
+        self.callees: set[str] = set()
+        self.params = [self.fresh(n) for n, _ in fn.params]
+        env = TypeEnv(comp.program)
+        for (n, t), py in zip(fn.params, self.params):
+            self.scope[n] = py
+            env = env.bind(n, t)
+        self.result = self.expr(fn.body, env, 1)
 
     def fresh(self, base: str) -> str:
         name = f"v_{base}"
@@ -137,6 +159,24 @@ class _FnCompiler:
 
     # expression compilation: returns a Python expression string, emitting
     # any prerequisite statements at `indent`.
+
+    def operands(self, exprs, env: TypeEnv, indent: int) -> list[str]:
+        """Compile operands that run left to right.  When one needs
+        statements, the earlier ones are spilled to temporaries ahead of
+        them, so they still run first."""
+        out: list[str] = []
+        for x in exprs:
+            mark = len(self.lines)
+            py = self.expr(x, env, indent)
+            if len(self.lines) > mark:
+                spills = []
+                for i, prev in enumerate(out):
+                    if not (prev.isidentifier() or prev.lstrip("-").isdigit()):
+                        out[i] = self.temp()
+                        spills.append("    " * indent + f"{out[i]} = {prev}")
+                self.lines[mark:mark] = spills
+            out.append(py)
+        return out
 
     def expr(self, e: Expr, env: TypeEnv, indent: int) -> str:
         t = type(e)
@@ -159,8 +199,8 @@ class _FnCompiler:
                 self.scope[e.name] = outer
             return result
         if t is Call:
-            args = [self.expr(a, env, indent) for a in e.args]
-            return f"f_{e.callee}({', '.join(args)})"
+            self.callees.add(e.callee)
+            return f"f_{e.callee}({', '.join(self.operands(e.args, env, indent))})"
         if t is Switch:
             out = self.temp()
             self.stmt_switch(e, env, indent, out)
@@ -172,23 +212,14 @@ class _FnCompiler:
             idx = [l for l, _ in bt.fields].index(e.label) + 1
             return f"{self.expr(e.base, env, indent)}[{idx}]"
         if t is Ctor:
-            parts = [repr(e.variant)] + [self.expr(v, env, indent) for _, v in e.fields]
-            if len(parts) == 1:
-                return f"({parts[0]},)"
-            return "(" + ", ".join(parts) + ")"
+            return _tuple([repr(e.variant)] + self.operands([v for _, v in e.fields], env, indent))
         if t is ArrayLit:
-            items = [self.expr(x, env, indent) for x in e.items]
-            if not items:
-                return "()"
-            if len(items) == 1:
-                return f"({items[0]},)"
-            return "(" + ", ".join(items) + ")"
+            return _tuple(self.operands(e.items, env, indent))
         if t is Index:
-            base = self.expr(e.base, env, indent)
             idx = e.index
             if isinstance(idx, IntLit) and idx.value >= 0:
-                return f"{base}[{idx.value}]"
-            return f"_idx({base}, {self.expr(idx, env, indent)})"
+                return f"{self.expr(e.base, env, indent)}[{idx.value}]"
+            return f"_idx({', '.join(self.operands((e.base, idx), env, indent))})"
         if t is Assert:
             cond = self.cond(e.cond, env, indent)
             self.emit(indent, f"if not ({cond}): raise CAssertFail({e.aid})")
@@ -199,80 +230,105 @@ class _FnCompiler:
             return f"(0 if ({self.cond(e.operand, env, indent)}) else 1)"
         if t is If:
             cond = self.cond(e.cond, env, indent)
-            mark = len(self.lines)
-            then = self.expr(e.then, env, indent)
-            els_mark = len(self.lines)
-            els = self.expr(e.els, env, indent)
-            if len(self.lines) == mark:
-                return f"(({then}) if ({cond}) else ({els}))"
-            # branches needed statements: re-emit as an if/else block
-            del self.lines[mark:]
-            out = self.temp()
-            self.emit(indent, f"if {cond}:")
-            then = self.expr(e.then, env, indent + 1)
-            self.emit(indent + 1, f"{out} = {then}")
-            self.emit(indent, "else:")
-            els = self.expr(e.els, env, indent + 1)
-            self.emit(indent + 1, f"{out} = {els}")
-            return out
+            return self.branches(cond, (e.then, e.els), env, indent)
+        if t is Hole:
+            return f"_rd({e.cp})"
+        if t is Choice:
+            return self.branches(None, e.arms, env, indent, e.cp)
         if t is AlwaysFail:
             return "_fail()"
         if t is BoxMake:
-            term = self.expr(e.term, env, indent)
-            if e.gamma is None:
-                return f"Box({term})"
-            return f"Box({term}, {self.expr(e.gamma, env, indent)})"
-        if t in (Hole, Choice):
-            raise InternalError("compile: control node in a concrete program")
+            self.callees.add(e.trans)
+            parts = (e.term,) if e.gamma is None else (e.term, e.gamma)
+            return f"Box({', '.join(self.operands(parts, env, indent))})"
         raise InternalError(f"compile: unsupported node {t.__name__}")
+
+    def branches(self, test, arms, env: TypeEnv, indent: int, cp=None) -> str:
+        """Run one arm: arm 0 or 1 by the truth expression `test`, or,
+        with control point `cp`, arm i when `cp` reads i.  Only the
+        selected arm runs: inline when no arm needs statements, else as an
+        if/elif block."""
+        mark = len(self.lines)
+        values = [self.expr(a, env, indent) for a in arms]
+        if len(self.lines) == mark:
+            if cp is None:
+                return self.outline(f"(({values[0]}) if ({test}) else ({values[1]}))")
+            # expansion leaves no choice with fewer than two arms
+            k = self.temp()
+            reads = [f"({k} := _rd({cp}))"] + [k] * len(values)
+            tests = [f"{v} if {r} == {i} else " for i, (v, r) in enumerate(zip(values, reads))]
+            return self.outline(f"({''.join(tests[:-1])}{values[-1]})")
+        # an arm needed statements: re-emit as an if/elif block
+        del self.lines[mark:]
+        out = self.temp()
+        if cp is None:
+            tests = [f"if {test}:"]
+        else:
+            k = self.temp()
+            self.emit(indent, f"{k} = _rd({cp})")
+            tests = [f"{'el' if i else ''}if {k} == {i}:" for i in range(len(arms) - 1)]
+        for line, arm in zip(tests + ["else:"], arms):
+            self.emit(indent, line)
+            self.emit(indent + 1, f"{out} = {self.expr(arm, env, indent + 1)}")
+        return out
+
+    def outline(self, value: str) -> str:
+        """Move a long expression into a function compiled on its own:
+        Python's parser needs memory in proportion to the code it compiles
+        at once, and the conditionals of a large expansion nest deeply."""
+        if len(value) <= _OUTLINE_CHARS:
+            return value
+        params = ", ".join(sorted(set(self.scope.values())))
+        name = f"_x{len(self.comp.outlined)}"
+        self.comp.outlined.append(f"def {name}({params}):\n    return {value}")
+        return f"{name}({params})"
 
     def binop_value(self, e: BinOp, env: TypeEnv, indent: int) -> str:
         op = e.op
         if op in ("&&", "||", "<", "<=", ">", ">=", "==", "!="):
             return f"(1 if ({self.cond(e, env, indent)}) else 0)"
-        lhs = self.expr(e.lhs, env, indent)
-        rhs = self.expr(e.rhs, env, indent)
+        lhs, rhs = self.operands((e.lhs, e.rhs), env, indent)
         return f"_wrap64({lhs} {op} {rhs})"
 
     def cond(self, e: Expr, env: TypeEnv, indent: int) -> str:
         """Compile a bit-valued expression as a Python truth expression."""
         if isinstance(e, BinOp):
             op = e.op
-            if op == "&&":
-                return f"(({self.cond(e.lhs, env, indent)}) and ({self.cond(e.rhs, env, indent)}))"
-            if op == "||":
-                return f"(({self.cond(e.lhs, env, indent)}) or ({self.cond(e.rhs, env, indent)}))"
+            if op in ("&&", "||"):
+                lhs = self.cond(e.lhs, env, indent)
+                mark = len(self.lines)
+                rhs = self.cond(e.rhs, env, indent)
+                if len(self.lines) == mark:
+                    return f"(({lhs}) {'and' if op == '&&' else 'or'} ({rhs}))"
+                # the right operand needs statements: run them only when
+                # the left operand does not decide
+                del self.lines[mark:]
+                out = self.temp()
+                self.emit(indent, f"{out} = {lhs}")
+                self.emit(indent, f"if {'' if op == '&&' else 'not '}{out}:")
+                self.emit(indent + 1, f"{out} = {self.cond(e.rhs, env, indent + 1)}")
+                return out
             if op in ("<", "<=", ">", ">="):
-                return f"({self.expr(e.lhs, env, indent)} {op} {self.expr(e.rhs, env, indent)})"
+                lhs, rhs = self.operands((e.lhs, e.rhs), env, indent)
+                return f"({lhs} {op} {rhs})"
             if op in ("==", "!="):
                 lt = self._operand_type(e, env)
                 neg = "not " if op == "!=" else ""
-                if self._needs_deep_eq(lt):
-                    return (
-                        f"({neg}_eq({self.expr(e.lhs, env, indent)}, "
-                        f"{self.expr(e.rhs, env, indent)}))"
-                    )
-                return f"({self.expr(e.lhs, env, indent)} {op} {self.expr(e.rhs, env, indent)})"
+                lhs, rhs = self.operands((e.lhs, e.rhs), env, indent)
+                if not isinstance(lt, PrimType):
+                    return f"({neg}_eq({lhs}, {rhs}))"
+                return f"({lhs} {op} {rhs})"
         if isinstance(e, UnOp):
             return f"(not ({self.cond(e.operand, env, indent)}))"
         return f"(({self.expr(e, env, indent)}) != 0)"
 
     def _operand_type(self, e: BinOp, env: TypeEnv):
-        from .errors import TypeCheckError
-
         for side in (e.lhs, e.rhs):
             try:
                 return type_of(env, side)
             except TypeCheckError:
                 continue
         return None
-
-    def _needs_deep_eq(self, ty) -> bool:
-        if ty is None:
-            return True
-        if isinstance(ty, PrimType):
-            return False
-        return True
 
     # statement-position constructs -----------------------------------------
 
@@ -282,29 +338,30 @@ class _FnCompiler:
         adt = env.program.adt(st.name)
         shape = self.comp.shape
         if shape is not None and st.name == shape.dest_adt:
-            self.emit(indent, f"if type({scrut_py}) is Box: {scrut_py} = _force({scrut_py})")
+            # the arms see the forced value; the variable keeps the box
+            boxed, scrut_py = scrut_py, self.fresh(e.scrutinee)
+            self.emit(indent, f"{scrut_py} = _force({boxed}) if type({boxed}) is Box else {boxed}")
+            self.scope[e.scrutinee] = scrut_py
         tag = self.temp()
         self.emit(indent, f"{tag} = {scrut_py}[0]")
-        first = True
-        for arm in e.arms:
-            kw = "if" if first else "elif"
-            first = False
-            self.emit(indent, f"{kw} {tag} == {arm.variant!r}:")
+        for i, arm in enumerate(e.arms):
+            self.emit(indent, f"{'el' if i else ''}if {tag} == {arm.variant!r}:")
             variant = adt.variant(arm.variant)
             arm_env = env.bind(e.scrutinee, variant.record_type())
             value = self.expr(arm.body, arm_env, indent + 1)
             self.emit(indent + 1, f"{target} = {value}")
         self.emit(indent, "else:")
         self.emit(indent + 1, "raise InternalError('no arm for ' + repr(" + tag + "))")
+        if shape is not None and st.name == shape.dest_adt:
+            self.scope[e.scrutinee] = boxed
 
     # whole function -----------------------------------------------------------
 
     def compile(self) -> str:
         fn = self.fn
         comp = self.comp
-        params = [self.fresh(n) for n, _ in fn.params]
-        for (n, _), py in zip(fn.params, params):
-            self.scope[n] = py
+        params = self.params
+        body, self.lines = self.lines, []
         dvar = f"_d_{fn.name}"
         recursive = fn.name in comp.recursive
         header = f"def f_{fn.name}({', '.join(params)}):"
@@ -336,15 +393,12 @@ class _FnCompiler:
                 self.emit(3, f"return f_{shape.interp_s}({p0}.term{rest_args})")
                 self.emit(2, f"{p0} = f_{shape.trans}({p0}.term, {p0}.gamma)")
         if recursive:
-            # No try/finally: an escaping exception ends the whole scan, and
-            # `reset()` rebalances the counters before any reuse.
+            # No try/finally: the caller runs `_reset_depths` after an
+            # escaping exception, before any reuse.
             self.emit(1, f"if {dvar} >= {comp.max_depth}: raise CExhausted")
             self.emit(1, f"{dvar} += 1")
-        env = TypeEnv(comp.program)
-        for n, t in fn.params:
-            env = env.bind(n, t)
-        result = self.expr(fn.body, env, 1)
-        self.emit(1, f"_r = {result}")
+        self.lines += body
+        self.emit(1, f"_r = {self.result}")
         if recursive:
             self.emit(1, f"{dvar} -= 1")
         if memo:
@@ -357,36 +411,33 @@ class _FnCompiler:
         return len(fn.params) == 1 and isinstance(fn.params[0][1], AdtType)
 
 
+_OUTLINE_CHARS = 2000  # see `_FnCompiler.outline`
+
+
 class _Compiler:
     def __init__(self, program: SurfaceProgram, shape, max_depth: int, memoize: bool):
         self.program = program
         self.shape = shape
         self.max_depth = max_depth
         self.memoize = memoize
-        self.recursive, self.reach = _recursive_functions(program, shape)
+        self.outlined: list[str] = []  # sources of outlined expressions
+        self.recursive: set[str] = set()
+        self.reach: dict[str, set[str]] = {}
 
 
-def _recursive_functions(program: SurfaceProgram, shape):
-    """Names reachable from their own bodies through the call graph, and
+def _recursive_functions(calls: dict[str, set[str]], shape):
+    """Names reachable from their own bodies through the call graph
+    `calls` (callees by caller, boxes counting as calls of trans), and
     for each function the recursive functions its calls can reach
     (itself included when recursive).
 
     Only recursive functions need depth bookkeeping.  With decomposition
-    active, boxed forcing and the interpreter rewrite add trans <->
-    interpreter edges.
+    active, the destination interpreter's rewrite adds the calls it makes.
     """
-    calls: dict[str, set[str]] = {}
-    for f in program.functions:
-        callees = {n.callee for n in walk(f.body) if isinstance(n, Call)}
-        if shape is not None:
-            if f.name == shape.interp_d:
-                callees.add(shape.interp_s)
-                if shape.abstraction is not None:
-                    callees.add(shape.abstraction)
-                    callees.add(shape.trans)
-            if any(isinstance(n, BoxMake) for n in walk(f.body)):
-                callees.add(shape.trans)
-        calls[f.name] = callees
+    if shape is not None and shape.interp_d in calls:
+        calls[shape.interp_d].add(shape.interp_s)
+        if shape.abstraction is not None:
+            calls[shape.interp_d] |= {shape.abstraction, shape.trans}
     reachable: dict[str, set[str]] = {}
     for name in calls:
         seen: set[str] = set()
@@ -439,21 +490,27 @@ def compile_concrete(
     max_depth: int = 5,
     memoize: bool = False,
 ) -> CompiledProgram:
-    """Compile a concrete program into native Python functions.
+    """Compile a program, holes and choices included, into native Python
+    functions; call `bind_controls` before running one that reads controls.
 
     `shape` enables the decomposition rewrite for boxed values; `max_depth`
     is the per-function recursion limit.
     """
     comp = _Compiler(program, shape, max_depth, memoize)
+    fns = [_FnCompiler(comp, f) for f in program.functions]
+    comp.recursive, comp.reach = _recursive_functions(
+        {fc.fn.name: fc.callees for fc in fns}, shape
+    )
     chunks = [_PRELUDE]
     depth_vars = []
-    for f in program.functions:
-        if f.name in comp.recursive:
-            chunks.append(f"_d_{f.name} = 0")
-            depth_vars.append(f"_d_{f.name}")
-            if memoize and _FnCompiler(comp, f)._memoizable():
-                chunks.append(f"_memo_{f.name} = [{{}} for _ in range({max_depth + 1})]")
-        chunks.append(_FnCompiler(comp, f).compile())
+    for fc in fns:
+        name = fc.fn.name
+        if name in comp.recursive:
+            chunks.append(f"_d_{name} = 0")
+            depth_vars.append(f"_d_{name}")
+            if memoize and fc._memoizable():
+                chunks.append(f"_memo_{name} = [{{}} for _ in range({max_depth + 1})]")
+        chunks.append(fc.compile())
     if depth_vars:
         chunks.append("def _reset_depths():")
         chunks.append("    global " + ", ".join(depth_vars))
@@ -469,10 +526,11 @@ def compile_concrete(
         "InternalError": InternalError,
         "_wrap64": wrap64,
     }
-    try:
-        exec(compile(source, "<synrec-compiled>", "exec"), namespace)
-    except SyntaxError as err:  # pragma: no cover - compiler bug guard
-        raise InternalError(f"generated code failed to compile: {err}\n{source}")
+    for text in [source, *comp.outlined]:
+        try:
+            exec(compile(text, "<synrec-compiled>", "exec"), namespace)
+        except SyntaxError as err:  # pragma: no cover - compiler bug guard
+            raise InternalError(f"generated code failed to compile: {err}\n{text}")
     if shape is not None:
 
         def _force_fn(b, _ns=namespace, _trans=shape.trans):
@@ -486,13 +544,3 @@ def compile_concrete(
         namespace["_FORCE_FN"] = None
     return CompiledProgram(namespace, program)
 
-
-def to_native(value):
-    """Convert a reference value (VRecord/tuple/int) to the native form."""
-    if isinstance(value, VRecord):
-        return (value.variant,) + tuple(to_native(v) for v in value.fields.values())
-    if isinstance(value, tuple):
-        return tuple(to_native(v) for v in value)
-    if isinstance(value, VBoxed):
-        return Box(to_native(value.term), None if value.gamma is None else to_native(value.gamma))
-    return value

@@ -1,4 +1,6 @@
-"""Reference evaluator for expanded programs.
+"""Reference evaluator for expanded programs: the oracle of the compiled
+executor (see `compiled`).  The property tests check the compiled search
+and check against it, and `run_cegis` re-runs every counterexample on it.
 
 Executes a harness under an input binding and a control assignment, with
 per-function recursion-depth and total-step limits.  Runtime values are
@@ -161,24 +163,16 @@ class FixedControls:
 
 class _Ctx:
     __slots__ = (
-        "program",
         "functable",
-        "variants",
         "controls",
         "limits",
         "decomp",
         "steps",
         "depths",
-        "eval_count",
     )
 
     def __init__(self, program: SurfaceProgram, controls, limits: EvalLimits, decomp):
-        self.program = program
         self.functable = {f.name: f for f in program.functions}
-        self.variants = {}
-        for adt in program.adts:
-            for v in adt.variants:
-                self.variants[v.name] = v
         self.controls = controls
         self.limits = limits
         self.decomp = decomp

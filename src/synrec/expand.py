@@ -98,9 +98,6 @@ class ControlPoint:
     def arity(self) -> int:
         return self.hi - self.lo + 1
 
-    def domain(self) -> range:
-        return range(self.lo, self.hi + 1)
-
 
 @dataclass(frozen=True)
 class ExpansionContext:
@@ -120,13 +117,6 @@ class ExpandedProgram:
     @property
     def functions(self):
         return self.program.functions
-
-    @property
-    def harnesses(self):
-        return self.program.harnesses
-
-    def point(self, cp: int) -> ControlPoint:
-        return self.control_space[cp]
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from .cegis import (
     SynthesisResult,
     VerifyResult,
     run_cegis,
-    total_assignment,
     verify,
 )
 from .errors import SynrecError
@@ -146,8 +145,7 @@ def check_concrete(
             f"solution still contains {len(expanded.control_space)} synthesis constructs"
         )
     _only_harness(expanded.program)
-    phi = total_assignment(expanded.control_space, {})
-    return verify(expanded, phi, cfg)
+    return verify(expanded, {}, cfg)
 
 
 def _merge_solution(base: SurfaceProgram, solution_text: str) -> SurfaceProgram:

@@ -81,9 +81,6 @@ class TypeEnv:
     def lookup(self, name: str) -> TypeExpr | None:
         return self._bindings.get(name)
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._bindings)
-
 
 def signature_type(f: FuncDecl) -> ArrowType:
     return ArrowType(tuple(t for _, t in f.params), f.ret)

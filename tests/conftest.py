@@ -1,9 +1,19 @@
 import logging
+import time
 from pathlib import Path
 
 import pytest
 
-from synrec.cegis import SynthesisConfig, VerifyResult, iter_inputs, total_assignment
+from synrec.cegis import (
+    LazyBinder,
+    SynthesisConfig,
+    SynthesisTimeout,
+    VerifyResult,
+    _to_reference,
+    iter_inputs,
+    total_assignment,
+)
+from synrec.compiled import compile_concrete
 from synrec.evaluator import evaluate_harness
 from synrec.parser import load_library, parse_program
 from synrec.prelude import prelude_text
@@ -42,12 +52,55 @@ def reference_verify(expanded, phi, cfg) -> VerifyResult:
         phi = total_assignment(expanded.control_space, phi)
     evals = 0
     for args in iter_inputs(expanded.program, harness, cfg):
-        sigma = {n: v for (n, _), v in zip(harness.params, args)}
+        sigma = reference_sigma(expanded.program, harness, args)
         out = evaluate_harness(expanded.program, phi, sigma, limits, harness=harness)
         evals += 1
         if not out.passed:
             return VerifyResult(False, sigma, out, evals)
     return VerifyResult(True, evaluations=evals)
+
+
+def reference_sigma(program, harness, args) -> dict:
+    """Native harness arguments as the reference evaluator's input binding."""
+    return {n: _to_reference(program, v) for (n, _), v in zip(harness.params, args)}
+
+
+def search_program(expanded, cfg, shape=None):
+    """The program the inductive search runs, compiled as `run_cegis` does."""
+    return compile_concrete(expanded.program, shape, cfg.effective_unroll)
+
+
+def _reference_passes(program, controls, cexs, limits, decomp, stats, harness) -> bool:
+    """Run the harness on each counterexample in turn, counting every run;
+    False at the first failure."""
+    for sigma in cexs:
+        out = evaluate_harness(
+            program, controls, sigma, limits, decomposition=decomp, harness=harness
+        )
+        stats.candidate_evaluations += 1
+        if not out.passed:
+            return False
+    return True
+
+
+def reference_search(expanded, cexs, cfg, decomp, deadline, stats, harness):
+    """The inductive search by the reference tree-walking evaluator over
+    reference input bindings: the oracle for the compiled search.
+
+    Returns the binder and whether its bindings pass every counterexample;
+    the binder's `ever_read` stays meaningful when the search runs out.
+    """
+    binder = LazyBinder(expanded.control_space)
+    limits = cfg.eval_limits()
+    if not cexs:
+        return binder, True
+    while True:
+        if deadline is not None and time.monotonic() > deadline:
+            raise SynthesisTimeout
+        if _reference_passes(expanded.program, binder, cexs, limits, decomp, stats, harness):
+            return binder, True
+        if not binder.advance():
+            return binder, False
 
 
 @pytest.fixture

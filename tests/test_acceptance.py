@@ -14,13 +14,14 @@ import pytest
 
 from synrec.ast import INT, AdtType, ArrayType, RecordType
 from synrec.cegis import (
+    _to_reference,
     SynthesisConfig,
     enumerate_values,
     run_cegis,
     synthesize_inductive,
     verify,
 )
-from synrec.evaluator import EvalLimits, VRecord, evaluate_harness, format_value
+from synrec.evaluator import EvalLimits, evaluate_harness, format_value
 from synrec.expand import ExpansionContext, Expander, _Path, expand_program
 from synrec.indecomp import (
     MORPHISM,
@@ -35,7 +36,7 @@ from synrec.scaling import scaling_benchmark
 from synrec.typesys import TypeEnv, check_type
 
 import toys
-from conftest import corpus_text
+from conftest import corpus_text, search_program
 
 CORPUS_NAMES = ("elimBool", "lIns", "lang", "tIns")
 
@@ -334,9 +335,10 @@ def test_criterion_8_cegis_properties():
     cexs = []
     seen = set()
     iterations = 0
+    search = search_program(exp, cfg)
     while True:
         iterations += 1
-        phi = synthesize_inductive(exp, cexs, cfg)
+        phi = synthesize_inductive(exp, search, cexs)
         assert phi is not None, "toy is satisfiable"
         vr = verify(exp, phi, cfg)
         if vr.passed:
@@ -348,22 +350,23 @@ def test_criterion_8_cegis_properties():
         key = format_value(sigma["l"])
         assert key not in seen, "counterexamples never repeat"
         seen.add(key)
-        cexs.append(sigma)
+        cexs.append(vr.args)
         assert iterations < 100
     # soundness: the solved assignment passes the full bounded check
     assert verify(exp, phi, cfg).passed
 
     # inductive-step completeness vs. exhaustive enumeration
     par = expand_program(parse_program(toys.PARITY), ExpansionContext())
-    z = VRecord("Z", {})
-    s = lambda x: VRecord("S1", {"p": x})
-    sigmas = [{"x": z}, {"x": s(z)}, {"x": s(s(z))}]
+    z = ("Z",)
+    s = lambda x: ("S1", x)
+    cexs = [(z,), (s(z),), (s(s(z)),)]
+    sigmas = [{"x": _to_reference(par.program, x)} for x, in cexs]
     passing = []
     for combo in itertools.product(*(range(p.lo, p.hi + 1) for p in par.control_space)):
         cand = dict(zip((p.id for p in par.control_space), combo))
         if all(evaluate_harness(par.program, cand, sg, limits).passed for sg in sigmas):
             passing.append(cand)
-    got = synthesize_inductive(par, sigmas, cfg)
+    got = synthesize_inductive(par, search_program(par, cfg), cexs)
     assert len(passing) == 1 and got == passing[0]
     unsat = expand_program(
         parse_program(
@@ -372,7 +375,7 @@ def test_criterion_8_cegis_properties():
         ),
         ExpansionContext(),
     )
-    assert synthesize_inductive(unsat, [{"x": 0}], cfg) is None
+    assert synthesize_inductive(unsat, search_program(unsat, cfg), [(0,)]) is None
     report(
         8,
         True,

@@ -4,6 +4,7 @@ import logging
 from synrec.ast import BIT, AdtType, Choice, Hole, walk
 from synrec.cegis import (
     SynthesisConfig,
+    _to_reference,
     concretize,
     enumerate_values,
     run_cegis,
@@ -17,7 +18,7 @@ from synrec.pipeline import check_concrete, load_with_library, prepare
 from synrec.printer import pretty_print_program
 
 import toys
-from conftest import reference_verify
+from conftest import reference_verify, search_program
 
 LIMITS = EvalLimits(max_depth=12, max_steps=500_000)
 
@@ -94,8 +95,7 @@ def test_effective_unroll_tracks_input_depth():
 def test_hole_forced_by_arithmetic():
     exp = expand_text(ARITH_TOY)
     cfg = SynthesisConfig()
-    sigma = {"x": 1}
-    phi = synthesize_inductive(exp, [sigma], cfg)
+    phi = synthesize_inductive(exp, search_program(exp, cfg), [(1,)])
     assert phi is not None
     (cp,) = [p.id for p in exp.control_space]
     assert phi[cp] == 2
@@ -104,7 +104,7 @@ def test_hole_forced_by_arithmetic():
 def test_empty_cexs_gives_all_first_assignment():
     exp = expand_text(toys.PARITY)
     cfg = SynthesisConfig()
-    phi = synthesize_inductive(exp, [], cfg)
+    phi = synthesize_inductive(exp, search_program(exp, cfg), [])
     assert phi == {p.id: p.lo for p in exp.control_space}
 
 
@@ -114,7 +114,7 @@ def test_unsat_when_no_assignment_works():
         "harness void m(int x) { assert(f(x) == 9); }"
     )
     cfg = SynthesisConfig()
-    phi = synthesize_inductive(exp, [{"x": 0}], cfg)
+    phi = synthesize_inductive(exp, search_program(exp, cfg), [(0,)])
     assert phi is None
 
 
@@ -136,12 +136,13 @@ def test_inductive_step_matches_bruteforce_on_parity():
     parity toy has exactly one satisfying assignment."""
     exp = expand_text(toys.PARITY)
     cfg = SynthesisConfig()
-    z = VRecord("Z", {})
-    s = lambda x: VRecord("S1", {"p": x})
-    sigmas = [{"x": z}, {"x": s(z)}, {"x": s(s(z))}]
+    z = ("Z",)
+    s = lambda x: ("S1", x)
+    cexs = [(z,), (s(z),), (s(s(z)),)]
+    sigmas = [{"x": _to_reference(exp.program, x)} for x, in cexs]
     passing = brute_force_passing(exp, sigmas)
     assert len(passing) == 1
-    phi = synthesize_inductive(exp, sigmas, cfg)
+    phi = synthesize_inductive(exp, search_program(exp, cfg), cexs)
     assert phi == passing[0]
 
 
@@ -157,7 +158,7 @@ def test_inductive_step_unsat_matches_bruteforce():
     a = {"x": VRecord("A", {})}
     b = {"x": VRecord("B", {})}
     assert brute_force_passing(exp, [a, b]) == []
-    assert synthesize_inductive(exp, [a, b], cfg) is None
+    assert synthesize_inductive(exp, search_program(exp, cfg), [(("A",),), (("B",),)]) is None
 
 
 # -- verify ---------------------------------------------------------------------------
@@ -192,6 +193,15 @@ def test_verify_reference_and_compiled_agree(lang_expected_text):
         slow.counterexample["exp"]
     )
     assert fast.evaluations == slow.evaluations
+
+
+def test_verify_short_circuit_agrees_with_reference():
+    exp = expand_text(toys.SHORT_CIRCUIT)
+    cfg = SynthesisConfig(input_depth=2)
+    fast = verify(exp, {}, cfg)
+    slow = reference_verify(exp, {}, cfg)
+    assert fast.passed and slow.passed
+    assert fast.evaluations == slow.evaluations == 2
 
 
 def test_verify_tautology_with_empty_space():
@@ -293,6 +303,11 @@ def test_per_arm_solutions_sharing_a_hole_fall_back_to_joint_search(caplog):
     assert "per-arm decoupling failed" in caplog.text
     assert res.solved
     assert (res.stats.iterations, res.stats.candidate_evaluations) == (3, 32)
+    # the per-arm solver ran before the fallback, so its arms are reported
+    assert [(a.variant, a.solved) for a in res.stats.per_arm] == [
+        ("SNil", True),
+        ("SCons", True),
+    ]
     solution = pretty_print_program(res.solution)
     assert "int off() {\n  return 2;\n}" in solution
     assert check_concrete(SHARED_HOLE_SHIFT, cfg, solution_text=solution).passed

@@ -3,6 +3,7 @@ import json
 from synrec.cli import main
 from synrec.parser import parse_program
 
+import toys
 from conftest import CORPUS
 
 
@@ -96,6 +97,13 @@ def test_check_wraps_arithmetic_at_64_bits(tmp_path, capsys):
     assert "x = E(v = 4294967296)" in capsys.readouterr().err
 
 
+def test_check_short_circuits_statements(tmp_path, capsys):
+    f = tmp_path / "or.synrec"
+    f.write_text(toys.SHORT_CIRCUIT)
+    assert run_cli("check", f, "--input-depth", "2") == 0
+    assert "pass: 2 inputs checked" in capsys.readouterr().out
+
+
 def test_check_rejects_residual_synthesis_constructs(tmp_path, capsys):
     f = tmp_path / "holes.synrec"
     f.write_text("adt L { N {} } int f(L l) { return ??; } harness void m(L l) { assert(f(l) == 0); }")
@@ -109,10 +117,16 @@ def test_unsat_exits_2(tmp_path):
     assert run_cli("synth", f) == 2
 
 
-def test_timeout_exits_3(tmp_path):
+def test_timeout_exits_3(tmp_path, capsys):
+    stats = tmp_path / "stats.json"
     assert (
-        run_cli("synth", CORPUS / "lang.synrec", "--timeout-secs", "0") == 3
+        run_cli("synth", CORPUS / "lang.synrec", "--timeout-secs", "0", "--stats", stats)
+        == 3
     )
+    # no arm was searched, so none counts as solved
+    assert capsys.readouterr().err.strip() == "timeout"
+    arms = json.loads(stats.read_text())["per_arm"]
+    assert len(arms) == 5 and not any(a["solved"] for a in arms)
 
 
 def test_expand_dump_format(tmp_path, capsys):

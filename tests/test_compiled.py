@@ -4,20 +4,9 @@ import random
 
 import pytest
 
-from synrec.cegis import (
-    SynthesisConfig,
-    _native_record,
-    iter_inputs,
-    substitute_controls,
-    total_assignment,
-)
-from synrec.compiled import (
-    CAssertFail,
-    CExhausted,
-    CInfeasible,
-    compile_concrete,
-    to_native,
-)
+from synrec.ast import Ctor, Let, walk
+from synrec.cegis import SynthesisConfig, _search, _Stats, iter_inputs, total_assignment
+from synrec.compiled import CAssertFail, CExhausted, CInfeasible, compile_concrete
 from synrec.evaluator import EvalLimits, evaluate_harness
 from synrec.expand import ExpansionContext, expand_program
 from synrec.indecomp import (
@@ -26,19 +15,27 @@ from synrec.indecomp import (
     detect_spec_shape,
 )
 from synrec.parser import parse_program
+from synrec.pipeline import load_with_library
 import toys
-from conftest import reference_verify
+from conftest import (
+    corpus_text,
+    reference_search,
+    reference_sigma,
+    reference_verify,
+    search_program,
+)
 
 MAX_DEPTH = 12
 LIMITS = EvalLimits(max_depth=MAX_DEPTH, max_steps=1_000_000)
 
 
 def outcomes_for(exp, phi, decomp, sigmas_ref, sigmas_native, harness):
-    concrete = substitute_controls(exp, phi, unbox=False)
-    prog = compile_concrete(concrete, shape=decomp, max_depth=MAX_DEPTH)
+    prog = compile_concrete(exp.program, shape=decomp, max_depth=MAX_DEPTH)
+    read = total_assignment(exp.control_space, phi).__getitem__
     runner = prog.func(harness.name)
     got = []
     for args in sigmas_native:
+        prog.bind_controls(read)
         try:
             runner(*args)
             got.append("pass")
@@ -48,7 +45,6 @@ def outcomes_for(exp, phi, decomp, sigmas_ref, sigmas_native, harness):
             got.append("infeasible")
         except CExhausted:
             got.append("resource")
-        prog.reset()
     want = []
     for sigma in sigmas_ref:
         out = evaluate_harness(exp.program, phi, sigma, LIMITS, decomposition=decomp)
@@ -79,11 +75,8 @@ def test_compiled_matches_reference(source, decompose):
         decomp = shape
     cfg = SynthesisConfig(input_depth=3)
     harness = exp.program.harnesses[0]
-    sigmas_ref = [
-        {n: v for (n, _), v in zip(harness.params, args)}
-        for args in iter_inputs(exp.program, harness, cfg)
-    ]
-    sigmas_native = list(iter_inputs(exp.program, harness, cfg, record=_native_record))
+    sigmas_native = list(iter_inputs(exp.program, harness, cfg))
+    sigmas_ref = [reference_sigma(exp.program, harness, args) for args in sigmas_native]
     rng = random.Random(7)
     for phi in sample_phis(exp, rng, 12):
         got, want = outcomes_for(exp, phi, decomp, sigmas_ref, sigmas_native, harness)
@@ -94,10 +87,8 @@ def test_compiled_matches_reference_on_lang_solution(lang_expected_text):
     exp = expand_program(parse_program(lang_expected_text), ExpansionContext())
     cfg = SynthesisConfig(input_depth=2)
     harness = exp.program.harnesses[0]
-    sigmas_ref = [
-        {"exp": args[0]} for args in iter_inputs(exp.program, harness, cfg)
-    ]
-    sigmas_native = list(iter_inputs(exp.program, harness, cfg, record=_native_record))
+    sigmas_native = list(iter_inputs(exp.program, harness, cfg))
+    sigmas_ref = [reference_sigma(exp.program, harness, args) for args in sigmas_native]
     got, want = outcomes_for(exp, {}, None, sigmas_ref, sigmas_native, harness)
     assert got == want
     assert set(got) == {"pass"}
@@ -107,18 +98,10 @@ def test_memoized_scan_matches_unmemoized(lang_expected_text):
     exp = expand_program(parse_program(lang_expected_text), ExpansionContext())
     cfg = SynthesisConfig(input_depth=2)
     harness = exp.program.harnesses[0]
-    concrete = substitute_controls(exp, {}, unbox=False)
-    plain = compile_concrete(concrete, max_depth=MAX_DEPTH, memoize=False)
-    memo = compile_concrete(concrete, max_depth=MAX_DEPTH, memoize=True)
-    for args in iter_inputs(exp.program, harness, cfg, record=_native_record):
+    plain = compile_concrete(exp.program, max_depth=MAX_DEPTH, memoize=False)
+    memo = compile_concrete(exp.program, max_depth=MAX_DEPTH, memoize=True)
+    for args in iter_inputs(exp.program, harness, cfg):
         assert plain.func("srcInterpret")(args[0]) == memo.func("srcInterpret")(args[0])
-
-
-def test_to_native_roundtrip():
-    from synrec.evaluator import VRecord
-
-    v = VRecord("BinaryS", {"op": VRecord("LtOp", {}), "a": VRecord("NumS", {"v": 3}), "b": VRecord("TrueS", {})})
-    assert to_native(v) == ("BinaryS", ("LtOp",), ("NumS", 3), ("TrueS",))
 
 
 def test_depth_limit_matches_reference():
@@ -129,18 +112,17 @@ def test_depth_limit_matches_reference():
     """
     exp = expand_program(parse_program(text), ExpansionContext())
     harness = exp.program.harnesses[0]
-    from synrec.evaluator import VRecord
-
-    deep = VRecord("Z", {})
+    deep = ("Z",)
     for _ in range(6):
-        deep = VRecord("S", {"p": deep})
+        deep = ("S", deep)
     for limit in (3, 6, 7, 10):
         ref = evaluate_harness(
-            exp.program, {}, {"x": deep}, EvalLimits(limit, 100_000)
+            exp.program, {}, reference_sigma(exp.program, harness, (deep,)),
+            EvalLimits(limit, 100_000),
         )
         prog = compile_concrete(exp.program, max_depth=limit)
         try:
-            prog.func("m")(to_native(deep))
+            prog.func("m")(deep)
             got = "pass"
         except CExhausted:
             got = "resource"
@@ -171,3 +153,124 @@ def test_memoized_scan_matches_reference_at_depth_limit(lang_expected_text, cfg)
         reference.counterexample["exp"]
     )
     assert memoized.failure.kind == reference.failure.kind == "resource"
+
+
+# The constructor's first field reads a hole, and its second holds the
+# inlined generator, a switch with a let in one arm: the compiled code runs
+# the switch as statements, so the first field must be read ahead of it.
+SPILL = """
+adt nat { Z {} S { nat p; } }
+adt pair { P { int a; int b; } }
+
+generator int low(nat x) {
+  switch (x) {
+    case Z: int t = ??; return t + 1;
+    case S: return ??;
+  }
+}
+
+int sum(pair q) {
+  switch (q) {
+    case P: return q.a + q.b;
+  }
+}
+
+harness void main(nat x) {
+  assert(sum(new P(a = ??, b = low(x))) == 4);
+}
+"""
+
+# PARITY with a helper of the destination interpreter that switches on a
+# possibly boxed child and then passes the child on: the switch arms see
+# the forced value, but the call after the switch still gets the box, so
+# the decomposition rewrite runs `parity` instead of `flagRun`.
+FORCED = """
+adt nat { Z {} S1 { nat p; } }
+adt flag { TrueV {} FalseV {} NotV { flag b; } }
+
+int parity(nat x) {
+  switch (x) {
+    case Z: return 0;
+    case S1: if (parity(x.p) != 0) { return 0; } else { return 1; }
+  }
+}
+
+generator int kind(flag g) {
+  switch (g) {
+    case TrueV: return 1;
+    case FalseV: return 0;
+    case NotV: return 2;
+  }
+}
+
+int neg(flag g) {
+  int k = kind(g);
+  return 1 - flagRun(g) + k * 0;
+}
+
+int flagRun(flag f) {
+  switch (f) {
+    case TrueV: return 1;
+    case FalseV: return 0;
+    case NotV: return neg(f.b);
+  }
+}
+
+flag encode(nat x) {
+  switch (x) {
+    case Z: return choose(new TrueV(), new FalseV());
+    case S1: return choose(new NotV(b = encode(x.p)), new TrueV(), new FalseV());
+  }
+}
+
+harness void main(nat x) {
+  assert(parity(x) == flagRun(encode(x)));
+}
+"""
+
+SEARCH_CASES = [
+    (name, decompose)
+    for name in ("PARITY", "SHIFT", "GAMMA", "elimBool", "lang")
+    for decompose in (False, True)
+] + [("SPILL", False), ("FORCED", True)]
+
+
+@pytest.mark.parametrize("name,decompose", SEARCH_CASES)
+def test_compiled_search_takes_reference_path(name, decompose):
+    """On seeded counterexample lists, the compiled search binds, reads
+    and evaluates exactly as the tree-walking search does."""
+    if name in ("elimBool", "lang"):
+        program = load_with_library(corpus_text(name))
+    else:
+        program = parse_program({"SPILL": SPILL, "FORCED": FORCED}.get(name) or getattr(toys, name))
+    cfg = SynthesisConfig(input_depth=3 if name == "FORCED" else 2)
+    exp = expand_program(program, cfg.expansion_context())
+    harness = exp.program.harnesses[0]
+    shape = None
+    if decompose:
+        shape = detect_spec_shape(exp.program, harness)
+        report = classify_transformer(exp.program.function(shape.trans), shape.source_adt)
+        exp = apply_inductive_decomposition(exp, shape, report)
+    inputs = list(iter_inputs(exp.program, harness, cfg))
+    compiled = search_program(exp, cfg, shape)
+    rng = random.Random(f"{name}-{decompose}")
+    for _ in range(6):
+        cexs = rng.sample(inputs, rng.randint(1, min(4, len(inputs))))
+        sigmas = [reference_sigma(exp.program, harness, args) for args in cexs]
+        got, want = _Stats(), _Stats()
+        binder, found = _search(exp, compiled, cexs, None, got)
+        ref, ref_found = reference_search(exp, sigmas, cfg, shape, None, want, harness)
+        assert found == ref_found
+        assert binder.bound == ref.bound
+        assert binder.trail == ref.trail
+        assert binder.ever_read == ref.ever_read
+        assert got.candidate_evaluations == want.candidate_evaluations
+
+
+def test_spill_keeps_the_first_read_first():
+    exp = expand_program(parse_program(SPILL), ExpansionContext())
+    body = list(walk(exp.program.function("main").body))
+    (ctor,) = [n for n in body if isinstance(n, Ctor)]
+    (let,) = [n for n in body if isinstance(n, Let)]
+    binder, _ = _search(exp, search_program(exp, SynthesisConfig()), [(("Z",),)], None, _Stats())
+    assert binder.trail == [dict(ctor.fields)["a"].cp, let.value.cp]

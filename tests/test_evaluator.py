@@ -24,6 +24,8 @@ from synrec.indecomp import (
 from synrec.parser import parse_program
 from synrec.pipeline import load_with_library
 
+from conftest import search_program
+
 LIMITS = EvalLimits(max_depth=10, max_steps=200_000)
 
 
@@ -194,7 +196,7 @@ def test_boxed_forced_in_other_context(decomposed_lang):
     from synrec.evaluator import FixedControls, _Ctx, _force
 
     cfg = SynthesisConfig(input_depth=1, timeout_secs=30)
-    phi = synthesize_inductive(dec, [{"exp": TRUE_S}], cfg, shape)
+    phi = synthesize_inductive(dec, search_program(dec, cfg, shape), [(("TrueS",),)])
     assert phi is not None
     ctx = _Ctx(dec.program, FixedControls(phi), LIMITS, shape)
     forced = _force(ctx, VBoxed(TRUE_S))

@@ -43,8 +43,8 @@ def _recorded_run(monkeypatch, text, cfg, lib=True):
     calls = []
     real = cegis.verify
 
-    def recording(expanded, phi, cfg_, value_classes=None, deadline=None):
-        vr = real(expanded, phi, cfg_, value_classes, deadline)
+    def recording(expanded, phi, cfg_, *rest):
+        vr = real(expanded, phi, cfg_, *rest)
         calls.append((expanded, phi, cfg_, vr))
         return vr
 
