@@ -18,9 +18,11 @@ counterexample is re-run once on the reference evaluator.
 When inductive decomposition produced a morphism, switch arms of the
 function under synthesis share no control points with each other, so the
 inductive step solves each arm against only the counterexamples rooted at
-its variant and caches arm solutions across iterations.  A safety recheck
-(and a read-set disjointness check) falls back to the joint search if the
-decoupling assumption ever fails, preserving completeness.
+its variant and caches arm solutions across iterations.  If the arm
+solutions bind a common point, or their merge fails a counterexample, the
+run falls back to the joint search, preserving completeness.  An arm with
+no solution needs no fallback: the search is complete, and every joint
+assignment must pass that arm's counterexamples too.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import itertools
 import logging
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 from .ast import (
     AdtType,
@@ -118,11 +119,10 @@ class SynthesisConfig:
             inline_bound=self.inline_bound,
             hole_lo=self.hole_lo,
             hole_hi=self.hole_hi,
-            unroll_depth=self.effective_unroll,
         )
 
     def eval_limits(self) -> EvalLimits:
-        return EvalLimits(max_depth=self.effective_unroll, max_steps=2_000_000)
+        return EvalLimits(max_depth=self.effective_unroll)
 
 
 class SynthesisTimeout(Exception):
@@ -150,12 +150,14 @@ class Enumerator:
             self._exact[key] = cached
         return cached
 
-    def iter_exact(self, ty: TypeExpr, depth: int):
+    def iter_exact(self, ty: TypeExpr, depth: int, layer=None):
         """Values of `ty` whose constructor-nesting depth is exactly `depth`.
 
         Primitive leaves have depth 0; a record is one deeper than its
-        deepest field, so `NumS(v = 0)` sits at depth 1.
+        deepest field, so `NumS(v = 0)` sits at depth 1.  A field's values
+        come from `layer(field type, depth)`, `exact` by default.
         """
+        layer = layer or self.exact
         if isinstance(ty, PrimType):
             if depth == 0:
                 if ty.name == "bit":
@@ -185,9 +187,9 @@ class Enumerator:
                 # form a prefix, so "some child at max depth" is an index test
                 pool: list = []
                 for d in range(0, child_depth):
-                    pool.extend(self.exact(ft, d))
+                    pool.extend(layer(ft, d))
                 shallow.append(len(pool))
-                pool.extend(self.exact(ft, child_depth))
+                pool.extend(layer(ft, child_depth))
                 pools.append(pool)
             if any(not p for p in pools):
                 continue
@@ -286,13 +288,12 @@ class LazyBinder:
     """Binds control points in first-read order; `advance` flips the most
     recent point with untried values and discards later bindings."""
 
-    __slots__ = ("space", "bound", "trail", "ever_read")
+    __slots__ = ("space", "bound", "trail")
 
     def __init__(self, space: tuple[ControlPoint, ...]):
         self.space = space
         self.bound: dict[int, int] = {}
         self.trail: list[int] = []
-        self.ever_read: set[int] = set()
 
     def read(self, cp: int) -> int:
         v = self.bound.get(cp)
@@ -300,7 +301,6 @@ class LazyBinder:
             v = self.space[cp].lo
             self.bound[cp] = v
             self.trail.append(cp)
-            self.ever_read.add(cp)
         return v
 
     def advance(self) -> bool:
@@ -328,13 +328,18 @@ class _Stats:
 
 def _passes(compiled: CompiledProgram, run, cexs: list[tuple], stats: _Stats) -> bool:
     """Run `run`, the compiled harness, on each counterexample in turn,
-    counting every run; False at the first failure."""
+    counting every run; False at the first failure.
+
+    Memo entries replay control reads that stay bound until a run fails;
+    after that the binder may change a binding, so they are dropped along
+    with the depth counters the failure left raised."""
     for args in cexs:
         stats.candidate_evaluations += 1
         try:
             run(*args)
         except _FAILURES:
             compiled.namespace["_reset_depths"]()
+            compiled.clear_memos()
             return False
     return True
 
@@ -348,8 +353,7 @@ def _search(
 ) -> tuple[LazyBinder, bool]:
     """Complete deterministic search over assignments reachable by reads.
 
-    Returns the binder and whether its bindings pass every counterexample;
-    the binder's `ever_read` stays meaningful when the search runs out.
+    Returns the binder and whether its bindings pass every counterexample.
     """
     binder = LazyBinder(expanded.control_space)
     if not cexs:
@@ -420,13 +424,13 @@ def verify(
     `value_class_blocker`, the candidate is checked by value classes;
     otherwise every input is checked.  Both strategies give the same
     verdict and the same counterexample.  `compiled` is the plain program
-    compiled with memoization; `run_cegis` keeps one for the whole run.
+    compiled; `run_cegis` keeps one for the whole run.
     """
     harness = expanded.program.harnesses[0]
     if len(phi) != len(expanded.control_space):
         phi = total_assignment(expanded.control_space, phi)
     if compiled is None:
-        compiled = compile_concrete(expanded.program, None, cfg.effective_unroll, memoize=True)
+        compiled = compile_concrete(expanded.program, None, cfg.effective_unroll)
     compiled.bind_controls(phi.__getitem__)
     if value_classes is not None:
         return _verify_value_classes(compiled, value_classes, cfg, deadline, harness)
@@ -546,38 +550,28 @@ def _verify_value_classes(prog, shape, cfg, deadline, harness):
         )
 
     witnesses: list[list] = [[]]  # witnesses[d]: classes first met at depth d
+
+    def layer(ft, d):
+        # the enumerator's pools, with class witnesses for source fields
+        return witnesses[d] if ft == src else en.exact(ft, d)
+
     seen: set = set()
     for level in range(1, cfg.input_depth + 1):
         last = level == cfg.input_depth
         fresh: list = []
-        for variant in program.adt(shape.source_adt).variants:
-            # the enumerator's pools, with class witnesses for source fields
-            pools, shallow = [], []
-            for _, ft in variant.fields:
-                layer = witnesses.__getitem__ if ft == src else partial(en.exact, ft)
-                pool = [v for d in range(level - 1) for v in layer(d)]
-                shallow.append(len(pool))
-                pool.extend(layer(level - 1))
-                pools.append(pool)
-            if any(not p for p in pools):
-                continue
-            if not variant.fields:
-                trees = [(variant.name,)] if level == 1 else []
-            else:
-                trees = en._combos(variant.name, pools, shallow)
-            for tree in trees:
-                if deadline is not None and time.monotonic() > deadline:
-                    raise SynthesisTimeout
-                _, failure = call_at(harness.name, 0, tree)
-                if failure is not None:
-                    return _counterexample(
-                        program, harness, (tree,), failure, evals, VALUE_CLASS
-                    )
-                if not last:
-                    key = class_of(tree)
-                    if key not in seen:
-                        seen.add(key)
-                        fresh.append(tree)
+        for tree in en.iter_exact(src, level, layer):
+            if deadline is not None and time.monotonic() > deadline:
+                raise SynthesisTimeout
+            _, failure = call_at(harness.name, 0, tree)
+            if failure is not None:
+                return _counterexample(
+                    program, harness, (tree,), failure, evals, VALUE_CLASS
+                )
+            if not last:
+                key = class_of(tree)
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(tree)
         witnesses.append(fresh)
     return VerifyResult(True, evaluations=evals, strategy=VALUE_CLASS)
 
@@ -666,7 +660,6 @@ class CegisState:
     cex_keys: list[str] = field(default_factory=list)
     iterations: int = 0
     arm_cache: dict[str, dict[int, int]] = field(default_factory=dict)
-    arm_reads: dict[str, set[int]] = field(default_factory=dict)
     arm_cex_count: dict[str, int] = field(default_factory=dict)
     arm_ms: dict[str, float] = field(default_factory=dict)
     arm_solved: dict[str, bool] = field(default_factory=dict)
@@ -743,14 +736,9 @@ def _solve_per_arm(
                 (time.monotonic() - start) * 1000
             )
         state.arm_cex_count[variant] = len(cexs)
-        state.arm_reads[variant] = binder.ever_read
         if not found:
+            # every joint assignment must pass this arm's counterexamples
             state.arm_solved[variant] = False
-            # Unsat for this arm is global unsat only if its reads are
-            # independent of every other arm's.
-            for other, reads in state.arm_reads.items():
-                if other != variant and reads & binder.ever_read:
-                    return "fallback"
             return None
         state.arm_cache[variant] = binder.bound
         state.arm_solved[variant] = True
@@ -776,9 +764,9 @@ def run_cegis(
     """The CEGIS loop: inductive synthesis against accumulated
     counterexamples, bounded verification, repeat.
 
-    The search and the check run compiled programs, each compiled once
-    per run: the search program (the decomposition, or the plain program)
-    and the plain program, memoized, for verification.
+    The plain program is compiled once per run.  It runs every check,
+    and the search whenever decomposition is off or dropped; with
+    decomposition on, the search runs the decomposition, compiled once too.
     """
     start = time.monotonic()
     deadline = start + cfg.timeout_secs
@@ -794,9 +782,11 @@ def run_cegis(
         and report is not None
         and report.verdict != OTHER
     )
+    plain = compile_concrete(expanded.program, None, cfg.effective_unroll)
     if decomp_active:
         search_prog = apply_inductive_decomposition(expanded, shape, report)
         decomp: SpecShape | None = shape
+        search = compile_concrete(search_prog.program, decomp, cfg.effective_unroll)
         # Choices only drop nodes, so what holds for the expanded program
         # holds for every candidate.
         blocker = value_class_blocker(search_prog.program, shape, report)
@@ -806,13 +796,12 @@ def run_cegis(
             log.info("exhaustive verification: %s", blocker)
     else:
         search_prog = expanded
+        search = plain
         decomp = None
         # Value classes would be sound here as well, but the level-by-level
         # check is the decomposition's induction argument, so the baseline
         # without it keeps the exhaustive scan.
         blocker = "no inductive decomposition"
-    search = compile_concrete(search_prog.program, decomp, cfg.effective_unroll)
-    plain = compile_concrete(expanded.program, None, cfg.effective_unroll, memoize=True)
     morphism = decomp_active and report.is_morphism
     per_arm = morphism
 
@@ -841,7 +830,7 @@ def run_cegis(
         nonlocal per_arm, search_prog, search, decomp
         per_arm = False
         search_prog = expanded
-        search = compile_concrete(expanded.program, None, cfg.effective_unroll)
+        search = plain
         decomp = None
         state.arm_cache.clear()
         state.arm_cex_count.clear()

@@ -10,24 +10,25 @@ Values are native: ints, variant-tagged tuples ``(name, f1, ...)``,
 tuples for arrays, ``None`` for unit, and ``Box`` for deferred recursion.
 
 Semantics mirror the reference evaluator (same decomposition rewrite,
-recursion-depth limits, assert ids, out-of-bounds behavior, 64-bit
-wrapping arithmetic), and so does the order of control reads: operands
-run left to right, ``&&``/``||`` short-circuit, and nothing of an
+per-function recursion-depth limits, assert ids, out-of-bounds behavior,
+64-bit wrapping arithmetic), and so does the order of control reads:
+operands run left to right, ``&&``/``||`` short-circuit, and nothing of an
 unselected arm runs.  Where a later operand needs statements (a ``let``,
 ``switch`` or ``assert``), the earlier operands are spilled to
-temporaries first.  One documented deviation: no per-step budget, in the
-search as in the check (termination is already forced by the depth
-limits).  Property tests pin the compiled path, and the compiled search,
-against the reference evaluator.
+temporaries first.  Property tests pin the compiled path, and the
+compiled search, against the reference evaluator.
 
-Optional memoization caches non-root calls of unary recursive ADT
-functions.  A call's outcome depends on its argument and on how deep the
-recursion already is, so the key is the argument's identity together with
-the entry values of every depth counter the call can reach: a result is
-reused only at the same nesting, where the reference evaluator computes
-the same result, and never where it would run out of depth instead.  The
-argument is kept alive by the cache (so its identity is not reused), and
-callers clear caches periodically to bound memory.
+Non-root calls of unary recursive ADT functions are memoized.  A call's
+outcome depends on its argument, on how deep the recursion already is,
+and on the control reads it makes, so the key is the argument's identity
+together with the entry values of every depth counter the call can
+reach: a result is reused only at the same nesting, where the reference
+evaluator computes the same result, and never where it would run out of
+depth instead.  Entries hold only while the controls they read keep their
+values: `bind_controls` drops them, and so must a lazy search before it
+changes a binding.  A hit then replays only reads that are already bound.
+The argument is kept alive by the cache (so its identity is not reused),
+and callers clear caches periodically to bound memory.
 """
 
 from __future__ import annotations
@@ -94,15 +95,14 @@ class CExhausted(Exception):
 class CompiledProgram:
     namespace: dict
     program: SurfaceProgram
+    memos: list[dict]
 
     def func(self, name: str):
         return self.namespace[f"f_{name}"]
 
     def clear_memos(self) -> None:
-        for k, tables in self.namespace.items():
-            if k.startswith("_memo_"):
-                for table in tables:
-                    table.clear()
+        for table in self.memos:
+            table.clear()
 
     def call_at(self, name: str, depth: int, *args):
         """Call `name` with every depth counter at zero except its own,
@@ -367,7 +367,7 @@ class _FnCompiler:
         header = f"def f_{fn.name}({', '.join(params)}):"
         self.emit(0, header)
         shape = comp.shape
-        memo = comp.memoize and recursive and self._memoizable()
+        memo = recursive and self._memoizable()
         if recursive:
             self.emit(1, f"global {dvar}")
         if memo:
@@ -415,11 +415,10 @@ _OUTLINE_CHARS = 2000  # see `_FnCompiler.outline`
 
 
 class _Compiler:
-    def __init__(self, program: SurfaceProgram, shape, max_depth: int, memoize: bool):
+    def __init__(self, program: SurfaceProgram, shape, max_depth: int):
         self.program = program
         self.shape = shape
         self.max_depth = max_depth
-        self.memoize = memoize
         self.outlined: list[str] = []  # sources of outlined expressions
         self.recursive: set[str] = set()
         self.reach: dict[str, set[str]] = {}
@@ -488,7 +487,6 @@ def compile_concrete(
     program: SurfaceProgram,
     shape=None,
     max_depth: int = 5,
-    memoize: bool = False,
 ) -> CompiledProgram:
     """Compile a program, holes and choices included, into native Python
     functions; call `bind_controls` before running one that reads controls.
@@ -496,28 +494,13 @@ def compile_concrete(
     `shape` enables the decomposition rewrite for boxed values; `max_depth`
     is the per-function recursion limit.
     """
-    comp = _Compiler(program, shape, max_depth, memoize)
+    comp = _Compiler(program, shape, max_depth)
     fns = [_FnCompiler(comp, f) for f in program.functions]
     comp.recursive, comp.reach = _recursive_functions(
         {fc.fn.name: fc.callees for fc in fns}, shape
     )
     chunks = [_PRELUDE]
     depth_vars = []
-    for fc in fns:
-        name = fc.fn.name
-        if name in comp.recursive:
-            chunks.append(f"_d_{name} = 0")
-            depth_vars.append(f"_d_{name}")
-            if memoize and fc._memoizable():
-                chunks.append(f"_memo_{name} = [{{}} for _ in range({max_depth + 1})]")
-        chunks.append(fc.compile())
-    if depth_vars:
-        chunks.append("def _reset_depths():")
-        chunks.append("    global " + ", ".join(depth_vars))
-        chunks.append("    " + " = ".join(depth_vars) + " = 0")
-    else:
-        chunks.append("def _reset_depths():\n    pass")
-    source = "\n".join(chunks)
     namespace = {
         "Box": Box,
         "CAssertFail": CAssertFail,
@@ -526,6 +509,24 @@ def compile_concrete(
         "InternalError": InternalError,
         "_wrap64": wrap64,
     }
+    memos: list[dict] = []
+    for fc in fns:
+        name = fc.fn.name
+        if name in comp.recursive:
+            chunks.append(f"_d_{name} = 0")
+            depth_vars.append(f"_d_{name}")
+            if fc._memoizable():
+                tables = [{} for _ in range(max_depth + 1)]
+                namespace[f"_memo_{name}"] = tables
+                memos += tables
+        chunks.append(fc.compile())
+    if depth_vars:
+        chunks.append("def _reset_depths():")
+        chunks.append("    global " + ", ".join(depth_vars))
+        chunks.append("    " + " = ".join(depth_vars) + " = 0")
+    else:
+        chunks.append("def _reset_depths():\n    pass")
+    source = "\n".join(chunks)
     for text in [source, *comp.outlined]:
         try:
             exec(compile(text, "<synrec-compiled>", "exec"), namespace)
@@ -542,5 +543,5 @@ def compile_concrete(
         namespace["_FORCE_FN"] = _force_fn
     else:
         namespace["_FORCE_FN"] = None
-    return CompiledProgram(namespace, program)
+    return CompiledProgram(namespace, program, memos)
 

@@ -3,10 +3,11 @@ executor (see `compiled`).  The property tests check the compiled search
 and check against it, and `run_cegis` re-runs every counterexample on it.
 
 Executes a harness under an input binding and a control assignment, with
-per-function recursion-depth and total-step limits.  Runtime values are
-plain Python data: ints (64-bit wrapping, bits as 0/1), `VRecord` for
-tagged records, tuples for arrays, `None` for unit, and `VBoxed` for the
-deferred-recursion placeholder of inductive decomposition.
+per-function recursion-depth limits, the one resource bound it shares
+with the compiled code.  Runtime values are plain Python data: ints
+(64-bit wrapping, bits as 0/1), `VRecord` for tagged records, tuples for
+arrays, `None` for unit, and `VBoxed` for the deferred-recursion
+placeholder of inductive decomposition.
 
 Boxed placeholders follow the decomposition rewrite: a call to the
 destination interpreter whose AST argument is boxed becomes a source
@@ -100,10 +101,9 @@ def format_value(v) -> str:
 @dataclass(frozen=True)
 class EvalLimits:
     max_depth: int = 5
-    max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if self.max_depth <= 0 or self.max_steps <= 0:
+        if self.max_depth <= 0:
             raise ValueError("evaluation limits must be positive")
 
 
@@ -167,7 +167,6 @@ class _Ctx:
         "controls",
         "limits",
         "decomp",
-        "steps",
         "depths",
     )
 
@@ -176,7 +175,6 @@ class _Ctx:
         self.controls = controls
         self.limits = limits
         self.decomp = decomp
-        self.steps = 0
         self.depths: dict[str, int] = {}
 
 
@@ -220,9 +218,6 @@ _MISSING = object()
 
 
 def eval_expr_ctx(ctx: _Ctx, env: dict, e: Expr):
-    ctx.steps += 1
-    if ctx.steps > ctx.limits.max_steps:
-        raise _Exhausted("step budget")
     t = type(e)
     if t is Var:
         return env[e.name]

@@ -104,7 +104,6 @@ class ExpansionContext:
     inline_bound: int = 3
     hole_lo: int = 0
     hole_hi: int = 3
-    unroll_depth: int = 5  # consumed by the synthesis engine
 
 
 @dataclass

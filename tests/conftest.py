@@ -87,8 +87,7 @@ def reference_search(expanded, cexs, cfg, decomp, deadline, stats, harness):
     """The inductive search by the reference tree-walking evaluator over
     reference input bindings: the oracle for the compiled search.
 
-    Returns the binder and whether its bindings pass every counterexample;
-    the binder's `ever_read` stays meaningful when the search runs out.
+    Returns the binder and whether its bindings pass every counterexample.
     """
     binder = LazyBinder(expanded.control_space)
     limits = cfg.eval_limits()

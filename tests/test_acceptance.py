@@ -174,7 +174,7 @@ def _sigma_space(exp, depth):
 
 @pytest.mark.parametrize("toy_name", ["PARITY", "SHIFT"])
 def test_criterion_4_decomposition_theorem(toy_name):
-    limits = EvalLimits(max_depth=30, max_steps=500_000)
+    limits = EvalLimits(max_depth=30)
     exp = expand_program(parse_program(getattr(toys, toy_name)), ExpansionContext())
     space = 1
     for p in exp.control_space:
@@ -328,7 +328,7 @@ def test_criterion_7_scaling_trend():
 
 
 def test_criterion_8_cegis_properties():
-    limits = EvalLimits(max_depth=12, max_steps=500_000)
+    limits = EvalLimits(max_depth=12)
     cfg = SynthesisConfig(timeout_secs=60)
     exp = expand_program(parse_program(toys.SHIFT), ExpansionContext())
     harness = exp.program.harnesses[0]

@@ -1,8 +1,13 @@
 import itertools
 import logging
 
+import pytest
+
+from synrec import cegis
 from synrec.ast import BIT, AdtType, Choice, Hole, walk
 from synrec.cegis import (
+    SOLVED,
+    UNSAT,
     SynthesisConfig,
     _to_reference,
     concretize,
@@ -14,13 +19,14 @@ from synrec.cegis import (
 from synrec.evaluator import EvalLimits, VRecord, evaluate_harness, format_value
 from synrec.expand import ExpansionContext, expand_program
 from synrec.parser import parse_program
-from synrec.pipeline import check_concrete, load_with_library, prepare
+from synrec.pipeline import check_concrete, load_with_library, prepare, synthesize
 from synrec.printer import pretty_print_program
+from synrec.scaling import scaling_benchmark
 
 import toys
 from conftest import reference_verify, search_program
 
-LIMITS = EvalLimits(max_depth=12, max_steps=500_000)
+LIMITS = EvalLimits(max_depth=12)
 
 
 def expand_text(text, **kw):
@@ -311,6 +317,51 @@ def test_per_arm_solutions_sharing_a_hole_fall_back_to_joint_search(caplog):
     solution = pretty_print_program(res.solution)
     assert "int off() {\n  return 2;\n}" in solution
     assert check_concrete(SHARED_HOLE_SHIFT, cfg, solution_text=solution).passed
+
+
+# Scaling programs at bounds where the decomposed and plain semantics part
+# at the depth limit: (variants, input depth, unroll depth), the warning
+# of the decomposed run, and its status, iterations and evaluations.
+FALLBACKS = {
+    "divergence": ((4, 2, 2), "decomposed/plain divergence", SOLVED, 10, 3533),
+    "exhausted": ((3, 2, 1), "decomposed search exhausted", UNSAT, 3, 480),
+    "late-divergence": ((5, 3, 3), "decomposed/plain divergence", SOLVED, 13, 41073),
+}
+
+
+@pytest.mark.parametrize("case", FALLBACKS)
+def test_decomposition_fallbacks(case, monkeypatch, caplog):
+    """A dropped decomposition searches on the plain program compiled for
+    the check, and ends where the run without decomposition does."""
+    (n, depth, unroll), warning, status, iterations, evaluations = FALLBACKS[case]
+    compiles = []
+    compile_concrete = cegis.compile_concrete
+
+    def counting(*args):
+        compiles.append(args)
+        return compile_concrete(*args)
+
+    monkeypatch.setattr(cegis, "compile_concrete", counting)
+    runs = {}
+    for indecomp in (True, False):
+        compiles.clear()
+        caplog.clear()
+        # a search that replays stale memo entries runs into the timeout
+        cfg = SynthesisConfig(
+            input_depth=depth, unroll_depth=unroll, timeout_secs=60, indecomp=indecomp
+        )
+        with caplog.at_level(logging.WARNING, logger="synrec"):
+            res = synthesize(scaling_benchmark(n), cfg)
+        runs[indecomp] = res, len(compiles), caplog.text
+    (dec, dec_compiles, dec_log), (plain, plain_compiles, plain_log) = runs[True], runs[False]
+    assert warning in dec_log and not plain_log
+    assert (dec.status, dec.stats.iterations, dec.stats.candidate_evaluations) == (
+        status, iterations, evaluations
+    )
+    assert (dec_compiles, plain_compiles) == (2, 1)
+    assert plain.status == status
+    if status == SOLVED:
+        assert pretty_print_program(dec.solution) == pretty_print_program(plain.solution)
 
 
 def test_decomposition_reduces_search_evaluations(lang_program):

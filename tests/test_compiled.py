@@ -5,7 +5,15 @@ import random
 import pytest
 
 from synrec.ast import Ctor, Let, walk
-from synrec.cegis import SynthesisConfig, _search, _Stats, iter_inputs, total_assignment
+from synrec.cegis import (
+    _FAILURES,
+    SynthesisConfig,
+    _failure,
+    _search,
+    _Stats,
+    iter_inputs,
+    total_assignment,
+)
 from synrec.compiled import CAssertFail, CExhausted, CInfeasible, compile_concrete
 from synrec.evaluator import EvalLimits, evaluate_harness
 from synrec.expand import ExpansionContext, expand_program
@@ -26,7 +34,7 @@ from conftest import (
 )
 
 MAX_DEPTH = 12
-LIMITS = EvalLimits(max_depth=MAX_DEPTH, max_steps=1_000_000)
+LIMITS = EvalLimits(max_depth=MAX_DEPTH)
 
 
 def outcomes_for(exp, phi, decomp, sigmas_ref, sigmas_native, harness):
@@ -94,14 +102,34 @@ def test_compiled_matches_reference_on_lang_solution(lang_expected_text):
     assert set(got) == {"pass"}
 
 
-def test_memoized_scan_matches_unmemoized(lang_expected_text):
+def test_memoized_scan_matches_reference(lang_expected_text):
+    """Memo entries outlive the input that made them, as in `verify`, and
+    every outcome still is the reference evaluator's, also at depth limits
+    that some inputs reach."""
     exp = expand_program(parse_program(lang_expected_text), ExpansionContext())
     cfg = SynthesisConfig(input_depth=2)
     harness = exp.program.harnesses[0]
-    plain = compile_concrete(exp.program, max_depth=MAX_DEPTH, memoize=False)
-    memo = compile_concrete(exp.program, max_depth=MAX_DEPTH, memoize=True)
-    for args in iter_inputs(exp.program, harness, cfg):
-        assert plain.func("srcInterpret")(args[0]) == memo.func("srcInterpret")(args[0])
+    inputs = list(iter_inputs(exp.program, harness, cfg))
+    for limit in (2, 3, MAX_DEPTH):
+        prog = compile_concrete(exp.program, max_depth=limit)
+        prog.bind_controls({}.__getitem__)
+        runner = prog.func(harness.name)
+        got = []
+        for args in inputs:
+            try:
+                runner(*args)
+                got.append("pass")
+            except _FAILURES as err:
+                prog.namespace["_reset_depths"]()
+                got.append(_failure(err).kind)
+        assert any(prog.memos), "no memo entry was made"
+        want = [
+            evaluate_harness(
+                exp.program, {}, reference_sigma(exp.program, harness, args), EvalLimits(limit)
+            ).kind
+            for args in inputs
+        ]
+        assert got == want, f"limit {limit}"
 
 
 def test_depth_limit_matches_reference():
@@ -118,7 +146,7 @@ def test_depth_limit_matches_reference():
     for limit in (3, 6, 7, 10):
         ref = evaluate_harness(
             exp.program, {}, reference_sigma(exp.program, harness, (deep,)),
-            EvalLimits(limit, 100_000),
+            EvalLimits(limit),
         )
         prog = compile_concrete(exp.program, max_depth=limit)
         try:
@@ -263,7 +291,6 @@ def test_compiled_search_takes_reference_path(name, decompose):
         assert found == ref_found
         assert binder.bound == ref.bound
         assert binder.trail == ref.trail
-        assert binder.ever_read == ref.ever_read
         assert got.candidate_evaluations == want.candidate_evaluations
 
 

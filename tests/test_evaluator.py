@@ -26,7 +26,7 @@ from synrec.pipeline import load_with_library
 
 from conftest import search_program
 
-LIMITS = EvalLimits(max_depth=10, max_steps=200_000)
+LIMITS = EvalLimits(max_depth=10)
 
 
 def num(v):
@@ -86,7 +86,7 @@ def test_limit_monotonicity(solution):
     sigma = {"exp": between(between(num(0), num(1), num(2)), num(2), num(1))}
     passing_at = None
     for depth in range(1, 12):
-        out = evaluate_harness(solution, {}, sigma, EvalLimits(depth, 200_000))
+        out = evaluate_harness(solution, {}, sigma, EvalLimits(depth))
         if out.passed and passing_at is None:
             passing_at = depth
         if passing_at is not None:
@@ -95,13 +95,7 @@ def test_limit_monotonicity(solution):
 
 def test_depth_limit_trips(solution):
     sigma = {"exp": between(num(0), num(1), num(2))}
-    out = evaluate_harness(solution, {}, sigma, EvalLimits(max_depth=1, max_steps=200_000))
-    assert out.kind == "resource"
-
-
-def test_step_limit_trips(solution):
-    sigma = {"exp": between(num(0), num(1), num(2))}
-    out = evaluate_harness(solution, {}, sigma, EvalLimits(max_depth=10, max_steps=10))
+    out = evaluate_harness(solution, {}, sigma, EvalLimits(max_depth=1))
     assert out.kind == "resource"
 
 
@@ -112,7 +106,7 @@ def test_evaluate_harness_restores_recursion_limit(solution):
     try:
         sigma = {"exp": between(num(0), num(1), num(2))}
         outcomes = []
-        for limits in (LIMITS, EvalLimits(max_depth=1, max_steps=200_000)):
+        for limits in (LIMITS, EvalLimits(max_depth=1)):
             outcomes.append(evaluate_harness(solution, {}, sigma, limits).kind)
             assert sys.getrecursionlimit() == 3000
         assert outcomes == ["pass", "resource"]

@@ -19,7 +19,7 @@ from synrec.pipeline import load_with_library
 
 import toys
 
-LIMITS = EvalLimits(max_depth=30, max_steps=500_000)
+LIMITS = EvalLimits(max_depth=30)
 
 
 def expand_text(text):
@@ -234,5 +234,5 @@ def test_case_decoupling_on_parity():
     for name, sigma in (("Z", z), ("S1", s1)):
         binder = LazyBinder(dec.control_space)
         evaluate_harness(dec.program, binder, {"x": sigma}, LIMITS, decomposition=shape)
-        reads[name] = set(binder.ever_read)
+        reads[name] = set(binder.trail)
     assert reads["Z"].isdisjoint(reads["S1"])
