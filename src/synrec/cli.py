@@ -19,7 +19,7 @@ import sys
 import time
 from pathlib import Path
 
-from .cegis import SOLVED, TIMEOUT, UNSAT
+from .cegis import SOLVED, TIMEOUT, UNSAT, SynthesisTimeout
 from .errors import SynrecError
 from .evaluator import format_value
 from .expand import expand_program
@@ -41,37 +41,49 @@ EXIT_UNSAT = 2
 EXIT_TIMEOUT = 3
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input-depth", type=int, default=None, metavar="N")
-    p.add_argument("--int-domain", default=None, metavar="LO..HI")
-    p.add_argument("--hole-domain", default=None, metavar="LO..HI")
-    p.add_argument("--inline-bound", type=int, default=None, metavar="N")
-    p.add_argument("--unroll", type=int, default=None, metavar="N")
-    p.add_argument("--timeout-secs", type=float, default=None, metavar="N")
-    p.add_argument("--no-indecomp", action="store_true", help="disable inductive decomposition")
-    p.add_argument("--lib", default=None, metavar="PATH", help="template library override")
+# Configuration flags; each subcommand takes only the ones it reads.
+_FLAGS = {
+    "--input-depth": {"type": int, "metavar": "N"},
+    "--int-domain": {"metavar": "LO..HI"},
+    "--hole-domain": {"metavar": "LO..HI"},
+    "--inline-bound": {"type": int, "metavar": "N"},
+    "--unroll": {"type": int, "metavar": "N"},
+    "--timeout-secs": {"type": float, "metavar": "N"},
+    "--no-indecomp": {"action": "store_true", "help": "disable inductive decomposition"},
+    "--lib": {"metavar": "PATH", "help": "template library override"},
+}
+_EXPAND_FLAGS = ("--hole-domain", "--inline-bound", "--lib")
+_CHECK_FLAGS = (
+    "--input-depth", "--int-domain", "--inline-bound", "--unroll", "--timeout-secs", "--lib",
+)
+
+
+def _add_config_flags(p: argparse.ArgumentParser, flags=tuple(_FLAGS)) -> None:
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
 
 
 def _cli_overrides(args) -> dict:
+    given = vars(args)
     overrides: dict = {
-        "input_depth": args.input_depth,
-        "inline_bound": args.inline_bound,
-        "unroll_depth": args.unroll,
-        "timeout_secs": args.timeout_secs,
+        "input_depth": given.get("input_depth"),
+        "inline_bound": given.get("inline_bound"),
+        "unroll_depth": given.get("unroll"),
+        "timeout_secs": given.get("timeout_secs"),
     }
-    if args.int_domain is not None:
-        lo, hi = parse_range(args.int_domain)
+    if given.get("int_domain") is not None:
+        lo, hi = parse_range(given["int_domain"])
         overrides["int_domain"] = tuple(range(lo, hi + 1))
-    if args.hole_domain is not None:
-        lo, hi = parse_range(args.hole_domain)
+    if given.get("hole_domain") is not None:
+        lo, hi = parse_range(given["hole_domain"])
         overrides["hole_lo"], overrides["hole_hi"] = lo, hi
-    if args.no_indecomp:
+    if given.get("no_indecomp"):
         overrides["indecomp"] = False
     return overrides
 
 
 def _library_text(args) -> str:
-    if getattr(args, "lib", None):
+    if args.lib:
         return Path(args.lib).read_text()
     env = os.environ.get("SYNREC_LIB")
     if env:
@@ -143,7 +155,11 @@ def cmd_check(args) -> int:
     base = _read_input(args.input)
     solution = _read_input(args.solution) if args.solution else None
     cfg = config_for(base, _cli_overrides(args))
-    vr = check_concrete(base, cfg, solution_text=solution, lib_text=_library_text(args))
+    try:
+        vr = check_concrete(base, cfg, solution_text=solution, lib_text=_library_text(args))
+    except SynthesisTimeout:
+        print("timeout", file=sys.stderr)
+        return EXIT_TIMEOUT
     if vr.passed:
         print(f"pass: {vr.evaluations} inputs checked")
         return EXIT_OK
@@ -195,6 +211,8 @@ def _bench_one(path: Path, args) -> tuple:
         try:
             vr = check_concrete(expected.read_text(), cfg, lib_text=lib)
             expected_ok = str(vr.passed)
+        except SynthesisTimeout:
+            expected_ok = "timeout"
         except SynrecError as err:
             log.error("%s [expected]: %s", name, err)
             expected_ok = "error"
@@ -229,13 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="dump the expanded program")
     p.add_argument("input")
     p.add_argument("-o", "--output", default=None, metavar="PATH")
-    _add_config_flags(p)
+    _add_config_flags(p, _EXPAND_FLAGS)
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("check", help="bounded verification of a concrete solution")
     p.add_argument("input", help="harness file")
     p.add_argument("solution", nargs="?", default=None, help="solution file (optional)")
-    _add_config_flags(p)
+    _add_config_flags(p, _CHECK_FLAGS)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("bench", help="run a corpus with and without decomposition")

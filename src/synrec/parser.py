@@ -7,10 +7,17 @@ angle-bracket type parameters, statement blocks with declarations and
 `cons?`.  Statement blocks are desugared into the expression kernel
 (`let ... in`, switch-as-expression) during parsing, so every later pass
 works on plain expressions only.
+
+Parsing does not resolve names.  `pipeline.load_with_library` parses each
+source, merges them (`merge_programs`: earlier sources shadow later ones)
+and then runs `resolve` once on the whole, so user code can name library
+templates and every name is checked against all sources.  `parse_program`
+parses and resolves a self-contained source.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import re
 
@@ -612,26 +619,11 @@ def _resolve_type(
     return ty
 
 
-def _resolve_types_in_expr(
-    e: Expr, program: SurfaceProgram, type_params: tuple[str, ...]
-) -> Expr:
-    if isinstance(e, Let):
-        return Let(
-            e.name,
-            _resolve_type(e.ty, program, type_params, e.span),
-            _resolve_types_in_expr(e.value, program, type_params),
-            _resolve_types_in_expr(e.body, program, type_params),
-            span=e.span,
-        )
-    if isinstance(e, AlwaysFail):
-        return AlwaysFail(_resolve_type(e.ty, program, type_params, e.span), span=e.span)
-    return rebuild(e, [_resolve_types_in_expr(c, program, type_params) for c in children(e)])
-
-
-def _resolve_names(
+def _resolve_expr(
     e: Expr, scope: set[str], program: SurfaceProgram, func: FuncDecl
 ) -> Expr:
-    """Disambiguate identifiers into variables vs. function references."""
+    """Resolve the type names in an expression and disambiguate its
+    identifiers into variables vs. function references."""
     if isinstance(e, Var):
         if e.name in scope:
             return e
@@ -639,15 +631,21 @@ def _resolve_names(
             return FuncRef(e.name, span=e.span)
         raise ResolveError(f"unbound identifier {e.name!r} in {func.name!r}", e.span)
     if isinstance(e, Call):
-        # Call targets may live in a library that is merged after parsing
-        # (the one-line-template pattern), so existence is checked after
-        # load_library rather than here.
-        args = tuple(_resolve_names(a, scope, program, func) for a in e.args)
+        if (
+            e.callee not in scope
+            and e.callee not in BUILTIN_FUNCS
+            and program.function(e.callee) is None
+        ):
+            raise ResolveError(f"call to unknown function {e.callee!r} in {func.name!r}", e.span)
+        args = tuple(_resolve_expr(a, scope, program, func) for a in e.args)
         return Call(e.callee, args, span=e.span)
     if isinstance(e, Let):
-        value = _resolve_names(e.value, scope, program, func)
-        body = _resolve_names(e.body, scope | {e.name}, program, func)
-        return Let(e.name, e.ty, value, body, span=e.span)
+        ty = _resolve_type(e.ty, program, func.type_params, e.span)
+        value = _resolve_expr(e.value, scope, program, func)
+        body = _resolve_expr(e.body, scope | {e.name}, program, func)
+        return Let(e.name, ty, value, body, span=e.span)
+    if isinstance(e, AlwaysFail):
+        return AlwaysFail(_resolve_type(e.ty, program, func.type_params, e.span), span=e.span)
     if isinstance(e, (Switch, FlexSwitch)):
         if e.scrutinee not in scope:
             raise ResolveError(
@@ -657,7 +655,7 @@ def _resolve_names(
             for arm in e.arms:
                 if program.variant_owner(arm.variant) is None:
                     raise ResolveError(f"unknown variant {arm.variant!r}", e.span)
-        return rebuild(e, [_resolve_names(c, scope, program, func) for c in children(e)])
+        return rebuild(e, [_resolve_expr(c, scope, program, func) for c in children(e)])
     if isinstance(e, Ctor):
         owner = program.variant_owner(e.variant)
         if owner is None:
@@ -674,10 +672,10 @@ def _resolve_names(
         # normalize to declaration order
         by_label = dict(e.fields)
         fields = tuple(
-            (l, _resolve_names(by_label[l], scope, program, func)) for l in declared
+            (l, _resolve_expr(by_label[l], scope, program, func)) for l in declared
         )
         return Ctor(e.variant, fields, span=e.span)
-    return rebuild(e, [_resolve_names(c, scope, program, func) for c in children(e)])
+    return rebuild(e, [_resolve_expr(c, scope, program, func) for c in children(e)])
 
 
 def _validate(program: SurfaceProgram) -> None:
@@ -694,6 +692,8 @@ def _validate(program: SurfaceProgram) -> None:
             labels = [l for l, _ in v.fields]
             if len(labels) != len(set(labels)):
                 raise ResolveError(f"duplicate field label in variant {v.name!r}", v.span)
+            for _, t in v.fields:
+                _resolve_type(t, program, (), v.span)
     seen_funcs: set[str] = set()
     for f in program.functions:
         if f.name in seen_funcs:
@@ -707,118 +707,58 @@ def _concrete_surface(ty: TypeExpr) -> bool:
     return not isinstance(ty, (TypeVarRef, FunType))
 
 
-def resolve(program: SurfaceProgram) -> SurfaceProgram:
-    _validate(program)
-    funcs: list[FuncDecl] = []
-    for f in program.functions:
-        params = tuple(
-            (n, _resolve_type(t, program, f.type_params, f.span)) for n, t in f.params
-        )
-        ret = _resolve_type(f.ret, program, f.type_params, f.span)
-        body = _resolve_types_in_expr(f.body, program, f.type_params)
-        if f.is_harness:
-            for n, t in params:
-                if not _concrete_surface(t):
-                    raise ResolveError(
-                        f"harness {f.name!r} parameter {n!r} must have a concrete type",
-                        f.span,
-                    )
-        for n, t in params:
-            if isinstance(t, ArrayType) and isinstance(t.elem, FunType):
-                raise ResolveError("fun[] is not a valid parameter type", f.span)
-        funcs.append(
-            FuncDecl(
-                f.kind,
-                f.name,
-                f.type_params,
-                params,
-                ret,
-                body,
-                is_harness=f.is_harness,
-                annotations=f.annotations,
-                span=f.span,
-            )
-        )
-    adts = tuple(
-        AdtDecl(
-            a.name,
-            tuple(
-                VariantDecl(
-                    v.name,
-                    tuple((l, _resolve_type(t, program, (), v.span)) for l, t in v.fields),
-                    span=v.span,
-                )
-                for v in a.variants
-            ),
-            span=a.span,
-        )
-        for a in program.adts
+def _resolve_func(f: FuncDecl, program: SurfaceProgram) -> FuncDecl:
+    params = tuple(
+        (n, _resolve_type(t, program, f.type_params, f.span)) for n, t in f.params
     )
-    resolved = SurfaceProgram(adts, tuple(funcs))
-    # resolve identifier references with the final function table
-    final_funcs = []
-    for f in resolved.functions:
-        scope = {n for n, _ in f.params}
-        body = _resolve_names(f.body, scope, resolved, f)
-        final_funcs.append(
-            FuncDecl(
-                f.kind,
-                f.name,
-                f.type_params,
-                f.params,
-                f.ret,
-                body,
-                is_harness=f.is_harness,
-                annotations=f.annotations,
-                span=f.span,
+    for n, t in params:
+        if f.is_harness and not _concrete_surface(t):
+            raise ResolveError(
+                f"harness {f.name!r} parameter {n!r} must have a concrete type", f.span
             )
-        )
-    return SurfaceProgram(resolved.adts, tuple(final_funcs))
+        if isinstance(t, ArrayType) and isinstance(t.elem, FunType):
+            raise ResolveError("fun[] is not a valid parameter type", f.span)
+    return dataclasses.replace(
+        f,
+        params=params,
+        ret=_resolve_type(f.ret, program, f.type_params, f.span),
+        body=_resolve_expr(f.body, {n for n, _ in params}, program, f),
+    )
 
 
-def assert_resolution_total(program: SurfaceProgram) -> None:
-    """Walk all bodies and check no dangling identifiers survive resolution."""
-    for f in program.functions:
-        scope = {n for n, _ in f.params}
-        _check_total(f.body, scope, program, f.name)
+def resolve(program: SurfaceProgram) -> SurfaceProgram:
+    """Resolve a whole program, library included, in one walk per function.
 
-
-def _check_total(e: Expr, scope: set[str], program: SurfaceProgram, fname: str) -> None:
-    if isinstance(e, Var) and e.name not in scope:
-        raise ResolveError(f"dangling identifier {e.name!r} in {fname!r}", e.span)
-    if isinstance(e, FuncRef) and program.function(e.name) is None:
-        raise ResolveError(f"dangling function reference {e.name!r} in {fname!r}", e.span)
-    if (
-        isinstance(e, Call)
-        and e.callee not in scope
-        and program.function(e.callee) is None
-        and e.callee not in BUILTIN_FUNCS
-    ):
-        raise ResolveError(f"call to unknown function {e.callee!r} in {fname!r}", e.span)
-    if isinstance(e, Let):
-        _check_total(e.value, scope, program, fname)
-        _check_total(e.body, scope | {e.name}, program, fname)
-        return
-    for c in children(e):
-        _check_total(c, scope, program, fname)
+    Every type name must be a declared ADT or one of the function's type
+    variables, every identifier a variable in scope or a function, every
+    call target a function, a `fun` in scope or a built-in.
+    """
+    _validate(program)
+    return SurfaceProgram(
+        program.adts, tuple(_resolve_func(f, program) for f in program.functions)
+    )
 
 
 # ---------------------------------------------------------------------------
 # Entry points
 
 
+def parse(text: str) -> SurfaceProgram:
+    """Parse a source without resolving it; raises ParseError with spans."""
+    return _Parser(tokenize(text)).parse_program()
+
+
 def parse_program(text: str) -> SurfaceProgram:
-    """Parse and resolve a program; raises ParseError/ResolveError with spans."""
-    parser = _Parser(tokenize(text))
-    program = parser.parse_program()
-    return resolve(program)
+    """Parse and resolve a self-contained program (no library)."""
+    return resolve(parse(text))
 
 
 def merge_programs(user: SurfaceProgram, lib: SurfaceProgram) -> SurfaceProgram:
     """Merge `lib` under `user`; user declarations shadow the library ones.
 
-    Identical re-declarations of an ADT merge silently; an ADT redeclared
-    with different variants is a hard error.
+    Both are unresolved; the caller resolves the result once.  Identical
+    re-declarations of an ADT merge silently; an ADT redeclared with
+    different variants is a hard error.
     """
     user_adt_names = {a.name for a in user.adts}
     adts = list(user.adts)
@@ -838,39 +778,4 @@ def merge_programs(user: SurfaceProgram, lib: SurfaceProgram) -> SurfaceProgram:
             log.warning("user definition of %r shadows the library version", f.name)
         else:
             funcs.append(f)
-    merged = SurfaceProgram(tuple(adts), tuple(funcs))
-    return resolve(_strip_refs(merged))
-
-
-def load_library(program: SurfaceProgram, library_text: str) -> SurfaceProgram:
-    """Merge a library source into a parsed program (user wins, see
-    merge_programs)."""
-    return merge_programs(program, parse_program(library_text))
-
-
-def _strip_refs(program: SurfaceProgram) -> SurfaceProgram:
-    """Turn FuncRef back into Var so re-resolution can rebind names."""
-    def strip(e: Expr) -> Expr:
-        if isinstance(e, FuncRef):
-            return Var(e.name, span=e.span)
-        if isinstance(e, Let):
-            return Let(e.name, e.ty, strip(e.value), strip(e.body), span=e.span)
-        return rebuild(e, [strip(c) for c in children(e)])
-
-    return SurfaceProgram(
-        program.adts,
-        tuple(
-            FuncDecl(
-                f.kind,
-                f.name,
-                f.type_params,
-                f.params,
-                f.ret,
-                strip(f.body),
-                is_harness=f.is_harness,
-                annotations=f.annotations,
-                span=f.span,
-            )
-            for f in program.functions
-        ),
-    )
+    return SurfaceProgram(tuple(adts), tuple(funcs))

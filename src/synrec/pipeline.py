@@ -1,5 +1,5 @@
-"""End-to-end wiring: parse -> library merge -> expansion -> shape
-detection -> decomposition -> CEGIS -> concrete solution.
+"""End-to-end wiring: parse -> library merge -> resolution -> expansion ->
+shape detection -> decomposition -> CEGIS -> concrete solution.
 
 Also handles the per-file configuration pragma: a leading comment line of
 the form ``//! key=value key=value`` (keys mirror the CLI flags) supplies
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import time
 from dataclasses import dataclass
 
 from .ast import FuncDecl, SurfaceProgram
@@ -23,7 +24,7 @@ from .cegis import (
 from .errors import SynrecError
 from .expand import ExpandedProgram, expand_program
 from .indecomp import ClassificationReport, SpecShape, classify_transformer, detect_spec_shape
-from .parser import assert_resolution_total, load_library, parse_program
+from .parser import merge_programs, parse, resolve
 from .prelude import prelude_text
 
 log = logging.getLogger("synrec")
@@ -77,11 +78,19 @@ def config_for(text: str, cli_overrides: dict | None = None) -> SynthesisConfig:
     return dataclasses.replace(SynthesisConfig(), **values)
 
 
-def load_with_library(text: str, lib_text: str | None = None) -> SurfaceProgram:
-    program = parse_program(text)
-    program = load_library(program, lib_text if lib_text is not None else prelude_text())
-    assert_resolution_total(program)
-    return program
+def load_with_library(
+    text: str, lib_text: str | None = None, solution_text: str | None = None
+) -> SurfaceProgram:
+    """Parse the sources, merge them and resolve the result once.
+
+    The solution file (if any) shadows the program, which shadows the
+    library (the bundled prelude unless `lib_text` is given).
+    """
+    lib = parse(lib_text if lib_text is not None else prelude_text())
+    program = merge_programs(parse(text), lib)
+    if solution_text is not None:
+        program = merge_programs(parse(solution_text), program)
+    return resolve(program)
 
 
 @dataclass
@@ -134,23 +143,16 @@ def check_concrete(
 
     With `solution_text`, its function definitions replace the same-named
     functions of the base program (the original harness file).  The result
-    must be free of synthesis constructs.
+    must be free of synthesis constructs.  Raises `SynthesisTimeout` when
+    the check runs past `cfg.timeout_secs`.
     """
-    program = load_with_library(base_text, lib_text)
-    if solution_text is not None:
-        program = _merge_solution(program, solution_text)
+    deadline = time.monotonic() + cfg.timeout_secs
+    program = load_with_library(base_text, lib_text, solution_text)
     expanded = expand_program(program, cfg.expansion_context())
     if expanded.control_space:
         raise SynrecError(
             f"solution still contains {len(expanded.control_space)} synthesis constructs"
         )
     _only_harness(expanded.program)
-    return verify(expanded, {}, cfg)
+    return verify(expanded, {}, cfg, deadline=deadline)
 
-
-def _merge_solution(base: SurfaceProgram, solution_text: str) -> SurfaceProgram:
-    # The solution file shadows the base program's functions: merging base
-    # *under* the solution keeps the solution's definitions.
-    from .parser import merge_programs
-
-    return merge_programs(parse_program(solution_text), base)

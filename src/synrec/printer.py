@@ -2,7 +2,9 @@
 
 Strict mode emits concrete programs only and is the inverse of the parser:
 ``parse_program(pretty_print_program(p))`` is structurally equal to ``p``
-(spans aside).  Debug mode additionally renders synthesis constructs and
+(spans aside) for a self-contained program.  Names resolve after the
+library merge, so a program that calls into a library round-trips through
+``load_with_library`` with that library instead.  Debug mode additionally renders synthesis constructs and
 expansion artifacts (``??#k``, ``choose#k(...)``) and is used by the
 `expand` subcommand; its output is a stable dump format, not re-parseable
 input.

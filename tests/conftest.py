@@ -15,8 +15,7 @@ from synrec.cegis import (
 )
 from synrec.compiled import compile_concrete
 from synrec.evaluator import evaluate_harness
-from synrec.parser import load_library, parse_program
-from synrec.prelude import prelude_text
+from synrec.pipeline import load_with_library
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "corpus"
@@ -35,7 +34,7 @@ def lang_text() -> str:
 
 @pytest.fixture(scope="session")
 def lang_program(lang_text):
-    return load_library(parse_program(lang_text), prelude_text())
+    return load_with_library(lang_text)
 
 
 @pytest.fixture(scope="session")

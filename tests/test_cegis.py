@@ -24,7 +24,7 @@ from synrec.printer import pretty_print_program
 from synrec.scaling import scaling_benchmark
 
 import toys
-from conftest import reference_verify, search_program
+from conftest import corpus_text, reference_verify, search_program
 
 LIMITS = EvalLimits(max_depth=12)
 
@@ -43,7 +43,7 @@ def test_enumerate_opcode_depth1(lang_program):
 
 
 def test_enumerate_srcast_depth1():
-    p = parse_program(open("corpus/lang.synrec").read())
+    p = load_with_library(corpus_text("lang"))
     cfg = SynthesisConfig(int_domain=(0, 1))
     vals = enumerate_values(p, AdtType("srcAST"), 1, cfg)
     assert [format_value(v) for v in vals] == [

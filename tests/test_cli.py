@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from synrec.cli import main
 from synrec.parser import parse_program
 
@@ -175,6 +177,25 @@ def test_pragma_sets_defaults(tmp_path):
     assert cfg.input_depth == 2
 
 
+def test_check_timeout_exits_3(capsys):
+    # the default bounds scan 8,741,205 inputs; the deadline stops the scan
+    assert run_cli("check", CORPUS / "lang.expected.synrec", "--timeout-secs", "0") == 3
+    assert capsys.readouterr().err.strip() == "timeout"
+
+
+def test_subcommands_reject_flags_they_do_not_read(capsys):
+    for argv in (
+        ("expand", CORPUS / "lang.synrec", "--no-indecomp"),
+        ("expand", CORPUS / "lang.synrec", "--input-depth", "2"),
+        ("check", CORPUS / "lang.expected.synrec", "--hole-domain", "0..1"),
+        ("check", CORPUS / "lang.expected.synrec", "--no-indecomp"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_bench_tiny_corpus(tmp_path, capsys):
     (tmp_path / "toy.synrec").write_text(
         "//! input-depth=2\n"
@@ -189,6 +210,14 @@ def test_bench_tiny_corpus(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("benchmark\tsolved\twall_ms")
     assert lines[1].startswith("toy\tyes")
+
+
+def test_bench_reports_expected_check_timeout(tmp_path, capsys):
+    for name in ("lang", "lang.expected"):
+        (tmp_path / f"{name}.synrec").write_text((CORPUS / f"{name}.synrec").read_text())
+    assert run_cli("bench", tmp_path, "--timeout-secs", "0") == 0
+    row = capsys.readouterr().out.strip().splitlines()[1].split("\t")
+    assert row[0] == "lang" and row[-1] == "timeout"
 
 
 def test_bench_empty_corpus(tmp_path, capsys):

@@ -24,9 +24,12 @@ from synrec.ast import (
 )
 from synrec.errors import ExpandError
 from synrec.expand import ExpansionContext, Expander, _Path, expand_program
-from synrec.parser import load_library, parse_program
+from synrec.parser import parse_program
+from synrec.pipeline import load_with_library
 from synrec.prelude import prelude_text
 from synrec.typesys import TypeEnv, check_type
+
+from conftest import corpus_text
 
 SRC = AdtType("srcAST")
 DST = AdtType("dstAST")
@@ -34,10 +37,8 @@ OPC = AdtType("opcode")
 
 
 @pytest.fixture(scope="module")
-def lang(lang_program=None):
-    from conftest import corpus_text
-
-    return load_library(parse_program(corpus_text("lang")), prelude_text())
+def lang():
+    return load_with_library(corpus_text("lang"))
 
 
 def make_expander(program, **kw):
@@ -302,7 +303,7 @@ def test_field_of_field_errors(lang):
     adt A { MkA { int v; } }
     int f(A x) { return field(field(x)); }
     """
-    p = load_library(parse_program(text), prelude_text())
+    p = load_with_library(text)
     with pytest.raises(ExpandError):
         expand_program(p, ExpansionContext())
 

@@ -2,17 +2,24 @@ import logging
 
 import pytest
 
+from synrec import parser, pipeline
 from synrec.ast import (
     INT,
     POLYGEN,
     AdtType,
+    Call,
     FlexSwitch,
     FuncRef,
     Hole,
+    Let,
+    Var,
+    children,
     walk,
 )
+from synrec.cegis import SOLVED, SynthesisConfig
 from synrec.errors import ParseError, ResolveError
-from synrec.parser import assert_resolution_total, load_library, parse_program
+from synrec.parser import parse_program
+from synrec.pipeline import check_concrete, load_with_library, synthesize
 from synrec.prelude import prelude_text
 from synrec.printer import pretty_print_program
 
@@ -108,31 +115,94 @@ def test_round_trip_corpus(lang_expected_text):
 
 
 def test_resolution_totality(lang_program):
-    assert_resolution_total(lang_program)
+    """Every identifier of the loaded program is bound: a variable in
+    scope, a function reference to a defined function, or a call of a
+    function, a `fun` in scope or a built-in."""
+
+    def check(e, scope, fname):
+        if isinstance(e, Var):
+            assert e.name in scope, (fname, e.name)
+        if isinstance(e, FuncRef):
+            assert lang_program.function(e.name) is not None, (fname, e.name)
+        if isinstance(e, Call) and e.callee not in scope and e.callee != "map":
+            assert lang_program.function(e.callee) is not None, (fname, e.callee)
+        if isinstance(e, Let):
+            check(e.value, scope, fname)
+            check(e.body, scope | {e.name}, fname)
+            return
+        for c in children(e):
+            check(c, scope, fname)
+
+    for f in lang_program.functions:
+        check(f.body, {n for n, _ in f.params}, f.name)
+
+
+def test_call_to_unknown_function_rejected_at_load():
+    with pytest.raises(ResolveError, match="call to unknown function 'nope'"):
+        load_with_library(
+            "adt L { N {} } int f(L x) { return nope(x); } harness void m(L l) { assert(1); }"
+        )
+
+
+def test_library_template_passed_by_name():
+    # `field` is a library generator: the user file names it before the
+    # library is merged, so only a resolution after the merge binds it.
+    text = """
+    adt Pair { P { int a; int b; } Q { int c; } }
+    generator T app<T, S>(fun g, S x) { return g(x); }
+    int second(Pair x) {
+      switch (x) {
+        case P: return app(field, x);
+        case Q: return app(field, x);
+      }
+    }
+    int spec(Pair x) { switch (x) { case P: return x.b; case Q: return x.c; } }
+    harness void main(Pair x) { assert(second(x) == spec(x)); }
+    """
+    program = load_with_library(text)
+    assert isinstance(program.function("second").body.arms[0].body.args[0], FuncRef)
+    cfg = SynthesisConfig(input_depth=1)
+    res = synthesize(text, cfg)
+    assert res.status == SOLVED
+    solution = pretty_print_program(res.solution)
+    assert "x.b" in solution and "x.c" in solution
+    assert check_concrete(text, cfg, solution_text=solution).passed
+
+
+@pytest.mark.parametrize("solution", [None, "int f(int x) { return x; }"])
+def test_load_resolves_once(monkeypatch, lang_text, solution):
+    calls = []
+    resolve = parser.resolve
+
+    def counting(program):
+        calls.append(program)
+        return resolve(program)
+
+    # wrap the name where the parser calls it and where the loader does
+    monkeypatch.setattr(parser, "resolve", counting)
+    monkeypatch.setattr(pipeline, "resolve", counting, raising=False)
+    load_with_library(lang_text, solution_text=solution)
+    assert len(calls) == 1
 
 
 def test_load_library_merges_prelude(lang_text):
-    p = parse_program(lang_text)
-    merged = load_library(p, prelude_text())
+    merged = load_with_library(lang_text)
     assert merged.function("recursiveReplacer") is not None
-    assert_resolution_total(merged)
+    assert merged == load_with_library(lang_text, prelude_text())
 
 
 def test_load_library_empty_is_identity(lang_expected_text):
-    p = parse_program(lang_expected_text)
-    assert load_library(p, "") == p
+    assert load_with_library(lang_expected_text, "") == parse_program(lang_expected_text)
 
 
 def test_user_shadows_library_with_warning(caplog):
-    user = parse_program(
-        """
+    user = """
         adt L { N {} }
         generator T field<T, S>(S e) { return (e.fields?)[0]; }
         harness void m(L l) { assert(1); }
         """
-    )
     with caplog.at_level(logging.WARNING, logger="synrec"):
-        merged = load_library(user, prelude_text())
+        merged = load_with_library(user, prelude_text())
     assert "shadows" in caplog.text
     body = merged.function("field").body
     # the user version indexes with 0, the library version with ??
@@ -140,14 +210,14 @@ def test_user_shadows_library_with_warning(caplog):
 
 
 def test_conflicting_adt_is_hard_error():
-    user = parse_program("adt Pair { MkPair { int a; } } harness void m() { assert(1); }")
+    user = "adt Pair { MkPair { int a; } } harness void m() { assert(1); }"
     with pytest.raises(ResolveError):
-        load_library(user, "adt Pair { MkPair { int a; int b; } }")
+        load_with_library(user, "adt Pair { MkPair { int a; int b; } }")
 
 
 def test_identical_adt_merges():
-    user = parse_program("adt Pair { MkPair { int a; } } harness void m() { assert(1); }")
-    merged = load_library(user, "adt Pair { MkPair { int a; } }")
+    user = "adt Pair { MkPair { int a; } } harness void m() { assert(1); }"
+    merged = load_with_library(user, "adt Pair { MkPair { int a; } }")
     assert len([a for a in merged.adts if a.name == "Pair"]) == 1
 
 
