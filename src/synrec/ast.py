@@ -436,98 +436,77 @@ class SurfaceProgram:
         return None
 
 
+# Passes look nodes up by their exact type (no node class is subclassed):
+# one dict lookup per node instead of a chain of isinstance tests.
+_CHILDREN = {
+    Let: lambda e: (e.value, e.body),
+    Call: lambda e: e.args,
+    Switch: lambda e: tuple(a.body for a in e.arms),
+    FieldAccess: lambda e: (e.base,),
+    Ctor: lambda e: tuple(x for _, x in e.fields),
+    ArrayLit: lambda e: e.items,
+    Index: lambda e: (e.base, e.index),
+    Assert: lambda e: (e.cond,),
+    BinOp: lambda e: (e.lhs, e.rhs),
+    UnOp: lambda e: (e.operand,),
+    If: lambda e: (e.cond, e.then, e.els),
+    Choice: lambda e: e.arms,
+    FieldsOf: lambda e: (e.base,),
+    FlexSwitch: lambda e: (e.body,),
+    UnknownCtor: lambda e: e.args,
+    GenLambda: lambda e: (e.body,),
+    BoxMake: lambda e: (e.term,) if e.gamma is None else (e.term, e.gamma),
+}
+
+
 def children(e: Expr) -> tuple[Expr, ...]:
     """Direct sub-expressions of a node, for generic walks."""
-    if isinstance(e, Let):
-        return (e.value, e.body)
-    if isinstance(e, Call):
-        return e.args
-    if isinstance(e, Switch):
-        return tuple(a.body for a in e.arms)
-    if isinstance(e, FieldAccess):
-        return (e.base,)
-    if isinstance(e, Ctor):
-        return tuple(x for _, x in e.fields)
-    if isinstance(e, ArrayLit):
-        return e.items
-    if isinstance(e, Index):
-        return (e.base, e.index)
-    if isinstance(e, Assert):
-        return (e.cond,)
-    if isinstance(e, BinOp):
-        return (e.lhs, e.rhs)
-    if isinstance(e, UnOp):
-        return (e.operand,)
-    if isinstance(e, If):
-        return (e.cond, e.then, e.els)
-    if isinstance(e, Choice):
-        return e.arms
-    if isinstance(e, FieldsOf):
-        return (e.base,)
-    if isinstance(e, FlexSwitch):
-        return (e.body,)
-    if isinstance(e, UnknownCtor):
-        return e.args
-    if isinstance(e, GenLambda):
-        return (e.body,)
-    if isinstance(e, BoxMake):
-        return (e.term,) if e.gamma is None else (e.term, e.gamma)
-    return ()
+    kids = _CHILDREN.get(type(e))
+    return () if kids is None else kids(e)
+
+
+# each takes the node and an iterator over its new children
+_REBUILD = {
+    Let: lambda e, it: Let(e.name, e.ty, next(it), next(it), span=e.span),
+    Call: lambda e, it: Call(e.callee, tuple(it), span=e.span),
+    Switch: lambda e, it: Switch(
+        e.scrutinee, tuple(SwitchArm(a.variant, b) for a, b in zip(e.arms, it)), span=e.span
+    ),
+    FieldAccess: lambda e, it: FieldAccess(next(it), e.label, span=e.span),
+    Ctor: lambda e, it: Ctor(e.variant, tuple((l, next(it)) for l, _ in e.fields), span=e.span),
+    ArrayLit: lambda e, it: ArrayLit(tuple(it), elem_ty=e.elem_ty, span=e.span),
+    Index: lambda e, it: Index(next(it), next(it), span=e.span),
+    Assert: lambda e, it: Assert(next(it), aid=e.aid, span=e.span),
+    BinOp: lambda e, it: BinOp(e.op, next(it), next(it), span=e.span),
+    UnOp: lambda e, it: UnOp(e.op, next(it), span=e.span),
+    If: lambda e, it: If(next(it), next(it), next(it), span=e.span),
+    Choice: lambda e, it: Choice(tuple(it), cp=e.cp, span=e.span),
+    FieldsOf: lambda e, it: FieldsOf(next(it), span=e.span),
+    FlexSwitch: lambda e, it: FlexSwitch(e.scrutinee, next(it), span=e.span),
+    UnknownCtor: lambda e, it: UnknownCtor(tuple(it), span=e.span),
+    GenLambda: lambda e, it: GenLambda(next(it), span=e.span),
+    BoxMake: lambda e, it: BoxMake(
+        e.trans, next(it), None if e.gamma is None else next(it), e.ty, span=e.span
+    ),
+}
 
 
 def rebuild(e: Expr, new_children: list) -> Expr:
     """Rebuild a node with replaced children, preserving everything else."""
-    it = iter(new_children)
-    if isinstance(e, Let):
-        return Let(e.name, e.ty, next(it), next(it), span=e.span)
-    if isinstance(e, Call):
-        return Call(e.callee, tuple(it), span=e.span)
-    if isinstance(e, Switch):
-        return Switch(
-            e.scrutinee,
-            tuple(SwitchArm(a.variant, b) for a, b in zip(e.arms, it)),
-            span=e.span,
-        )
-    if isinstance(e, FieldAccess):
-        return FieldAccess(next(it), e.label, span=e.span)
-    if isinstance(e, Ctor):
-        return Ctor(e.variant, tuple((l, next(it)) for l, _ in e.fields), span=e.span)
-    if isinstance(e, ArrayLit):
-        return ArrayLit(tuple(it), elem_ty=e.elem_ty, span=e.span)
-    if isinstance(e, Index):
-        return Index(next(it), next(it), span=e.span)
-    if isinstance(e, Assert):
-        return Assert(next(it), aid=e.aid, span=e.span)
-    if isinstance(e, BinOp):
-        return BinOp(e.op, next(it), next(it), span=e.span)
-    if isinstance(e, UnOp):
-        return UnOp(e.op, next(it), span=e.span)
-    if isinstance(e, If):
-        return If(next(it), next(it), next(it), span=e.span)
-    if isinstance(e, Choice):
-        return Choice(tuple(it), cp=e.cp, span=e.span)
-    if isinstance(e, FieldsOf):
-        return FieldsOf(next(it), span=e.span)
-    if isinstance(e, FlexSwitch):
-        return FlexSwitch(e.scrutinee, next(it), span=e.span)
-    if isinstance(e, UnknownCtor):
-        return UnknownCtor(tuple(it), span=e.span)
-    if isinstance(e, GenLambda):
-        return GenLambda(next(it), span=e.span)
-    if isinstance(e, BoxMake):
-        term = next(it)
-        gamma = next(it) if e.gamma is not None else None
-        return BoxMake(e.trans, term, gamma, e.ty, span=e.span)
-    return e
+    make = _REBUILD.get(type(e))
+    return e if make is None else make(e, iter(new_children))
 
 
 def walk(e: Expr):
     """Yield `e` and every descendant, preorder."""
     stack = [e]
+    kids_of = _CHILDREN.get
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(reversed(children(node)))
+        kids = kids_of(type(node))
+        if kids is not None:
+            stack.extend(reversed(kids(node)))
 
 
 def contains_psc(e: Expr) -> bool:

@@ -284,6 +284,24 @@ def iter_inputs(program: SurfaceProgram, harness: FuncDecl, cfg: SynthesisConfig
 # Lazy-binding backtracking search
 
 
+class _Bindings(dict):
+    """Control point -> value; reading an unbound point binds it to its
+    first domain value and records it on the trail.  Compiled code reads
+    through `__getitem__`, so a bound read makes no Python call."""
+
+    __slots__ = ("space", "trail")
+
+    def __init__(self, space: tuple[ControlPoint, ...], trail: list[int]):
+        super().__init__()
+        self.space = space
+        self.trail = trail
+
+    def __missing__(self, cp: int) -> int:
+        v = self[cp] = self.space[cp].lo
+        self.trail.append(cp)
+        return v
+
+
 class LazyBinder:
     """Binds control points in first-read order; `advance` flips the most
     recent point with untried values and discards later bindings."""
@@ -292,16 +310,11 @@ class LazyBinder:
 
     def __init__(self, space: tuple[ControlPoint, ...]):
         self.space = space
-        self.bound: dict[int, int] = {}
         self.trail: list[int] = []
+        self.bound = _Bindings(space, self.trail)
 
     def read(self, cp: int) -> int:
-        v = self.bound.get(cp)
-        if v is None:
-            v = self.space[cp].lo
-            self.bound[cp] = v
-            self.trail.append(cp)
-        return v
+        return self.bound[cp]
 
     def advance(self) -> bool:
         while self.trail:
@@ -358,7 +371,7 @@ def _search(
     binder = LazyBinder(expanded.control_space)
     if not cexs:
         return binder, True
-    compiled.bind_controls(binder.read)
+    compiled.bind_controls(binder.bound.__getitem__)
     run = compiled.func(expanded.program.harnesses[0].name)
     while True:
         if deadline is not None and time.monotonic() > deadline:
@@ -423,8 +436,9 @@ def verify(
     of a decomposition whose decomposed program passes
     `value_class_blocker`, the candidate is checked by value classes;
     otherwise every input is checked.  Both strategies give the same
-    verdict and the same counterexample.  `compiled` is the plain program
-    compiled; `run_cegis` keeps one for the whole run.
+    verdict and the same counterexample.  `compiled` runs the plain
+    program: compiled plain, or decomposed with its box builder bound to
+    the translation (`CompiledProgram.bind_boxes`).
     """
     harness = expanded.program.harnesses[0]
     if len(phi) != len(expanded.control_space):
@@ -740,7 +754,7 @@ def _solve_per_arm(
             # every joint assignment must pass this arm's counterexamples
             state.arm_solved[variant] = False
             return None
-        state.arm_cache[variant] = binder.bound
+        state.arm_cache[variant] = dict(binder.bound)
         state.arm_solved[variant] = True
     # the arm solutions must bind disjoint control points
     merged: dict[int, int] = {}
@@ -764,9 +778,11 @@ def run_cegis(
     """The CEGIS loop: inductive synthesis against accumulated
     counterexamples, bounded verification, repeat.
 
-    The plain program is compiled once per run.  It runs every check,
-    and the search whenever decomposition is off or dropped; with
-    decomposition on, the search runs the decomposition, compiled once too.
+    One program is compiled per run: the decomposed one when
+    decomposition is on, else the plain one.  The decomposed program makes
+    boxes during the search.  For every check, and for the search once
+    decomposition is dropped, its box builder is bound to the translation,
+    and it runs as the plain program.
     """
     start = time.monotonic()
     deadline = start + cfg.timeout_secs
@@ -782,21 +798,19 @@ def run_cegis(
         and report is not None
         and report.verdict != OTHER
     )
-    plain = compile_concrete(expanded.program, None, cfg.effective_unroll)
     if decomp_active:
-        search_prog = apply_inductive_decomposition(expanded, shape, report)
+        decomposed = apply_inductive_decomposition(expanded, shape, report).program
         decomp: SpecShape | None = shape
-        search = compile_concrete(search_prog.program, decomp, cfg.effective_unroll)
+        compiled = compile_concrete(decomposed, decomp, cfg.effective_unroll)
         # Choices only drop nodes, so what holds for the expanded program
         # holds for every candidate.
-        blocker = value_class_blocker(search_prog.program, shape, report)
+        blocker = value_class_blocker(decomposed, shape, report)
         if blocker is None:
             log.info("verification by value classes")
         else:
             log.info("exhaustive verification: %s", blocker)
     else:
-        search_prog = expanded
-        search = plain
+        compiled = compile_concrete(expanded.program, None, cfg.effective_unroll)
         decomp = None
         # Value classes would be sound here as well, but the level-by-level
         # check is the decomposition's induction argument, so the baseline
@@ -827,25 +841,26 @@ def run_cegis(
         return SynthesisResult(status, assignment, solution, s)
 
     def drop_decomposition():
-        nonlocal per_arm, search_prog, search, decomp
+        nonlocal per_arm, decomp
         per_arm = False
-        search_prog = expanded
-        search = plain
         decomp = None
+        compiled.bind_boxes(False)
         state.arm_cache.clear()
         state.arm_cex_count.clear()
 
     try:
         while True:
             state.iterations += 1
+            if decomp is not None:
+                compiled.bind_boxes(True)
             if per_arm:
-                got = _solve_per_arm(search_prog, search, shape, state, deadline, stats)
+                got = _solve_per_arm(expanded, compiled, shape, state, deadline, stats)
                 if got == "fallback":
                     log.warning("per-arm decoupling failed; falling back to joint solve")
                     per_arm = False
             if not per_arm:
                 got = synthesize_inductive(
-                    search_prog, search, state.counterexamples, deadline, stats
+                    expanded, compiled, state.counterexamples, deadline, stats
                 )
             if got is None and decomp is not None:
                 # Near the resource limits the decomposed and plain semantics
@@ -854,7 +869,7 @@ def run_cegis(
                 log.warning("decomposed search exhausted; re-running plain search")
                 drop_decomposition()
                 got = synthesize_inductive(
-                    search_prog, search, state.counterexamples, deadline, stats
+                    expanded, compiled, state.counterexamples, deadline, stats
                 )
             if got is None:
                 return finish(UNSAT, None, None)
@@ -865,8 +880,10 @@ def run_cegis(
             # is active and its program passes `value_class_blocker`, the
             # plain program is checked by value classes, which gives the
             # exhaustive check's verdict and counterexample.
+            if decomp is not None:
+                compiled.bind_boxes(False)
             classes = decomp if blocker is None else None
-            vr = verify(expanded, phi, cfg, classes, deadline, plain)
+            vr = verify(expanded, phi, cfg, classes, deadline, compiled)
             stats.candidate_evaluations += vr.evaluations
             if vr.passed:
                 solution = concretize(expanded, phi)

@@ -9,6 +9,13 @@ lazy binder's during the search, a total assignment's during the check.
 Values are native: ints, variant-tagged tuples ``(name, f1, ...)``,
 tuples for arrays, ``None`` for unit, and ``Box`` for deferred recursion.
 
+A program compiled with a decomposition shape makes each deferred call of
+the translation through the box builder ``_box``.  Bound to ``Box``, as
+compiled, the program runs decomposed: the inductive search.  Bound to
+the translation by ``CompiledProgram.bind_boxes(False)``, it makes the
+call right there and runs as the plain program: the check.  So a
+decomposed run compiles one program for both.
+
 Semantics mirror the reference evaluator (same decomposition rewrite,
 per-function recursion-depth limits, assert ids, out-of-bounds behavior,
 64-bit wrapping arithmetic), and so does the order of control reads:
@@ -96,6 +103,8 @@ class CompiledProgram:
     namespace: dict
     program: SurfaceProgram
     memos: list[dict]
+    # the decomposition's translation, if compiled with a shape
+    trans: str | None = None
 
     def func(self, name: str):
         return self.namespace[f"f_{name}"]
@@ -119,6 +128,15 @@ class CompiledProgram:
         are dropped, and the depth counters are rebalanced (an escaping
         exception leaves them raised)."""
         self.namespace["_rd"] = read
+        self.namespace["_reset_depths"]()
+        self.clear_memos()
+
+    def bind_boxes(self, boxed: bool) -> None:
+        """Make a box where the decomposition deferred a call of the
+        translation (`boxed`, as compiled), or make that call right there,
+        which runs the plain program.  Memo entries and depth counters are
+        dropped as by `bind_controls`."""
+        self.namespace["_box"] = Box if boxed else self.func(self.trans)
         self.namespace["_reset_depths"]()
         self.clear_memos()
 
@@ -240,7 +258,7 @@ class _FnCompiler:
         if t is BoxMake:
             self.callees.add(e.trans)
             parts = (e.term,) if e.gamma is None else (e.term, e.gamma)
-            return f"Box({', '.join(self.operands(parts, env, indent))})"
+            return f"_box({', '.join(self.operands(parts, env, indent))})"
         raise InternalError(f"compile: unsupported node {t.__name__}")
 
     def branches(self, test, arms, env: TypeEnv, indent: int, cp=None) -> str:
@@ -503,6 +521,7 @@ def compile_concrete(
     depth_vars = []
     namespace = {
         "Box": Box,
+        "_box": Box,
         "CAssertFail": CAssertFail,
         "CInfeasible": CInfeasible,
         "CExhausted": CExhausted,
@@ -543,5 +562,6 @@ def compile_concrete(
         namespace["_FORCE_FN"] = _force_fn
     else:
         namespace["_FORCE_FN"] = None
-    return CompiledProgram(namespace, program, memos)
+    trans = None if shape is None else shape.trans
+    return CompiledProgram(namespace, program, memos, trans)
 

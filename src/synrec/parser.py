@@ -753,8 +753,11 @@ def parse_program(text: str) -> SurfaceProgram:
     return resolve(parse(text))
 
 
-def merge_programs(user: SurfaceProgram, lib: SurfaceProgram) -> SurfaceProgram:
-    """Merge `lib` under `user`; user declarations shadow the library ones.
+def merge_programs(
+    user: SurfaceProgram, lib: SurfaceProgram, warn: bool = True
+) -> SurfaceProgram:
+    """Merge `lib` under `user`; user declarations shadow the library ones,
+    each with a warning when `warn` is set.
 
     Both are unresolved; the caller resolves the result once.  Identical
     re-declarations of an ADT merge silently; an ADT redeclared with
@@ -775,7 +778,8 @@ def merge_programs(user: SurfaceProgram, lib: SurfaceProgram) -> SurfaceProgram:
     funcs = list(user.functions)
     for f in lib.functions:
         if f.name in user_func_names:
-            log.warning("user definition of %r shadows the library version", f.name)
+            if warn:
+                log.warning("user definition of %r shadows the library version", f.name)
         else:
             funcs.append(f)
     return SurfaceProgram(tuple(adts), tuple(funcs))

@@ -87,10 +87,11 @@ def load_with_library(
     library (the bundled prelude unless `lib_text` is given).
     """
     lib = parse(lib_text if lib_text is not None else prelude_text())
-    program = merge_programs(parse(text), lib)
+    program = parse(text)
     if solution_text is not None:
-        program = merge_programs(parse(solution_text), program)
-    return resolve(program)
+        # replacing the program's functions is what a solution is for
+        program = merge_programs(parse(solution_text), program, warn=False)
+    return resolve(merge_programs(program, lib))
 
 
 @dataclass

@@ -12,20 +12,26 @@ from synrec.cegis import (
     _search,
     _Stats,
     iter_inputs,
+    run_cegis,
     total_assignment,
+    verify,
 )
 from synrec.compiled import CAssertFail, CExhausted, CInfeasible, compile_concrete
-from synrec.evaluator import EvalLimits, evaluate_harness
+from synrec.evaluator import EvalLimits, evaluate_harness, format_value
 from synrec.expand import ExpansionContext, expand_program
 from synrec.indecomp import (
+    OTHER,
+    ClassificationReport,
     apply_inductive_decomposition,
     classify_transformer,
     detect_spec_shape,
+    value_class_blocker,
 )
 from synrec.parser import parse_program
-from synrec.pipeline import load_with_library
+from synrec.pipeline import load_with_library, prepare
 import toys
 from conftest import (
+    CORPUS,
     corpus_text,
     reference_search,
     reference_sigma,
@@ -168,9 +174,6 @@ def test_depth_limit_matches_reference():
 def test_memoized_scan_matches_reference_at_depth_limit(lang_expected_text, cfg):
     """A memoized result is reused only at the nesting it was computed at:
     deeper down, the reference evaluator may run out of depth instead."""
-    from synrec.cegis import verify
-    from synrec.evaluator import format_value
-
     exp = expand_program(parse_program(lang_expected_text), ExpansionContext())
     memoized = verify(exp, {}, cfg)
     reference = reference_verify(exp, {}, cfg)
@@ -181,6 +184,81 @@ def test_memoized_scan_matches_reference_at_depth_limit(lang_expected_text, cfg)
         reference.counterexample["exp"]
     )
     assert memoized.failure.kind == reference.failure.kind == "resource"
+
+
+def _decomposable(source):
+    if source in toys.__dict__:
+        return parse_program(getattr(toys, source))
+    return load_with_library(corpus_text(source))
+
+
+def _results(prog, name, inputs):
+    """`name`'s result on each input, or the kind of its failure."""
+    out = []
+    for args in inputs:
+        try:
+            out.append(prog.call_at(name, 0, *args))
+        except _FAILURES as err:
+            out.append(_failure(err).kind)
+    return out
+
+
+def _verdict(vr):
+    cex = vr.counterexample or {}
+    return (
+        vr.passed,
+        vr.strategy,
+        vr.args,
+        {n: format_value(v) for n, v in cex.items()},
+        vr.failure,
+        vr.evaluations,
+    )
+
+
+# the toys, and every corpus program with an inductive shape
+ONE_PROGRAM_SOURCES = ["PARITY", "SHIFT", "GAMMA"] + [
+    path.stem
+    for path in sorted(CORPUS.glob("*.synrec"))
+    if prepare(load_with_library(path.read_text()), SynthesisConfig()).report
+    not in (None, ClassificationReport(OTHER))
+]
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("source", ONE_PROGRAM_SOURCES)
+def test_decomposed_program_with_translation_bound_checks_as_plain(source, depth):
+    """The decomposed program compiled once, with its box builder bound to
+    the translation, checks every candidate as the plain program does:
+    same verdict, counterexample and evaluations, by the exhaustive scan
+    and (where the blocker allows) by value classes, under the first-value
+    assignment, four random ones and the solved one."""
+    cfg = SynthesisConfig(input_depth=depth, timeout_secs=60)
+    prep = prepare(_decomposable(source), cfg)
+    exp, shape, report = prep.expanded, prep.shape, prep.report
+    dec = apply_inductive_decomposition(exp, shape, report)
+    one = compile_concrete(dec.program, shape, cfg.effective_unroll)
+    one.bind_boxes(False)
+    plain = compile_concrete(exp.program, None, cfg.effective_unroll)
+    strategies = [None]
+    if value_class_blocker(dec.program, shape, report) is None:
+        strategies.append(shape)
+    solved = run_cegis(exp, cfg, shape, report)
+    assert solved.solved
+    checked = 0
+    trans_inputs = list(iter_inputs(exp.program, exp.program.function(shape.trans), cfg))
+    phis = sample_phis(exp, random.Random(source), 4) + [solved.assignment]
+    for phi in phis:
+        for classes in strategies:
+            got = _verdict(verify(exp, phi, cfg, classes, None, one))
+            assert got == _verdict(verify(exp, phi, cfg, classes, None, plain))
+            checked += got[-1]
+        # no box escapes: the translation returns the plain program's trees
+        results = []
+        for prog in (one, plain):
+            prog.bind_controls(phi.__getitem__)
+            results.append(_results(prog, shape.trans, trans_inputs))
+        assert results[0] == results[1]
+    assert checked
 
 
 # The constructor's first field reads a hole, and its second holds the

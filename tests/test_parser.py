@@ -23,6 +23,8 @@ from synrec.pipeline import check_concrete, load_with_library, synthesize
 from synrec.prelude import prelude_text
 from synrec.printer import pretty_print_program
 
+from conftest import corpus_text
+
 
 def test_opcode_adt():
     p = parse_program("adt opcode{ AndOp{} OrOp{} LtOp{}}")
@@ -207,6 +209,19 @@ def test_user_shadows_library_with_warning(caplog):
     body = merged.function("field").body
     # the user version indexes with 0, the library version with ??
     assert not any(isinstance(n, Hole) for n in walk(body))
+
+
+def test_solution_replaces_program_functions_without_warning(caplog):
+    """A solution file replaces the program's functions by design: checking
+    `lang.expected` against `lang` logs no shadowing."""
+    with caplog.at_level(logging.WARNING, logger="synrec"):
+        vr = check_concrete(
+            corpus_text("lang"),
+            SynthesisConfig(input_depth=1),
+            solution_text=corpus_text("lang.expected"),
+        )
+    assert vr.passed
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 def test_conflicting_adt_is_hard_error():
