@@ -17,11 +17,10 @@ with :func:`dataclasses.replace`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     line: int = 0
     col: int = 0
 

@@ -75,7 +75,6 @@ from .indecomp import (
     ClassificationReport,
     SpecShape,
     apply_inductive_decomposition,
-    value_class_blocker,
 )
 from .typesys import TypeEnv, check_type
 
@@ -769,6 +768,41 @@ def _solve_per_arm(
     return phi
 
 
+def compile_run(
+    expanded: ExpandedProgram,
+    cfg: SynthesisConfig,
+    shape: SpecShape | None,
+    report: ClassificationReport | None,
+) -> tuple[CompiledProgram, SpecShape | None, str | None]:
+    """Compile the one program that a run (`run_cegis`, or
+    `pipeline.check_concrete`) executes.
+
+    Returns the compiled program, the shape when that program is the
+    decomposed one (its boxes bound as compiled), and why its candidates
+    cannot be verified by value classes, None when they can.  Choices only
+    drop nodes, so what holds for the expanded program holds for every
+    candidate.
+    """
+    program, decomp = expanded.program, None
+    if shape is None or report is None:
+        blocker = "no inductive shape"
+    elif not cfg.indecomp:
+        # Value classes would be sound here as well, but the level-by-level
+        # check is the decomposition's induction argument, so the baseline
+        # without it keeps the exhaustive scan.
+        blocker = "decomposition is off"
+    elif report.verdict == OTHER:
+        blocker = f"{shape.trans} is not a recursive transformer"
+    else:
+        dec = apply_inductive_decomposition(expanded, shape, report)
+        program, decomp, blocker = dec.program, shape, dec.blocker
+    if blocker is None:
+        log.info("verification by value classes")
+    else:
+        log.info("exhaustive verification: %s", blocker)
+    return compile_concrete(program, decomp, cfg.effective_unroll), decomp, blocker
+
+
 def run_cegis(
     expanded: ExpandedProgram,
     cfg: SynthesisConfig,
@@ -792,31 +826,8 @@ def run_cegis(
     if harness is None:
         raise SynrecError("program has no harness")
 
-    decomp_active = (
-        cfg.indecomp
-        and shape is not None
-        and report is not None
-        and report.verdict != OTHER
-    )
-    if decomp_active:
-        decomposed = apply_inductive_decomposition(expanded, shape, report).program
-        decomp: SpecShape | None = shape
-        compiled = compile_concrete(decomposed, decomp, cfg.effective_unroll)
-        # Choices only drop nodes, so what holds for the expanded program
-        # holds for every candidate.
-        blocker = value_class_blocker(decomposed, shape, report)
-        if blocker is None:
-            log.info("verification by value classes")
-        else:
-            log.info("exhaustive verification: %s", blocker)
-    else:
-        compiled = compile_concrete(expanded.program, None, cfg.effective_unroll)
-        decomp = None
-        # Value classes would be sound here as well, but the level-by-level
-        # check is the decomposition's induction argument, so the baseline
-        # without it keeps the exhaustive scan.
-        blocker = "no inductive decomposition"
-    morphism = decomp_active and report.is_morphism
+    compiled, decomp, blocker = compile_run(expanded, cfg, shape, report)
+    morphism = decomp is not None and report.is_morphism
     per_arm = morphism
 
     def finish(status, assignment, solution) -> SynthesisResult:

@@ -19,7 +19,7 @@ import sys
 import time
 from pathlib import Path
 
-from .cegis import SOLVED, TIMEOUT, UNSAT, SynthesisTimeout
+from .cegis import SOLVED, TIMEOUT, UNSAT, VALUE_CLASS, SynthesisTimeout
 from .errors import SynrecError
 from .evaluator import format_value
 from .expand import expand_program
@@ -161,7 +161,8 @@ def cmd_check(args) -> int:
         print("timeout", file=sys.stderr)
         return EXIT_TIMEOUT
     if vr.passed:
-        print(f"pass: {vr.evaluations} inputs checked")
+        strategy = "value classes" if vr.strategy == VALUE_CLASS else "exhaustive"
+        print(f"pass: {vr.evaluations} inputs checked ({strategy})")
         return EXIT_OK
     parts = ", ".join(f"{k} = {format_value(v)}" for k, v in vr.counterexample.items())
     print(f"counterexample: {parts} ({vr.failure})", file=sys.stderr)

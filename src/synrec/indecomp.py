@@ -342,10 +342,18 @@ def _leaves_only(body: Expr, trans: str) -> bool:
 # The rewrite
 
 
+@dataclass
+class Decomposition(ExpandedProgram):
+    """A decomposed program, with `value_class_blocker`'s verdict on it."""
+
+    blocker: str | None = None
+
+
 def apply_inductive_decomposition(
     expanded: ExpandedProgram, shape: SpecShape, report: ClassificationReport
-) -> ExpandedProgram:
-    """Replace self-calls in trans with boxed placeholders.
+) -> Decomposition:
+    """Replace self-calls in trans with boxed placeholders, and say why its
+    candidates cannot be verified by value classes (None when they can).
 
     Refuses (returns the program unchanged) when classification is Other:
     the substitution is only sound when recursive calls shrink their
@@ -356,8 +364,18 @@ def apply_inductive_decomposition(
             "inductive decomposition skipped: %s is not a recursive transformer",
             shape.trans,
         )
-        return expanded
-    trans = expanded.program.function(shape.trans)
+        program = expanded.program
+    else:
+        program = _decompose(expanded.program, shape, report)
+    return Decomposition(
+        program, expanded.control_space, value_class_blocker(program, shape, report)
+    )
+
+
+def _decompose(
+    program: SurfaceProgram, shape: SpecShape, report: ClassificationReport
+) -> SurfaceProgram:
+    trans = program.function(shape.trans)
     ret = trans.ret
 
     def rewrite(e: Expr) -> Expr:
@@ -368,10 +386,6 @@ def apply_inductive_decomposition(
         return rebuild(e, [rewrite(c) for c in children(e)])
 
     new_trans = replace(trans, body=rewrite(trans.body))
-    funcs = tuple(new_trans if f.name == shape.trans else f for f in expanded.functions)
-    out = ExpandedProgram(
-        SurfaceProgram(expanded.program.adts, funcs), expanded.control_space
-    )
     if report.is_morphism:
         residual = [
             n
@@ -382,7 +396,8 @@ def apply_inductive_decomposition(
             raise AssertionError(
                 "morphism decomposition left self-calls behind"
             )
-    return out
+    funcs = tuple(new_trans if f.name == shape.trans else f for f in program.functions)
+    return SurfaceProgram(program.adts, funcs)
 
 
 def count_self_calls(fn: FuncDecl) -> int:

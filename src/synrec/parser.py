@@ -18,8 +18,10 @@ parses and resolves a self-contained source.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import re
+from typing import NamedTuple
 
 from .ast import (
     BIT,
@@ -70,6 +72,16 @@ from .errors import ParseError, ResolveError
 
 log = logging.getLogger("synrec")
 
+# binary operator -> precedence, loosest first
+_BINARY = {
+    "||": 1,
+    "&&": 2,
+    "==": 3, "!=": 3,
+    "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5,
+    "*": 6,
+}
+
 KEYWORDS = {
     "adt",
     "generator",
@@ -92,62 +104,66 @@ KEYWORDS = {
 # `map` is a built-in higher-order function handled by the expander.
 BUILTIN_FUNCS = ("map",)
 
+# One token and the whitespace and comments before it, as the groups
+# (skipped, int, ident, op, bad).  Any character that starts no token is
+# `bad`, so the pattern matches at every position and never backtracks into
+# the skipped part; at the end of the input only `skipped` can be non-empty.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*)
-  | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*\??)
-  | (?P<hole>\?\?)
-  | (?P<op>==|!=|<=|>=|&&|\|\||[-+*<>=!{}()\[\],;:.@])
-    """,
-    re.VERBOSE,
+    (\s*(?://[^\n]*\s*)*)
+    (?:
+      (\d+)
+    | ([A-Za-z_][A-Za-z0-9_]*\??)
+    | (\?\?|==|!=|<=|>=|&&|\|\||[-+*<>=!{}()\[\],;:.@])
+    | (.)
+    | \Z
+    )""",
+    re.VERBOSE | re.DOTALL,
 )
+# the parser looks at most one token past the current one
+_LOOKAHEAD = 1
 
 
-class Token:
-    __slots__ = ("kind", "value", "span")
+class Token(NamedTuple):
+    kind: str  # "ident" | "int" | "op" | "eof"
+    value: str
+    span: Span
 
-    def __init__(self, kind: str, value: str, span: Span):
-        self.kind = kind  # "ident" | "int" | "op" | "eof"
-        self.value = value
-        self.span = span
 
-    def __repr__(self) -> str:
-        return f"Token({self.kind}, {self.value!r})"
+# Build from a tuple without the Python-level `__new__` of a NamedTuple:
+# the tokenizer makes one of each per token.
+_token = functools.partial(tuple.__new__, Token)
+_span = functools.partial(tuple.__new__, Span)
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of `text`, then `_LOOKAHEAD + 1` copies of `eof`."""
     tokens: list[Token] = []
-    line, col = 1, 1
+    line, line_start = 1, 0
     pos = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", Span(line, col))
-        span = Span(line, col)
-        kind = m.lastgroup
-        value = m.group()
-        if kind == "ident":
-            if value.endswith("?") and value[:-1] not in ("case", "fields", "cons"):
-                raise ParseError(f"stray '?' after {value[:-1]!r}", span)
-            tokens.append(Token("ident", value, span))
-        elif kind == "int":
-            tokens.append(Token("int", value, span))
-        elif kind == "hole":
-            tokens.append(Token("op", "??", span))
-        elif kind == "op":
-            tokens.append(Token("op", value, span))
-        # whitespace/comments update position only
-        nl = value.count("\n")
-        if nl:
-            line += nl
-            col = len(value) - value.rfind("\n")
+    for skipped, num, ident, op, bad in _TOKEN_RE.findall(text):
+        if skipped:
+            nl = skipped.count("\n")
+            if nl:
+                line += nl
+                line_start = pos + skipped.rfind("\n") + 1
+            pos += len(skipped)
+        span = _span((line, pos - line_start + 1))
+        if ident:
+            if ident[-1] == "?" and ident[:-1] not in ("case", "fields", "cons"):
+                raise ParseError(f"stray '?' after {ident[:-1]!r}", span)
+            kind, value = "ident", ident
+        elif op:
+            kind, value = "op", op
+        elif num:
+            kind, value = "int", num
+        elif bad:
+            raise ParseError(f"unexpected character {bad!r}", span)
         else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(Token("eof", "", Span(line, col)))
+            break
+        tokens.append(_token((kind, value, span)))
+        pos += len(value)
+    tokens.extend([_token(("eof", "", span))] * (_LOOKAHEAD + 1))
     return tokens
 
 
@@ -160,7 +176,7 @@ class _Parser:
     # -- token helpers -----------------------------------------------------
 
     def peek(self, off: int = 0) -> Token:
-        return self.toks[min(self.i + off, len(self.toks) - 1)]
+        return self.toks[self.i + off]
 
     def next(self) -> Token:
         t = self.toks[self.i]
@@ -169,20 +185,22 @@ class _Parser:
         return t
 
     def at(self, value: str, off: int = 0) -> bool:
-        t = self.peek(off)
-        return t.value == value and t.kind in ("op", "ident")
+        # only an op or an identifier can have the value of an op or a keyword
+        return self.toks[self.i + off].value == value
 
     def expect(self, value: str) -> Token:
-        t = self.peek()
+        t = self.toks[self.i]
         if t.value != value:
             raise ParseError(f"expected {value!r}, found {t.value or 'end of input'!r}", t.span)
-        return self.next()
+        self.i += 1
+        return t
 
     def expect_ident(self, what: str = "identifier") -> Token:
-        t = self.peek()
+        t = self.toks[self.i]
         if t.kind != "ident" or t.value in KEYWORDS or t.value.endswith("?"):
             raise ParseError(f"expected {what}, found {t.value or 'end of input'!r}", t.span)
-        return self.next()
+        self.i += 1
+        return t
 
     # -- program structure ---------------------------------------------------
 
@@ -337,7 +355,7 @@ class _Parser:
 
     def parse_stmts_until(self, *closers: str) -> Expr:
         stmts: list[tuple[str, object, Span]] = []
-        while not any(self.at(c) for c in closers) and self.peek().kind != "eof":
+        while self.peek().value not in closers and self.peek().kind != "eof":
             stmts.append(self.parse_stmt())
         return self._desugar_stmts(stmts, self.peek().span)
 
@@ -441,50 +459,17 @@ class _Parser:
 
     # -- expressions -------------------------------------------------------------
 
-    def parse_expr(self) -> Expr:
-        return self.parse_or()
-
-    def parse_or(self) -> Expr:
-        e = self.parse_and()
-        while self.at("||"):
-            span = self.next().span
-            e = BinOp("||", e, self.parse_and(), span=span)
-        return e
-
-    def parse_and(self) -> Expr:
-        e = self.parse_eq()
-        while self.at("&&"):
-            span = self.next().span
-            e = BinOp("&&", e, self.parse_eq(), span=span)
-        return e
-
-    def parse_eq(self) -> Expr:
-        e = self.parse_rel()
-        while self.at("==") or self.at("!="):
-            op = self.next()
-            e = BinOp(op.value, e, self.parse_rel(), span=op.span)
-        return e
-
-    def parse_rel(self) -> Expr:
-        e = self.parse_add()
-        while self.at("<") or self.at("<=") or self.at(">") or self.at(">="):
-            op = self.next()
-            e = BinOp(op.value, e, self.parse_add(), span=op.span)
-        return e
-
-    def parse_add(self) -> Expr:
-        e = self.parse_mul()
-        while self.at("+") or self.at("-"):
-            op = self.next()
-            e = BinOp(op.value, e, self.parse_mul(), span=op.span)
-        return e
-
-    def parse_mul(self) -> Expr:
+    def parse_expr(self, level: int = 1) -> Expr:
+        """A chain of binary operators of precedence `level` or tighter;
+        each precedence level associates to the left."""
         e = self.parse_unary()
-        while self.at("*"):
-            op = self.next()
-            e = BinOp("*", e, self.parse_unary(), span=op.span)
-        return e
+        while True:
+            t = self.toks[self.i]
+            prec = _BINARY.get(t.value, 0)
+            if prec < level:
+                return e
+            self.i += 1
+            e = BinOp(t.value, e, self.parse_expr(prec + 1), span=t.span)
 
     def parse_unary(self) -> Expr:
         if self.at("!"):
@@ -501,7 +486,8 @@ class _Parser:
     def parse_postfix(self) -> Expr:
         e = self.parse_atom()
         while True:
-            if self.at("."):
+            op = self.peek().value
+            if op == ".":
                 self.next()
                 t = self.peek()
                 if t.value == "fields?":
@@ -510,7 +496,7 @@ class _Parser:
                 else:
                     label = self.expect_ident("field name").value
                     e = FieldAccess(e, label, span=t.span)
-            elif self.at("["):
+            elif op == "[":
                 span = self.next().span
                 idx = self.parse_expr()
                 self.expect("]")
@@ -754,14 +740,14 @@ def parse_program(text: str) -> SurfaceProgram:
 
 
 def merge_programs(
-    user: SurfaceProgram, lib: SurfaceProgram, warn: bool = True
+    user: SurfaceProgram, lib: SurfaceProgram, lib_name: str = "library", warn: bool = True
 ) -> SurfaceProgram:
-    """Merge `lib` under `user`; user declarations shadow the library ones,
-    each with a warning when `warn` is set.
+    """Merge `lib` under `user`; user declarations shadow the `lib_name`
+    ones, each with a warning when `warn` is set.
 
     Both are unresolved; the caller resolves the result once.  Identical
     re-declarations of an ADT merge silently; an ADT redeclared with
-    different variants is a hard error.
+    different variants is a hard error that names `lib_name`.
     """
     user_adt_names = {a.name for a in user.adts}
     adts = list(user.adts)
@@ -770,7 +756,8 @@ def merge_programs(
             mine = user.adt(a.name)
             if mine.variants != a.variants:
                 raise ResolveError(
-                    f"ADT {a.name!r} conflicts with a library declaration", mine.span
+                    f"ADT {a.name!r} conflicts with its declaration in the {lib_name}",
+                    mine.span,
                 )
         else:
             adts.append(a)
@@ -779,7 +766,7 @@ def merge_programs(
     for f in lib.functions:
         if f.name in user_func_names:
             if warn:
-                log.warning("user definition of %r shadows the library version", f.name)
+                log.warning("user definition of %r shadows the %s version", f.name, lib_name)
         else:
             funcs.append(f)
     return SurfaceProgram(tuple(adts), tuple(funcs))

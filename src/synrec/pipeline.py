@@ -18,6 +18,7 @@ from .cegis import (
     SynthesisConfig,
     SynthesisResult,
     VerifyResult,
+    compile_run,
     run_cegis,
     verify,
 )
@@ -90,7 +91,7 @@ def load_with_library(
     program = parse(text)
     if solution_text is not None:
         # replacing the program's functions is what a solution is for
-        program = merge_programs(parse(solution_text), program, warn=False)
+        program = merge_programs(parse(solution_text), program, "program", warn=False)
     return resolve(merge_programs(program, lib))
 
 
@@ -144,16 +145,19 @@ def check_concrete(
 
     With `solution_text`, its function definitions replace the same-named
     functions of the base program (the original harness file).  The result
-    must be free of synthesis constructs.  Raises `SynthesisTimeout` when
-    the check runs past `cfg.timeout_secs`.
+    must be free of synthesis constructs.  It is checked by value classes
+    when `compile_run` allows it, exhaustively otherwise; both strategies
+    give the same verdict and counterexample.  Raises `SynthesisTimeout`
+    when the check runs past `cfg.timeout_secs`.
     """
     deadline = time.monotonic() + cfg.timeout_secs
-    program = load_with_library(base_text, lib_text, solution_text)
-    expanded = expand_program(program, cfg.expansion_context())
-    if expanded.control_space:
+    prep = prepare(load_with_library(base_text, lib_text, solution_text), cfg)
+    if prep.expanded.control_space:
         raise SynrecError(
-            f"solution still contains {len(expanded.control_space)} synthesis constructs"
+            f"solution still contains {len(prep.expanded.control_space)} synthesis constructs"
         )
-    _only_harness(expanded.program)
-    return verify(expanded, {}, cfg, deadline=deadline)
-
+    compiled, decomp, blocker = compile_run(prep.expanded, cfg, prep.shape, prep.report)
+    if decomp is not None:
+        compiled.bind_boxes(False)
+    classes = decomp if blocker is None else None
+    return verify(prep.expanded, {}, cfg, classes, deadline, compiled)

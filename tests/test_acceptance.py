@@ -75,9 +75,10 @@ def lang_unopt(lang_prepared):
 def test_criterion_1_running_example(lang_opt):
     res, elapsed = lang_opt
     assert res.solved, "running example must synthesize"
-    # The synthesized program passed exhaustive verification at depth 3 /
+    # The synthesized program passed the bounded check at depth 3 /
     # ints {0,1,2} inside run_cegis.  The known-good solution passes the
-    # same bounded check, and the harness pins dstInterpret . desugar to
+    # same bounded check (by value classes, which give the exhaustive
+    # scan's verdict), and the harness pins dstInterpret . desugar to
     # srcInterpret, so both programs are bounded-equivalent.
     cfg = SynthesisConfig()
     assert cfg.input_depth == 3 and cfg.int_domain == (0, 1, 2)

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -50,6 +51,23 @@ def test_check_expected_solution(capsys):
     code = run_cli("check", CORPUS / "lang.expected.synrec", "--input-depth", "2")
     assert code == 0
     assert "pass" in capsys.readouterr().out
+
+
+def test_check_names_value_classes(capsys, caplog):
+    with caplog.at_level(logging.INFO, logger="synrec"):
+        code = run_cli("-v", "check", CORPUS / "lang.expected.synrec", "--input-depth", "2")
+    assert code == 0
+    assert capsys.readouterr().out == "pass: 74 inputs checked (value classes)\n"
+    assert "verification by value classes" in caplog.text
+
+
+def test_check_names_exhaustive_and_its_reason(tmp_path, capsys, caplog):
+    f = tmp_path / "or.synrec"
+    f.write_text(toys.SHORT_CIRCUIT)
+    with caplog.at_level(logging.INFO, logger="synrec"):
+        assert run_cli("-v", "check", f, "--input-depth", "2") == 0
+    assert capsys.readouterr().out == "pass: 2 inputs checked (exhaustive)\n"
+    assert "exhaustive verification: no inductive shape" in caplog.text
 
 
 def test_check_mutant_prints_counterexample(tmp_path, capsys):
@@ -178,7 +196,7 @@ def test_pragma_sets_defaults(tmp_path):
 
 
 def test_check_timeout_exits_3(capsys):
-    # the default bounds scan 8,741,205 inputs; the deadline stops the scan
+    # the deadline stops the check before its first input
     assert run_cli("check", CORPUS / "lang.expected.synrec", "--timeout-secs", "0") == 3
     assert capsys.readouterr().err.strip() == "timeout"
 

@@ -31,7 +31,7 @@ def test_solutions_round_trip_and_recheck(name):
 def test_expected_solution_checks_at_depth2():
     cfg = SynthesisConfig(input_depth=2)
     vr = check_concrete(corpus_text("lang.expected"), cfg)
-    assert vr.passed and vr.evaluations == 205
+    assert vr.passed and vr.strategy == "value-class" and vr.evaluations == 74
 
 
 def test_corpus_files_have_one_harness_each():

@@ -224,10 +224,29 @@ def test_solution_replaces_program_functions_without_warning(caplog):
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
+PAIR = "adt Pair { MkPair { int a; } } harness void m() { assert(1); }"
+OTHER_PAIR = "adt Pair { MkPair { int a; int b; } }"
+
+
 def test_conflicting_adt_is_hard_error():
-    user = "adt Pair { MkPair { int a; } } harness void m() { assert(1); }"
-    with pytest.raises(ResolveError):
-        load_with_library(user, "adt Pair { MkPair { int a; int b; } }")
+    with pytest.raises(ResolveError) as err:
+        load_with_library(PAIR, OTHER_PAIR)
+    assert err.value.message == "ADT 'Pair' conflicts with its declaration in the library"
+
+
+# a solution's conflict: the sources loaded (program, library, solution),
+# and the source the error names
+SOLUTION_CONFLICTS = {
+    "program": (PAIR, "", OTHER_PAIR),
+    "library": (PAIR.replace("Pair", "Q"), PAIR, OTHER_PAIR),
+}
+
+
+@pytest.mark.parametrize("blamed", sorted(SOLUTION_CONFLICTS))
+def test_conflicting_adt_in_a_solution_names_its_source(blamed):
+    with pytest.raises(ResolveError) as err:
+        load_with_library(*SOLUTION_CONFLICTS[blamed])
+    assert err.value.message == f"ADT 'Pair' conflicts with its declaration in the {blamed}"
 
 
 def test_identical_adt_merges():

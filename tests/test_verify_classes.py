@@ -7,10 +7,11 @@ applicability conditions do not hold.
 """
 
 import dataclasses
+import functools
 
 import pytest
 
-from synrec import cegis
+from synrec import cegis, pipeline
 from synrec.cegis import EXHAUSTIVE, VALUE_CLASS, SynthesisConfig, run_cegis
 from synrec.evaluator import format_value
 from synrec.expand import expand_program
@@ -21,7 +22,8 @@ from synrec.indecomp import (
     value_class_blocker,
 )
 from synrec.parser import parse_program
-from synrec.pipeline import load_with_library, prepare
+from synrec.pipeline import check_concrete, load_with_library, prepare, synthesize
+from synrec.printer import pretty_print_program
 from synrec.scaling import scaling_benchmark
 
 import toys
@@ -313,3 +315,112 @@ def test_value_classes_match_reference_at_source_depth_limit(unroll):
     reference = reference_verify(exp, {}, cfg)
     assert _key(vr) == _key(reference)
     assert reference.passed == (unroll >= 4)
+    checked = _check_matches_exhaustive(WRAPPED_PARITY, cfg, lib="")
+    assert checked.strategy == VALUE_CLASS
+
+
+# -- `check` against the exhaustive scan ------------------------------------------------
+
+
+def _check_matches_exhaustive(text, cfg, solution=None, lib=None):
+    """`check_concrete`'s result, after asserting that its verdict and
+    counterexample are those of the exhaustive scan of the same expansion."""
+    vr = check_concrete(text, cfg, solution, lib)
+    exp = expand_program(load_with_library(text, lib, solution), cfg.expansion_context())
+    exhaustive = cegis.verify(exp, {}, cfg, value_classes=None)
+    assert exhaustive.strategy == EXHAUSTIVE
+    assert _key(vr) == _key(exhaustive)
+    return vr
+
+
+# Mutants of lang.expected, each with the depth of its first failure under
+# ints {2}.  Wrapping the booleans adds a level to every translated
+# boolean, so nested `BetweenS` trees outgrow the interpreters' frames only
+# at depth 3.
+CHECK_MUTANTS = {
+    "expected": ("", "", None),
+    "true-as-false": LANG_MUTANTS["true-as-false"] + (1,),
+    "and-as-or": LANG_MUTANTS["and-as-or"] + (2,),
+    "wrapped-bools": (
+        """    case TrueS: return new BoolD(v = 1);
+    case FalseS: return new BoolD(v = 0);""",
+        """    case TrueS: return new BinaryD(op = new AndOp(), a = new BoolD(v = 1), b = new BoolD(v = 1));
+    case FalseS: return new BinaryD(op = new OrOp(), a = new BoolD(v = 0), b = new BoolD(v = 0));""",
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(CHECK_MUTANTS))
+def test_check_matches_exhaustive_on_lang_expected(mutant):
+    old, new, fails_at = CHECK_MUTANTS[mutant]
+    text = corpus_text("lang.expected")
+    assert old in text
+    text = text.replace(old, new)
+    vr = _check_matches_exhaustive(text, SynthesisConfig(input_depth=3, int_domain=(2,)))
+    assert vr.strategy == VALUE_CLASS
+    assert vr.passed == (fails_at is None)
+    if fails_at is not None:
+        assert _depth(vr.args[0]) == fails_at
+
+
+def _depth(value) -> int:
+    """Constructor-nesting depth of a native value."""
+    if not isinstance(value, tuple):
+        return 0
+    return 1 + max(map(_depth, value[1:]), default=0)
+
+
+SOLVED_CASES = {
+    **{name: (corpus_text(name), None) for name in ("elimBool", "lIns", "tIns", "lang")},
+    **{f"scaling{n}": (scaling_benchmark(n), None) for n in range(3, 9)},
+    "gamma": (toys.GAMMA, ""),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _solution(name):
+    text, lib = SOLVED_CASES[name]
+    res = synthesize(text, SynthesisConfig(input_depth=2, timeout_secs=120), lib)
+    assert res.solved
+    return pretty_print_program(res.solution)
+
+
+@pytest.mark.parametrize("unroll", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("name", sorted(set(SOLVED_CASES) - {"gamma"}))
+def test_check_matches_exhaustive_on_solutions(name, unroll):
+    text, lib = SOLVED_CASES[name]
+    cfg = SynthesisConfig(input_depth=2, unroll_depth=unroll)
+    vr = _check_matches_exhaustive(text, cfg, _solution(name), lib)
+    assert (vr.strategy == VALUE_CLASS) == (name not in ("lIns", "tIns"))
+
+
+@pytest.mark.parametrize("name", ["gamma", "lIns", "tIns"])
+def test_check_stays_exhaustive_where_classes_do_not_apply(name):
+    text, lib = SOLVED_CASES[name]
+    vr = _check_matches_exhaustive(text, SynthesisConfig(input_depth=3), _solution(name), lib)
+    assert vr.strategy == EXHAUSTIVE
+
+
+def test_check_makes_each_step_once(monkeypatch):
+    """`check` parses, decomposes and compiles once, each through the
+    module global that a caller can wrap (the benchmark's tracer does)."""
+    calls = []
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(cegis, "apply_inductive_decomposition")
+    counting(cegis, "compile_concrete")
+    counting(pipeline, "load_with_library")
+    vr = check_concrete(corpus_text("lang.expected"), SynthesisConfig(input_depth=2))
+    assert vr.passed and vr.strategy == VALUE_CLASS
+    assert sorted(calls) == [
+        "apply_inductive_decomposition", "compile_concrete", "load_with_library"
+    ]
