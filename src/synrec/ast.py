@@ -41,7 +41,7 @@ class TypeExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrimType(TypeExpr):
     name: str  # "int" | "bit"
 
@@ -49,7 +49,7 @@ class PrimType(TypeExpr):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitType(TypeExpr):
     """Type of asserts and of `void` function bodies."""
 
@@ -57,7 +57,7 @@ class UnitType(TypeExpr):
         return "void"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdtType(TypeExpr):
     name: str
 
@@ -65,7 +65,7 @@ class AdtType(TypeExpr):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecordType(TypeExpr):
     """Variant record type; a switch arm rebinds the scrutinee at this type.
 
@@ -87,7 +87,7 @@ class RecordType(TypeExpr):
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArrayType(TypeExpr):
     elem: TypeExpr
 
@@ -95,7 +95,7 @@ class ArrayType(TypeExpr):
         return f"{self.elem}[]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunType(TypeExpr):
     """The opaque `fun` parameter type; concretized only through inlining."""
 
@@ -103,7 +103,7 @@ class FunType(TypeExpr):
         return "fun"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArrowType(TypeExpr):
     params: tuple[TypeExpr, ...]
     ret: TypeExpr
@@ -113,7 +113,7 @@ class ArrowType(TypeExpr):
         return f"({ps}) -> {self.ret}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeVarRef(TypeExpr):
     name: str
 
@@ -135,13 +135,13 @@ class Expr:
     __slots__ = ()
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Var(Expr):
     name: str
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class FuncRef(Expr):
     """A function name used as a value (passed where `fun` is expected)."""
 
@@ -149,18 +149,18 @@ class FuncRef(Expr):
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class IntLit(Expr):
     value: int
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class UnitLit(Expr):
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Let(Expr):
     name: str
     ty: TypeExpr
@@ -169,7 +169,7 @@ class Let(Expr):
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Call(Expr):
     """Call of a named function, generator, or `fun`-typed parameter."""
 
@@ -178,34 +178,34 @@ class Call(Expr):
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class SwitchArm:
     variant: str
     body: Expr
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Switch(Expr):
     scrutinee: str  # must be a variable, per the static semantics
     arms: tuple[SwitchArm, ...]
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class FieldAccess(Expr):
     base: Expr
     label: str
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Ctor(Expr):
     variant: str
     fields: tuple[tuple[str, Expr], ...]
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class ArrayLit(Expr):
     items: tuple[Expr, ...]
     # Element type recorded by expansion (required for empty literals);
@@ -214,21 +214,21 @@ class ArrayLit(Expr):
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Index(Expr):
     base: Expr
     index: Expr
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Assert(Expr):
     cond: Expr
     aid: int = field(default=-1, compare=False)
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class BinOp(Expr):
     op: str  # + - * == != < <= > >= && ||
     lhs: Expr
@@ -236,14 +236,14 @@ class BinOp(Expr):
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class UnOp(Expr):
     op: str  # !
     operand: Expr
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class If(Expr):
     cond: Expr
     then: Expr
@@ -254,7 +254,7 @@ class If(Expr):
 # -- classic synthesis constructs -------------------------------------------
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Hole(Expr):
     """`??`: unknown int/bit constant.  `cp`/`ty` are set by expansion."""
 
@@ -263,7 +263,7 @@ class Hole(Expr):
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Choice(Expr):
     """`choose(e1,...,en)`.  `cp` is set by expansion."""
 
@@ -272,7 +272,7 @@ class Choice(Expr):
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class AlwaysFail(Expr):
     """Inline-bound placeholder; evaluating it is a candidate failure.
 
@@ -287,7 +287,7 @@ class AlwaysFail(Expr):
 # -- polymorphic synthesis constructs ----------------------------------------
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class FieldsOf(Expr):
     """`e.fields?`"""
 
@@ -295,7 +295,7 @@ class FieldsOf(Expr):
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class FlexSwitch(Expr):
     """`switch(x){case?: e}`"""
 
@@ -304,7 +304,7 @@ class FlexSwitch(Expr):
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class UnknownCtor(Expr):
     """`new cons?(e1,...,em)`"""
 
@@ -312,7 +312,7 @@ class UnknownCtor(Expr):
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class GenLambda(Expr):
     """A zero-argument generator lambda wrapping an expression argument.
 
@@ -325,7 +325,7 @@ class GenLambda(Expr):
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class BoxMake(Expr):
     """Deferred recursive call installed by inductive decomposition.
 
@@ -347,7 +347,7 @@ PSC_NODES = (FieldsOf, FlexSwitch, UnknownCtor, GenLambda)
 # Declarations
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class VariantDecl:
     name: str
     fields: tuple[tuple[str, TypeExpr], ...]
@@ -357,7 +357,7 @@ class VariantDecl:
         return RecordType(self.name, self.fields)
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class AdtDecl:
     name: str
     variants: tuple[VariantDecl, ...]
@@ -375,14 +375,14 @@ GENERATOR = "generator"
 POLYGEN = "polygen"
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Annotation:
     name: str
     args: tuple[str, ...]
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class FuncDecl:
     kind: str  # STANDARD | GENERATOR | POLYGEN
     name: str
@@ -407,7 +407,7 @@ class FuncDecl:
         return None
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class SurfaceProgram:
     adts: tuple[AdtDecl, ...]
     functions: tuple[FuncDecl, ...]
@@ -499,13 +499,13 @@ def rebuild(e: Expr, new_children: list) -> Expr:
 def walk(e: Expr):
     """Yield `e` and every descendant, preorder."""
     stack = [e]
-    kids_of = _CHILDREN.get
+    pop, push, kids_of = stack.pop, stack.extend, _CHILDREN.get
     while stack:
-        node = stack.pop()
+        node = pop()
         yield node
         kids = kids_of(type(node))
         if kids is not None:
-            stack.extend(reversed(kids(node)))
+            push(kids(node)[::-1])
 
 
 def contains_psc(e: Expr) -> bool:

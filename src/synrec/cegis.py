@@ -71,7 +71,6 @@ from .evaluator import (
 )
 from .expand import ControlPoint, ExpandedProgram, ExpansionContext
 from .indecomp import (
-    OTHER,
     ClassificationReport,
     SpecShape,
     apply_inductive_decomposition,
@@ -773,17 +772,17 @@ def compile_run(
     cfg: SynthesisConfig,
     shape: SpecShape | None,
     report: ClassificationReport | None,
-) -> tuple[CompiledProgram, SpecShape | None, str | None]:
+) -> tuple[CompiledProgram, SpecShape | None, SpecShape | None]:
     """Compile the one program that a run (`run_cegis`, or
     `pipeline.check_concrete`) executes.
 
-    Returns the compiled program, the shape when that program is the
-    decomposed one (its boxes bound as compiled), and why its candidates
-    cannot be verified by value classes, None when they can.  Choices only
-    drop nodes, so what holds for the expanded program holds for every
-    candidate.
+    Returns the compiled program, bound to run as the plain program; the
+    shape when that program is the decomposed one; and the shape again
+    when its candidates can be verified by value classes (`verify`'s
+    `value_classes`), else None.  Choices only drop nodes, so what holds
+    for the expanded program holds for every candidate.
     """
-    program, decomp = expanded.program, None
+    program, decomp, blocker = expanded.program, None, None
     if shape is None or report is None:
         blocker = "no inductive shape"
     elif not cfg.indecomp:
@@ -791,16 +790,19 @@ def compile_run(
         # check is the decomposition's induction argument, so the baseline
         # without it keeps the exhaustive scan.
         blocker = "decomposition is off"
-    elif report.verdict == OTHER:
-        blocker = f"{shape.trans} is not a recursive transformer"
     else:
         dec = apply_inductive_decomposition(expanded, shape, report)
-        program, decomp, blocker = dec.program, shape, dec.blocker
+        program, blocker = dec.program, dec.blocker
+        if dec.decomposed:
+            decomp = shape
     if blocker is None:
         log.info("verification by value classes")
     else:
         log.info("exhaustive verification: %s", blocker)
-    return compile_concrete(program, decomp, cfg.effective_unroll), decomp, blocker
+    compiled = compile_concrete(program, decomp, cfg.effective_unroll)
+    if decomp is not None:
+        compiled.bind_boxes(False)
+    return compiled, decomp, shape if blocker is None else None
 
 
 def run_cegis(
@@ -826,7 +828,7 @@ def run_cegis(
     if harness is None:
         raise SynrecError("program has no harness")
 
-    compiled, decomp, blocker = compile_run(expanded, cfg, shape, report)
+    compiled, decomp, classes = compile_run(expanded, cfg, shape, report)
     morphism = decomp is not None and report.is_morphism
     per_arm = morphism
 
@@ -852,9 +854,9 @@ def run_cegis(
         return SynthesisResult(status, assignment, solution, s)
 
     def drop_decomposition():
-        nonlocal per_arm, decomp
+        nonlocal per_arm, decomp, classes
         per_arm = False
-        decomp = None
+        decomp = classes = None
         compiled.bind_boxes(False)
         state.arm_cache.clear()
         state.arm_cex_count.clear()
@@ -893,7 +895,6 @@ def run_cegis(
             # exhaustive check's verdict and counterexample.
             if decomp is not None:
                 compiled.bind_boxes(False)
-            classes = decomp if blocker is None else None
             vr = verify(expanded, phi, cfg, classes, deadline, compiled)
             stats.candidate_evaluations += vr.evaluations
             if vr.passed:

@@ -344,9 +344,12 @@ def _leaves_only(body: Expr, trans: str) -> bool:
 
 @dataclass
 class Decomposition(ExpandedProgram):
-    """A decomposed program, with `value_class_blocker`'s verdict on it."""
+    """The decomposed program (the expanded one when decomposition was
+    refused), with why its candidates cannot be verified by value classes
+    (None when they can)."""
 
-    blocker: str | None = None
+    decomposed: bool
+    blocker: str | None
 
 
 def apply_inductive_decomposition(
@@ -360,15 +363,12 @@ def apply_inductive_decomposition(
     argument, which the transformer shape guarantees.
     """
     if report.verdict == OTHER:
-        log.info(
-            "inductive decomposition skipped: %s is not a recursive transformer",
-            shape.trans,
-        )
-        program = expanded.program
-    else:
-        program = _decompose(expanded.program, shape, report)
+        reason = f"{shape.trans} is not a recursive transformer"
+        log.info("inductive decomposition skipped: %s", reason)
+        return Decomposition(expanded.program, expanded.control_space, False, reason)
+    program = _decompose(expanded.program, shape, report)
     return Decomposition(
-        program, expanded.control_space, value_class_blocker(program, shape, report)
+        program, expanded.control_space, True, value_class_blocker(program, shape, report)
     )
 
 

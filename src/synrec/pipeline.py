@@ -8,7 +8,6 @@ benchmark-specific bounds; explicit CLI flags win over pragmas.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import time
 from dataclasses import dataclass
@@ -76,7 +75,7 @@ def config_for(text: str, cli_overrides: dict | None = None) -> SynthesisConfig:
     values = parse_pragmas(text)
     if cli_overrides:
         values.update({k: v for k, v in cli_overrides.items() if v is not None})
-    return dataclasses.replace(SynthesisConfig(), **values)
+    return SynthesisConfig(**values)
 
 
 def load_with_library(
@@ -156,8 +155,5 @@ def check_concrete(
         raise SynrecError(
             f"solution still contains {len(prep.expanded.control_space)} synthesis constructs"
         )
-    compiled, decomp, blocker = compile_run(prep.expanded, cfg, prep.shape, prep.report)
-    if decomp is not None:
-        compiled.bind_boxes(False)
-    classes = decomp if blocker is None else None
+    compiled, _, classes = compile_run(prep.expanded, cfg, prep.shape, prep.report)
     return verify(prep.expanded, {}, cfg, classes, deadline, compiled)

@@ -167,6 +167,8 @@ def test_other_classification_refuses(lang_program):
 
     dec = apply_inductive_decomposition(exp, shape, ClassificationReport(OTHER))
     assert dec.program == exp.program
+    assert not dec.decomposed
+    assert dec.blocker == "desugar is not a recursive transformer"
 
 
 # -- soundness + completeness on fully enumerable toys ------------------------------
