@@ -677,13 +677,29 @@ class CegisState:
     arm_solved: dict[str, bool] = field(default_factory=dict)
 
 
+# The layers of one synthesis, in pipeline order, as `phases_ms` names them.
+PHASES = ("parse", "expand", "decompose", "compile", "search", "verify", "concretize")
+
+
+def add_phase(phases: dict | None, name: str, start: float) -> float:
+    """Add the time since `start` (a `perf_counter` reading) to `phases[name]`,
+    in seconds, and return the clock's reading."""
+    now = time.perf_counter()
+    if phases is not None:
+        phases[name] += now - start
+    return now
+
+
 @dataclass
 class SynthesisStats:
     iterations: int = 0
     candidate_evaluations: int = 0
     counterexamples: list[str] = field(default_factory=list)
+    # from the entry of `run_cegis`: parse and expand are not in it
     wall_ms: int = 0
     per_arm: list[ArmStatus] = field(default_factory=list)
+    # seconds spent in each of `PHASES`, parse and expand included
+    phases: dict[str, float] = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
 
     def to_json(self) -> dict:
         return {
@@ -695,6 +711,7 @@ class SynthesisStats:
                 {"variant": a.variant, "solved": a.solved, "ms": round(a.ms, 3)}
                 for a in self.per_arm
             ],
+            "phases_ms": {k: round(v * 1000, 3) for k, v in self.phases.items()},
         }
 
 
@@ -772,6 +789,7 @@ def compile_run(
     cfg: SynthesisConfig,
     shape: SpecShape | None,
     report: ClassificationReport | None,
+    phases: dict | None = None,
 ) -> tuple[CompiledProgram, SpecShape | None, SpecShape | None]:
     """Compile the one program that a run (`run_cegis`, or
     `pipeline.check_concrete`) executes.
@@ -780,8 +798,10 @@ def compile_run(
     shape when that program is the decomposed one; and the shape again
     when its candidates can be verified by value classes (`verify`'s
     `value_classes`), else None.  Choices only drop nodes, so what holds
-    for the expanded program holds for every candidate.
+    for the expanded program holds for every candidate.  The time spent
+    is added to the `decompose` and `compile` entries of `phases`.
     """
+    start = time.perf_counter()
     program, decomp, blocker = expanded.program, None, None
     if shape is None or report is None:
         blocker = "no inductive shape"
@@ -799,9 +819,11 @@ def compile_run(
         log.info("verification by value classes")
     else:
         log.info("exhaustive verification: %s", blocker)
+    start = add_phase(phases, "decompose", start)
     compiled = compile_concrete(program, decomp, cfg.effective_unroll)
     if decomp is not None:
         compiled.bind_boxes(False)
+    add_phase(phases, "compile", start)
     return compiled, decomp, shape if blocker is None else None
 
 
@@ -810,9 +832,12 @@ def run_cegis(
     cfg: SynthesisConfig,
     shape: SpecShape | None = None,
     report: ClassificationReport | None = None,
+    phases: dict[str, float] | None = None,
 ) -> SynthesisResult:
     """The CEGIS loop: inductive synthesis against accumulated
-    counterexamples, bounded verification, repeat.
+    counterexamples, bounded verification, repeat.  The time of each of
+    its phases is added to `phases` (one of `PHASES` each), which becomes
+    the result's `stats.phases`.
 
     One program is compiled per run: the decomposed one when
     decomposition is on, else the plain one.  The decomposed program makes
@@ -828,7 +853,9 @@ def run_cegis(
     if harness is None:
         raise SynrecError("program has no harness")
 
-    compiled, decomp, classes = compile_run(expanded, cfg, shape, report)
+    if phases is None:
+        phases = dict.fromkeys(PHASES, 0.0)
+    compiled, decomp, classes = compile_run(expanded, cfg, shape, report, phases)
     morphism = decomp is not None and report.is_morphism
     per_arm = morphism
 
@@ -838,6 +865,7 @@ def run_cegis(
             candidate_evaluations=stats.candidate_evaluations,
             counterexamples=list(state.cex_keys),
             wall_ms=int((time.monotonic() - start) * 1000),
+            phases=phases,
         )
         if morphism:
             # an arm is solved when its search found an assignment, or
@@ -864,6 +892,7 @@ def run_cegis(
     try:
         while True:
             state.iterations += 1
+            lap, phase = time.perf_counter(), "search"
             if decomp is not None:
                 compiled.bind_boxes(True)
             if per_arm:
@@ -884,6 +913,7 @@ def run_cegis(
                 got = synthesize_inductive(
                     expanded, compiled, state.counterexamples, deadline, stats
                 )
+            lap, phase = add_phase(phases, "search", lap), "verify"
             if got is None:
                 return finish(UNSAT, None, None)
             phi = got
@@ -898,13 +928,16 @@ def run_cegis(
             vr = verify(expanded, phi, cfg, classes, deadline, compiled)
             stats.candidate_evaluations += vr.evaluations
             if vr.passed:
+                lap = add_phase(phases, "verify", lap)
                 solution = concretize(expanded, phi)
+                add_phase(phases, "concretize", lap)
                 return finish(SOLVED, phi, solution)
             # the runtime differential check of the compiled executor
             check = evaluate_harness(
                 expanded.program, phi, vr.counterexample, cfg.eval_limits(),
                 harness=harness,
             )
+            add_phase(phases, "verify", lap)
             if check.passed:
                 raise InternalError(
                     "compiled verifier and reference evaluator disagree on a "
@@ -929,4 +962,5 @@ def run_cegis(
                 "iteration %d: counterexample %s", state.iterations, key
             )
     except SynthesisTimeout:
+        add_phase(phases, phase, lap)
         return finish(TIMEOUT, None, None)

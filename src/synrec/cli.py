@@ -31,7 +31,7 @@ from .pipeline import (
     synthesize,
 )
 from .printer import pretty_print_program
-from .prelude import prelude_text
+from .prelude import PRELUDE, prelude_text
 
 log = logging.getLogger("synrec")
 
@@ -82,13 +82,13 @@ def _cli_overrides(args) -> dict:
     return overrides
 
 
-def _library_text(args) -> str:
-    if args.lib:
-        return Path(args.lib).read_text()
-    env = os.environ.get("SYNREC_LIB")
-    if env:
-        return Path(env).read_text()
-    return prelude_text()
+def _library(args) -> dict:
+    """The template library's text and name, as keyword arguments of the
+    pipeline's entry points."""
+    path = args.lib or os.environ.get("SYNREC_LIB")
+    if path:
+        return {"lib_text": Path(path).read_text(), "lib_source": path}
+    return {"lib_text": prelude_text(), "lib_source": PRELUDE}
 
 
 def _read_input(path: str) -> str:
@@ -101,7 +101,7 @@ def _read_input(path: str) -> str:
 def cmd_synth(args) -> int:
     text = _read_input(args.input)
     cfg = config_for(text, _cli_overrides(args))
-    result = synthesize(text, cfg, _library_text(args))
+    result = synthesize(text, cfg, source=args.input, **_library(args))
     stats = result.stats.to_json()
     stats["status"] = result.status
     if args.stats:
@@ -135,7 +135,7 @@ def cmd_synth(args) -> int:
 def cmd_expand(args) -> int:
     text = _read_input(args.input)
     cfg = config_for(text, _cli_overrides(args))
-    program = load_with_library(text, _library_text(args))
+    program = load_with_library(text, source=args.input, **_library(args))
     expanded = expand_program(program, cfg.expansion_context())
     holes = sum(1 for p in expanded.control_space if p.kind == "hole")
     choices = len(expanded.control_space) - holes
@@ -156,7 +156,14 @@ def cmd_check(args) -> int:
     solution = _read_input(args.solution) if args.solution else None
     cfg = config_for(base, _cli_overrides(args))
     try:
-        vr = check_concrete(base, cfg, solution_text=solution, lib_text=_library_text(args))
+        vr = check_concrete(
+            base,
+            cfg,
+            solution_text=solution,
+            source=args.input,
+            solution_source=args.solution,
+            **_library(args),
+        )
     except SynthesisTimeout:
         print("timeout", file=sys.stderr)
         return EXIT_TIMEOUT
@@ -191,7 +198,7 @@ def cmd_bench(args) -> int:
 def _bench_one(path: Path, args) -> tuple:
     name = path.stem
     text = path.read_text()
-    lib = _library_text(args)
+    lib = _library(args)
     results = {}
     for label, indecomp in (("opt", True), ("unopt", False)):
         overrides = _cli_overrides(args)
@@ -199,7 +206,7 @@ def _bench_one(path: Path, args) -> tuple:
         cfg = config_for(text, overrides)
         start = time.monotonic()
         try:
-            res = synthesize(text, cfg, lib)
+            res = synthesize(text, cfg, source=str(path), **lib)
             results[label] = (res.status, res.stats)
         except SynrecError as err:
             log.error("%s [%s]: %s", name, label, err)
@@ -210,7 +217,7 @@ def _bench_one(path: Path, args) -> tuple:
     if expected.exists():
         cfg = config_for(text, _cli_overrides(args))
         try:
-            vr = check_concrete(expected.read_text(), cfg, lib_text=lib)
+            vr = check_concrete(expected.read_text(), cfg, source=str(expected), **lib)
             expected_ok = str(vr.passed)
         except SynthesisTimeout:
             expected_ok = "timeout"

@@ -11,17 +11,23 @@ from .ast import Span, NO_SPAN
 
 
 class SynrecError(Exception):
-    """Base class for user-attributable errors."""
+    """Base class for user-attributable errors.
 
-    def __init__(self, message: str, span: Span = NO_SPAN):
+    `source` names the input the span points into: a file path, or
+    `<prelude>` for the bundled library.
+    """
+
+    def __init__(self, message: str, span: Span = NO_SPAN, source: str | None = None):
         self.message = message
         self.span = span
+        self.source = source
         super().__init__(self.render())
 
     def render(self) -> str:
+        where = [self.source] if self.source else []
         if self.span is not NO_SPAN and self.span.line:
-            return f"{self.span}: {self.message}"
-        return self.message
+            where.append(str(self.span))
+        return f"{':'.join(where)}: {self.message}" if where else self.message
 
 
 class ParseError(SynrecError):

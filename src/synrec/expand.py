@@ -9,15 +9,30 @@ Standard recursive functions (interpreters and the function under
 synthesis) are left as calls so decomposition and the evaluator can handle
 them.
 
+A generator call is expanded once per key, into a template (hash-consing):
+the key is everything its expansion depends on, namely the call with its
+spans, the types of the names it uses, the required type and the path's
+inlining counters.  The template's control ids count from 0, its origin
+trails start at the call site, and labels stand for its fresh names.
+Every call with the key, the first one included, instantiates the
+template at the next control id, and makes its fresh names in the order
+the expansion made them; a failed expansion adds its control points and
+fails again.  So the program, its control space and its read order are
+those of inlining every call afresh.  Inside a template, an instance
+stays a `_Use` reference, so each node is copied once, when the outermost
+template is instantiated in the program.
+
 One expansion runs sequentially (control-point ids come from a local
 counter) and is deterministic: the same program and context give a
-bit-identical result.  Independent expansions may run concurrently.
+bit-identical result.  Templates live in one `Expander`, which serves one
+expansion.  Independent expansions may run concurrently.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+import re
+from dataclasses import dataclass, fields, replace
 
 from .ast import (
     BIT,
@@ -72,10 +87,11 @@ from .typesys import (
     EQ_OPS,
     REL_OPS,
     Substitution,
+    Typer,
     TypeEnv,
     apply_subst,
-    check_type,
     is_concrete,
+    signature_type,
     type_of,
     unify,
 )
@@ -140,12 +156,181 @@ class _Path:
 
 _TRIVIAL_ARG = (Var, IntLit, FuncRef, GenLambda)
 
+# A label stands for a fresh name while a template is built: `#<frame>.<k>`
+# is the k-th fresh name of template frame <frame>.  No source name has a
+# `#`, so a label never meets a real name.
+_LABEL = re.compile(r"#\d+\.\d+")
+
+
+class _Template:
+    """One generator call expanded once, for every call with the same key.
+
+    `tree` (None when the expansion failed with `error`) names control
+    points by ids relative to the template's first point, and fresh names
+    by the labels in `labels`, one for each entry of `bases`, the base
+    names of the `fresh` calls in the order they were made.  `points`
+    lists the template's own control points (relative ids and origin
+    trails) and the `_Use` of every template it used, in creation order;
+    `size` counts them all.  `dynamic` holds the ids of the tree's nodes
+    that an instance must copy: those with a control point, a label or a
+    `_Use` below them.
+    """
+
+    __slots__ = ("tree", "error", "points", "size", "bases", "labels", "dynamic")
+
+    def __init__(self, tree, error, points, size, bases, labels):
+        self.tree = tree
+        self.error = error
+        self.points = points
+        self.size = size
+        self.bases = bases
+        self.labels = labels
+        self.dynamic: set[int] = set()
+        if tree is not None:
+            _mark_dynamic(tree, self.dynamic)
+
+
+class _Use(Expr):
+    """A template instantiated inside another template's frame.
+
+    Its control ids start at `offset` in the enclosing frame, `names` are
+    the enclosing frame's names for the template's labels, and `trail` is
+    the call site's trail there.  It stands in the enclosing template's
+    tree as the instance itself, so an instance is copied only once, when
+    the outermost template is instantiated in the program.
+    """
+
+    __slots__ = ("template", "offset", "names", "trail")
+
+    def __init__(self, template: _Template, offset: int, names: list, trail: tuple):
+        self.template = template
+        self.offset = offset
+        self.names = names
+        self.trail = trail
+
+
+# the field of a node that holds a name a label can stand for
+_NAME_FIELDS = {Var: "name", Let: "name", Call: "callee", Switch: "scrutinee", FlexSwitch: "scrutinee"}
+
+
+def _mark_dynamic(e: Expr, dynamic: set[int]) -> bool:
+    t = type(e)
+    found = t is Hole or t is Choice or t is _Use
+    name = _NAME_FIELDS.get(t)
+    if name is not None and getattr(e, name).startswith("#"):
+        found = True
+    if t is not _Use:
+        for c in children(e):
+            if _mark_dynamic(c, dynamic):
+                found = True
+    if found:
+        dynamic.add(id(e))
+    return found
+
+
+def _materialize(e: Expr, base: int, names: dict, dynamic: set[int]) -> Expr:
+    """Copy a template tree with control ids shifted by `base` and labels
+    renamed by `names`, instantiating every `_Use` in it.  Subtrees that
+    hold none of these are shared with the template."""
+    if id(e) not in dynamic:
+        return e
+    t = type(e)
+    if t is _Use:
+        tpl = e.template
+        inner = dict(names)
+        inner.update(zip(tpl.labels, [names.get(n, n) for n in e.names]))
+        return _materialize(tpl.tree, base + e.offset, inner, tpl.dynamic)
+    if t is Choice:
+        return Choice(
+            tuple([_materialize(a, base, names, dynamic) for a in e.arms]),
+            e.cp + base,
+            span=e.span,
+        )
+    if t is Ctor:
+        return Ctor(
+            e.variant,
+            tuple([(l, _materialize(v, base, names, dynamic)) for l, v in e.fields]),
+            span=e.span,
+        )
+    if t is Hole:
+        return Hole(e.cp + base, e.ty, span=e.span)
+    if t is Var:
+        return Var(names.get(e.name, e.name), span=e.span)
+    if t is Let:
+        return Let(
+            names.get(e.name, e.name),
+            e.ty,
+            _materialize(e.value, base, names, dynamic),
+            _materialize(e.body, base, names, dynamic),
+            span=e.span,
+        )
+    if t is Call:
+        return Call(
+            names.get(e.callee, e.callee),
+            tuple([_materialize(a, base, names, dynamic) for a in e.args]),
+            span=e.span,
+        )
+    if t is Switch:
+        return Switch(
+            names.get(e.scrutinee, e.scrutinee),
+            tuple(
+                [SwitchArm(a.variant, _materialize(a.body, base, names, dynamic)) for a in e.arms]
+            ),
+            span=e.span,
+        )
+    return rebuild(e, [_materialize(c, base, names, dynamic) for c in children(e)])
+
+
+def _flatten(points: list, base: int, trail: tuple, out: list) -> None:
+    """Append a template's control points to `out`, ids shifted by `base`
+    and origin trails prefixed by `trail`."""
+    for p in points:
+        if type(p) is _Use:
+            _flatten(p.template.points, base + p.offset, trail + p.trail, out)
+        else:
+            span, rel = p.origin
+            out.append(ControlPoint(p.id + base, p.kind, p.lo, p.hi, p.ty, (span, trail + rel)))
+
+
+# the fields of each expression node, for the structural key of a call
+_FIELDS = {
+    cls: tuple(f.name for f in fields(cls))
+    for cls in (
+        Var, FuncRef, IntLit, UnitLit, Let, Call, Switch, SwitchArm, FieldAccess, Ctor,
+        ArrayLit, Index, Assert, BinOp, UnOp, If, Hole, Choice, AlwaysFail, FieldsOf,
+        FlexSwitch, UnknownCtor, GenLambda, BoxMake,
+    )
+}
+
+
+def _shape(x, names: list):
+    """`x` as nested tuples, spans included, collecting the names it uses."""
+    t = type(x)
+    fs = _FIELDS.get(t)
+    if fs is not None:
+        field = _NAME_FIELDS.get(t)
+        if field is not None:
+            names.append(getattr(x, field))
+        return (t,) + tuple([_shape(getattr(x, f), names) for f in fs])
+    if t is tuple:
+        return tuple([_shape(v, names) for v in x])
+    return x
+
 
 class Expander:
     def __init__(self, program: SurfaceProgram, ctx: ExpansionContext):
         self.program = program
         self.ctx = ctx
-        self.points: list[ControlPoint] = []
+        # The current frame: the program's control points and real fresh
+        # names, or, while a template is built, its own (`bases` is then
+        # the list of its fresh calls, and `frame` its label prefix).
+        self.points: list = []
+        self.size = 0
+        self.bases: list[str] | None = None
+        self.frame = 0
+        self._frames = 0
+        self._templates: dict = {}
+        self._shapes: dict = {}
         self._used_names: set[str] = set()
         for f in program.functions:
             self._used_names.add(f.name)
@@ -158,6 +343,9 @@ class Expander:
     # -- plumbing -------------------------------------------------------------
 
     def fresh(self, base: str) -> str:
+        if self.bases is not None:
+            self.bases.append(base)
+            return f"#{self.frame}.{len(self.bases) - 1}"
         if base != "_" and base not in self._used_names:
             self._used_names.add(base)
             return base
@@ -168,61 +356,61 @@ class Expander:
         self._used_names.add(name)
         return name
 
+    def _new_point(self, kind: str, lo: int, hi: int, ty, span: Span, path: _Path) -> int:
+        cp = self.size
+        self.points.append(ControlPoint(cp, kind, lo, hi, ty, (span, path.trail)))
+        self.size = cp + 1
+        return cp
+
     def new_hole(self, ty: PrimType, span: Span, path: _Path) -> Hole:
         if ty == BIT:
             lo, hi = 0, 1
         else:
             lo, hi = self.ctx.hole_lo, self.ctx.hole_hi
-        cp = ControlPoint(len(self.points), "hole", lo, hi, ty, (span, path.trail))
-        self.points.append(cp)
-        return Hole(cp=cp.id, ty=ty, span=span)
+        return Hole(cp=self._new_point("hole", lo, hi, ty, span, path), ty=ty, span=span)
 
     def new_choice(self, arms: tuple[Expr, ...], span: Span, path: _Path) -> Expr:
         if len(arms) == 1:
             return arms[0]
-        cp = ControlPoint(
-            len(self.points), "choice", 0, len(arms) - 1, None, (span, path.trail)
-        )
-        self.points.append(cp)
-        return Choice(arms, cp=cp.id, span=span)
+        cp = self._new_point("choice", 0, len(arms) - 1, None, span, path)
+        return Choice(arms, cp=cp, span=span)
 
     # -- the expansion judgement ------------------------------------------------
 
     def expand(self, env: TypeEnv, e: Expr, required: TypeExpr, path: _Path) -> Expr:
-        if isinstance(e, Var):
-            t = env.lookup(e.name)
-            if t is None:
+        t = type(e)
+        if t is Var:
+            vt = env.lookup(e.name)
+            if vt is None:
                 raise ExpandError(f"unbound variable {e.name!r}", e.span)
-            if t != required:
-                raise ExpandError(f"{e.name!r} has type {t}, required {required}", e.span)
+            if vt != required:
+                raise ExpandError(f"{e.name!r} has type {vt}, required {required}", e.span)
             return e
-        if isinstance(e, IntLit):
+        if t is IntLit:
             if required == INT:
                 return e
             if required == BIT and e.value in (0, 1):
                 return e
             raise ExpandError(f"literal {e.value} cannot have type {required}", e.span)
-        if isinstance(e, UnitLit):
+        if t is UnitLit:
             if isinstance(required, UnitType):
                 return e
             raise ExpandError(f"missing return value of type {required}", e.span)
-        if isinstance(e, FuncRef):
+        if t is FuncRef:
             if isinstance(required, FunType):
                 return e
             f = self.program.function(e.name)
             if f is not None and f.kind == STANDARD and isinstance(required, ArrowType):
-                from .typesys import signature_type
-
                 if signature_type(f) == required:
                     return e
             raise ExpandError(
                 f"function reference {e.name!r} cannot have type {required}", e.span
             )
-        if isinstance(e, GenLambda):
+        if t is GenLambda:
             raise ExpandError(
                 "expression-as-generator may only appear as a call or argument", e.span
             )
-        if isinstance(e, Let):
+        if t is Let:
             if not is_concrete(e.ty) and not isinstance(e.ty, UnitType):
                 raise ExpandError(
                     f"type variable in declaration of {e.name!r} where a concrete type "
@@ -232,18 +420,18 @@ class Expander:
             value = self.expand(env, e.value, e.ty, path)
             body = self.expand(env.bind(e.name, e.ty), e.body, required, path)
             return Let(e.name, e.ty, value, body, span=e.span)
-        if isinstance(e, Call):
+        if t is Call:
             return self.expand_call(env, e, required, path)
-        if isinstance(e, Switch):
+        if t is Switch:
             return self.expand_switch(env, e, required, path)
-        if isinstance(e, FlexSwitch):
+        if t is FlexSwitch:
             return self.expand_flex_match(env, e, required, path)
-        if isinstance(e, FieldAccess):
-            t = self._path_type(env, e)
-            if t != required:
-                raise ExpandError(f"field access has type {t}, required {required}", e.span)
+        if t is FieldAccess:
+            ft = self._path_type(env, e)
+            if ft != required:
+                raise ExpandError(f"field access has type {ft}, required {required}", e.span)
             return e
-        if isinstance(e, Ctor):
+        if t is Ctor:
             owner = self.program.variant_owner(e.variant)
             if owner is None:
                 raise ExpandError(f"unknown variant {e.variant!r}", e.span)
@@ -258,26 +446,26 @@ class Expander:
                 (l, self.expand(env, v, declared[l], path)) for l, v in e.fields
             )
             return Ctor(e.variant, fields, span=e.span)
-        if isinstance(e, ArrayLit):
+        if t is ArrayLit:
             if not isinstance(required, ArrayType):
                 raise ExpandError(f"array literal where {required} expected", e.span)
             items = tuple(self.expand(env, x, required.elem, path) for x in e.items)
             return ArrayLit(items, elem_ty=required.elem, span=e.span)
-        if isinstance(e, Index):
+        if t is Index:
             base = self.expand(env, e.base, ArrayType(required), path)
             index = self.expand(env, e.index, INT, path)
             return Index(base, index, span=e.span)
-        if isinstance(e, Assert):
+        if t is Assert:
             if not isinstance(required, UnitType):
                 raise ExpandError(f"assert used where {required} expected", e.span)
             return Assert(self.expand(env, e.cond, BIT, path), aid=e.aid, span=e.span)
-        if isinstance(e, BinOp):
+        if t is BinOp:
             return self.expand_binop(env, e, required, path)
-        if isinstance(e, UnOp):
+        if t is UnOp:
             if required != BIT:
                 raise ExpandError(f"'!' produces bit, required {required}", e.span)
             return UnOp("!", self.expand(env, e.operand, BIT, path), span=e.span)
-        if isinstance(e, If):
+        if t is If:
             if isinstance(e.cond, Hole):
                 # `if (??)` is the classic template disjunction: treat it as a
                 # two-way choice so branches filter independently.
@@ -288,23 +476,23 @@ class Expander:
             then = self.expand(env, e.then, required, path)
             els = self.expand(env, e.els, required, path)
             return If(cond, then, els, span=e.span)
-        if isinstance(e, Hole):
+        if t is Hole:
             if required in (INT, BIT):
                 return self.new_hole(required, e.span, path)
             raise ExpandError(f"?? requires an int or bit context, got {required}", e.span)
-        if isinstance(e, Choice):
+        if t is Choice:
             return self.expand_choice(env, e, required, path)
-        if isinstance(e, AlwaysFail):
+        if t is AlwaysFail:
             if e.ty != required:
                 raise ExpandError(
                     f"unreachable<{e.ty}> used where {required} expected", e.span
                 )
             return e
-        if isinstance(e, FieldsOf):
+        if t is FieldsOf:
             return self.expand_field_list(env, e, required)
-        if isinstance(e, UnknownCtor):
+        if t is UnknownCtor:
             return self.expand_unknown_constructor(env, e, required, path)
-        if isinstance(e, BoxMake):
+        if t is BoxMake:
             raise InternalError("decomposition node reached the expander")
         raise InternalError(f"expander met unknown node {type(e).__name__}")
 
@@ -542,6 +730,8 @@ class Expander:
             )
         elem_ty = f.params[0][1]
         arr = self.expand(env, arr_arg, ArrayType(elem_ty), path)
+        if type(arr) is _Use:
+            arr = _materialize(arr, 0, {}, {id(arr)})
         if not isinstance(arr, ArrayLit):
             raise ExpandError("map needs a statically known array argument", e.span)
         items = tuple(Call(fn_arg.name, (item,), span=e.span) for item in arr.items)
@@ -550,8 +740,68 @@ class Expander:
     def expand_generator_call(
         self, env: TypeEnv, e: Call, f: FuncDecl, required: TypeExpr, path: _Path
     ) -> Expr:
+        """Instantiate the template of this call, building it on the first
+        call with its key: the call's structure (spans included), the types
+        of the names it uses, the required type and the inlining counters.
+        Nothing else the expansion reads changes between such calls."""
         if path.count(f.name) >= self.ctx.inline_bound:
             return AlwaysFail(required, span=e.span)
+        memo = self._shapes.get(id(e))
+        if memo is None:
+            names: list[str] = []
+            memo = self._shapes[id(e)] = (e, _shape(e, names), tuple(dict.fromkeys(names)))
+        _, shape, names = memo
+        key = (shape, tuple([env.lookup(n) for n in names]), required, path.counters)
+        template = self._templates.get(key)
+        if template is None:
+            template = self._templates[key] = self._build(env, e, f, required, path)
+        return self._instantiate(template, path)
+
+    def _build(
+        self, env: TypeEnv, e: Call, f: FuncDecl, required: TypeExpr, path: _Path
+    ) -> _Template:
+        """Expand the call in a frame of its own: control ids from 0,
+        origin trails from the call site, and labels for fresh names."""
+        saved = self.points, self.size, self.bases, self.frame
+        self._frames += 1
+        self.points, self.size, self.bases, self.frame = [], 0, [], self._frames
+        tree = error = None
+        try:
+            tree = self._inline(env, e, f, required, _Path(path.counters))
+        except ExpandError as err:
+            error = err
+        finally:
+            points, size, bases, frame = self.points, self.size, self.bases, self.frame
+            self.points, self.size, self.bases, self.frame = saved
+        labels = [f"#{frame}.{k}" for k in range(len(bases))]
+        return _Template(tree, error, points, size, bases, labels)
+
+    def _instantiate(self, template: _Template, path: _Path) -> Expr:
+        """The template at the next control id: make its fresh names in
+        the order it made them, add its control points, then give its tree
+        or raise its error.  In the program's frame the instance is copied
+        out; in a template's frame it stays a `_Use` unless it is trivial."""
+        names = [self.fresh(b) for b in template.bases]
+        renames = dict(zip(template.labels, names))
+        offset = self.size
+        if self.bases is None:
+            _flatten(template.points, offset, path.trail, self.points)
+            self.size = len(self.points)
+        else:
+            use = _Use(template, offset, names, path.trail)
+            self.points.append(use)
+            self.size += template.size
+        if template.error is not None:
+            err = template.error
+            message = _LABEL.sub(lambda m: renames.get(m.group(0), m.group(0)), err.message)
+            raise ExpandError(message, err.span)
+        if self.bases is None or isinstance(template.tree, _TRIVIAL_ARG):
+            return _materialize(template.tree, offset, renames, template.dynamic)
+        return use
+
+    def _inline(
+        self, env: TypeEnv, e: Call, f: FuncDecl, required: TypeExpr, path: _Path
+    ) -> Expr:
         if len(e.args) != len(f.params):
             raise ExpandError(f"{e.callee!r} expects {len(f.params)} arguments", e.span)
 
@@ -713,30 +963,73 @@ def expand_program(program: SurfaceProgram, ctx: ExpansionContext) -> ExpandedPr
     return out
 
 
+class _Postconditions(Typer):
+    """The expander's postconditions, checked in the typing pass that
+    re-types the expansion: no synthesis construct and no call of a
+    generator survives, and every control node has an id of the control
+    space that no other node has."""
+
+    def __init__(self, expanded: ExpandedProgram):
+        self.standard = {f.name for f in expanded.functions}
+        self.size = len(expanded.control_space)
+        self.seen: set[int] = set()
+        self.order: list[int] = []  # `seen`, in the order the pass met them
+        self.fn = ""
+
+    def control(self, e: Expr) -> None:
+        if e.cp is None:
+            raise InternalError("control node without an id")
+        if e.cp in self.seen:
+            raise InternalError(f"duplicate control point id {e.cp}")
+        if not 0 <= e.cp < self.size:
+            raise InternalError("control nodes reference unknown points")
+        self.seen.add(e.cp)
+        self.order.append(e.cp)
+
+    def try_type(self, env, e: Expr) -> TypeExpr | None:
+        # An equality types an operand bottom up first, and checks it
+        # again if that fails; the second visit must not meet the ids of
+        # the first.
+        mark = len(self.order)
+        found = super().try_type(env, e)
+        if found is None:
+            self.seen.difference_update(self.order[mark:])
+            del self.order[mark:]
+        return found
+
+    def type_hole(self, env, e: Hole) -> TypeExpr:
+        self.control(e)
+        return super().type_hole(env, e)
+
+    def type_choice(self, env, e: Choice) -> TypeExpr:
+        self.control(e)
+        return super().type_choice(env, e)
+
+    def check_choice(self, env, e: Choice, expected) -> None:
+        self.control(e)
+        super().check_choice(env, e, expected)
+
+    def type_call(self, env, e: Call) -> TypeExpr:
+        if e.callee not in self.standard:
+            raise InternalError(
+                f"call to non-standard function {e.callee!r} survived expansion"
+            )
+        return super().type_call(env, e)
+
+    def type_psc(self, env, e: Expr) -> TypeExpr:
+        raise InternalError(f"PSC survived expansion in {self.fn!r}")
+
+
 def validate_expansion(expanded: ExpandedProgram) -> None:
-    """Assert the expander's postconditions; violations are internal bugs."""
-    seen: set[int] = set()
-    gen_free_names = {f.name for f in expanded.functions}
-    for f in expanded.functions:
-        for node in walk(f.body):
-            if isinstance(node, (FieldsOf, FlexSwitch, UnknownCtor, GenLambda)):
-                raise InternalError(f"PSC survived expansion in {f.name!r}")
-            if isinstance(node, Call) and node.callee not in gen_free_names:
-                raise InternalError(
-                    f"call to non-standard function {node.callee!r} survived expansion"
-                )
-            if isinstance(node, (Hole, Choice)):
-                if node.cp is None:
-                    raise InternalError("control node without an id")
-                if node.cp in seen:
-                    raise InternalError(f"duplicate control point id {node.cp}")
-                seen.add(node.cp)
-        env = TypeEnv(expanded.program)
-        for pname, pty in f.params:
-            env = env.bind(pname, pty)
-        check_type(env, f.body, f.ret)
+    """Assert the expander's postconditions, and that the expansion
+    type-checks; violations are internal bugs."""
     ids = [p.id for p in expanded.control_space]
     if ids != list(range(len(ids))):
         raise InternalError("control point ids are not dense")
-    if not seen.issubset(set(ids)):
-        raise InternalError("control nodes reference unknown points")
+    check = _Postconditions(expanded)
+    for f in expanded.functions:
+        check.fn = f.name
+        env = TypeEnv(expanded.program)
+        for pname, pty in f.params:
+            env = env.bind(pname, pty)
+        check.check(env, f.body, f.ret)

@@ -729,9 +729,15 @@ def resolve(program: SurfaceProgram) -> SurfaceProgram:
 # Entry points
 
 
-def parse(text: str) -> SurfaceProgram:
-    """Parse a source without resolving it; raises ParseError with spans."""
-    return _Parser(tokenize(text)).parse_program()
+def parse(text: str, source: str | None = None) -> SurfaceProgram:
+    """Parse a source without resolving it; raises ParseError with spans,
+    naming `source` (a path or `<prelude>`) when it is given."""
+    try:
+        return _Parser(tokenize(text)).parse_program()
+    except ParseError as err:
+        if source is None:
+            raise
+        raise ParseError(err.message, err.span, source) from None
 
 
 def parse_program(text: str) -> SurfaceProgram:

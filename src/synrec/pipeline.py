@@ -14,9 +14,11 @@ from dataclasses import dataclass
 
 from .ast import FuncDecl, SurfaceProgram
 from .cegis import (
+    PHASES,
     SynthesisConfig,
     SynthesisResult,
     VerifyResult,
+    add_phase,
     compile_run,
     run_cegis,
     verify,
@@ -25,7 +27,7 @@ from .errors import SynrecError
 from .expand import ExpandedProgram, expand_program
 from .indecomp import ClassificationReport, SpecShape, classify_transformer, detect_spec_shape
 from .parser import merge_programs, parse, resolve
-from .prelude import prelude_text
+from .prelude import PRELUDE, prelude_text
 
 log = logging.getLogger("synrec")
 
@@ -79,18 +81,30 @@ def config_for(text: str, cli_overrides: dict | None = None) -> SynthesisConfig:
 
 
 def load_with_library(
-    text: str, lib_text: str | None = None, solution_text: str | None = None
+    text: str,
+    lib_text: str | None = None,
+    solution_text: str | None = None,
+    *,
+    source: str | None = None,
+    lib_source: str | None = None,
+    solution_source: str | None = None,
 ) -> SurfaceProgram:
     """Parse the sources, merge them and resolve the result once.
 
     The solution file (if any) shadows the program, which shadows the
-    library (the bundled prelude unless `lib_text` is given).
+    library (the bundled prelude unless `lib_text` is given).  A parse
+    error names the source it is in: `source`, `solution_source`,
+    `lib_source`, or `<prelude>` for the bundled library.
     """
-    lib = parse(lib_text if lib_text is not None else prelude_text())
-    program = parse(text)
+    if lib_text is None:
+        lib_text, lib_source = prelude_text(), PRELUDE
+    lib = parse(lib_text, lib_source)
+    program = parse(text, source)
     if solution_text is not None:
         # replacing the program's functions is what a solution is for
-        program = merge_programs(parse(solution_text), program, "program", warn=False)
+        program = merge_programs(
+            parse(solution_text, solution_source), program, "program", warn=False
+        )
     return resolve(merge_programs(program, lib))
 
 
@@ -110,8 +124,14 @@ def _only_harness(program: SurfaceProgram) -> FuncDecl:
     return harnesses[0]
 
 
-def prepare(program: SurfaceProgram, cfg: SynthesisConfig) -> Prepared:
+def prepare(
+    program: SurfaceProgram, cfg: SynthesisConfig, phases: dict | None = None
+) -> Prepared:
+    """Expand the program and classify its inductive shape, adding the time
+    spent to the `expand` and `decompose` entries of `phases`."""
+    start = time.perf_counter()
     expanded = expand_program(program, cfg.expansion_context())
+    start = add_phase(phases, "expand", start)
     shape = detect_spec_shape(expanded.program, _only_harness(expanded.program))
     report = None
     if shape is not None:
@@ -125,13 +145,27 @@ def prepare(program: SurfaceProgram, cfg: SynthesisConfig) -> Prepared:
             shape.interp_d,
             report.verdict,
         )
+    add_phase(phases, "decompose", start)
     return Prepared(expanded, shape, report)
 
 
-def synthesize(text: str, cfg: SynthesisConfig, lib_text: str | None = None) -> SynthesisResult:
-    program = load_with_library(text, lib_text)
-    prep = prepare(program, cfg)
-    return run_cegis(prep.expanded, cfg, prep.shape, prep.report)
+def synthesize(
+    text: str,
+    cfg: SynthesisConfig,
+    lib_text: str | None = None,
+    *,
+    source: str | None = None,
+    lib_source: str | None = None,
+) -> SynthesisResult:
+    """Load, expand and synthesize; `stats.phases` also holds the time the
+    load (`parse`) and the expansion took.  `source` and `lib_source`
+    name the inputs in parse errors (see `load_with_library`)."""
+    start = time.perf_counter()
+    program = load_with_library(text, lib_text, source=source, lib_source=lib_source)
+    phases = dict.fromkeys(PHASES, 0.0)
+    add_phase(phases, "parse", start)
+    prep = prepare(program, cfg, phases)
+    return run_cegis(prep.expanded, cfg, prep.shape, prep.report, phases)
 
 
 def check_concrete(
@@ -139,6 +173,10 @@ def check_concrete(
     cfg: SynthesisConfig,
     solution_text: str | None = None,
     lib_text: str | None = None,
+    *,
+    source: str | None = None,
+    solution_source: str | None = None,
+    lib_source: str | None = None,
 ) -> VerifyResult:
     """Bounded verification of a concrete program.
 
@@ -147,10 +185,19 @@ def check_concrete(
     must be free of synthesis constructs.  It is checked by value classes
     when `compile_run` allows it, exhaustively otherwise; both strategies
     give the same verdict and counterexample.  Raises `SynthesisTimeout`
-    when the check runs past `cfg.timeout_secs`.
+    when the check runs past `cfg.timeout_secs`.  The `*_source` names
+    label the inputs in parse errors (see `load_with_library`).
     """
     deadline = time.monotonic() + cfg.timeout_secs
-    prep = prepare(load_with_library(base_text, lib_text, solution_text), cfg)
+    program = load_with_library(
+        base_text,
+        lib_text,
+        solution_text,
+        source=source,
+        lib_source=lib_source,
+        solution_source=solution_source,
+    )
+    prep = prepare(program, cfg)
     if prep.expanded.control_space:
         raise SynrecError(
             f"solution still contains {len(prep.expanded.control_space)} synthesis constructs"

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from importlib import resources
 
+# how diagnostics name the bundled library
+PRELUDE = "<prelude>"
+
 
 def prelude_text() -> str:
     return resources.files("synrec").joinpath("data/prelude.synrec").read_text()

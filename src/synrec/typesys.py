@@ -211,47 +211,6 @@ def _adt_of(env: TypeEnv, name: str, span) -> AdtDecl:
     return adt
 
 
-def check_type(env: TypeEnv, e: Expr, expected: TypeExpr) -> None:
-    """Check `e` against `expected`, pushing the expectation structurally.
-
-    Integer literals 0/1 are accepted at `bit` here; everything else
-    bottoms out in `type_of` equality.
-    """
-    if isinstance(e, IntLit):
-        if expected == BIT:
-            if e.value in (0, 1):
-                return
-            raise TypeCheckError(f"literal {e.value} is not a bit", e.span)
-        if expected == INT:
-            return
-        raise TypeCheckError(f"integer literal where {expected} expected", e.span)
-    if isinstance(e, ArrayLit) and isinstance(expected, ArrayType):
-        for item in e.items:
-            check_type(env, item, expected.elem)
-        return
-    if isinstance(e, Choice):
-        for arm in e.arms:
-            check_type(env, arm, expected)
-        return
-    if isinstance(e, If):
-        check_type(env, e.cond, BIT)
-        check_type(env, e.then, expected)
-        check_type(env, e.els, expected)
-        return
-    if isinstance(e, Let):
-        check_type(env, e.value, e.ty)
-        check_type(env.bind(e.name, e.ty), e.body, expected)
-        return
-    if isinstance(e, Switch):
-        _check_switch(env, e, expected)
-        return
-    if isinstance(e, AlwaysFail):
-        return  # never produces a value; inhabits any type
-    t = type_of(env, e)
-    if t != expected:
-        raise TypeCheckError(f"expected {expected}, found {t}", getattr(e, "span", None))
-
-
 def _switch_parts(env: TypeEnv, e: Switch) -> tuple[AdtDecl, TypeExpr]:
     st = env.lookup(e.scrutinee)
     if st is None:
@@ -268,41 +227,197 @@ def _switch_parts(env: TypeEnv, e: Switch) -> tuple[AdtDecl, TypeExpr]:
     return adt, st
 
 
-def _check_switch(env: TypeEnv, e: Switch, expected: TypeExpr) -> None:
-    adt, _ = _switch_parts(env, e)
-    for arm in e.arms:
-        variant = adt.variant(arm.variant)
-        arm_env = env.bind(e.scrutinee, variant.record_type())
-        check_type(arm_env, arm.body, expected)
+_PSC = (FieldsOf, FlexSwitch, UnknownCtor, GenLambda)
 
 
-def type_of(env: TypeEnv, e: Expr) -> TypeExpr:
-    """The unique type of `e` under `env`; raises TypeCheckError otherwise.
+class Typer:
+    """The typing judgement, dispatched on each node's exact type (no node
+    class is subclassed).  The rules for holes, choices, calls and
+    synthesis constructs are methods, so that a subclass can extend them,
+    as the expander's postcondition check does."""
 
-    Precondition: `e` contains no polymorphic synthesis constructs.
-    """
-    if isinstance(e, Var):
-        t = env.lookup(e.name)
-        if t is None:
-            raise TypeCheckError(f"unbound variable {e.name!r}", e.span)
-        return t
-    if isinstance(e, FuncRef):
-        f = env.program.function(e.name)
-        if f is None:
-            raise TypeCheckError(f"unknown function {e.name!r}", e.span)
-        if f.kind != STANDARD:
+    def check(self, env: TypeEnv, e: Expr, expected: TypeExpr) -> None:
+        """Check `e` against `expected`, pushing the expectation structurally.
+
+        Integer literals 0/1 are accepted at `bit` here; everything else
+        bottoms out in `type_of` equality.
+        """
+        t = type(e)
+        if t is IntLit:
+            if expected == BIT:
+                if e.value in (0, 1):
+                    return
+                raise TypeCheckError(f"literal {e.value} is not a bit", e.span)
+            if expected == INT:
+                return
+            raise TypeCheckError(f"integer literal where {expected} expected", e.span)
+        if t is ArrayLit and isinstance(expected, ArrayType):
+            for item in e.items:
+                self.check(env, item, expected.elem)
+            return
+        if t is Choice:
+            self.check_choice(env, e, expected)
+            return
+        if t is If:
+            self.check(env, e.cond, BIT)
+            self.check(env, e.then, expected)
+            self.check(env, e.els, expected)
+            return
+        if t is Let:
+            self.check(env, e.value, e.ty)
+            self.check(env.bind(e.name, e.ty), e.body, expected)
+            return
+        if t is Switch:
+            adt, _ = _switch_parts(env, e)
+            for arm in e.arms:
+                variant = adt.variant(arm.variant)
+                self.check(env.bind(e.scrutinee, variant.record_type()), arm.body, expected)
+            return
+        if t is AlwaysFail:
+            return  # never produces a value; inhabits any type
+        found = self.type_of(env, e)
+        if found != expected:
             raise TypeCheckError(
-                f"generator {e.name!r} has no bottom-up type", e.span
+                f"expected {expected}, found {found}", getattr(e, "span", None)
             )
-        return signature_type(f)
-    if isinstance(e, IntLit):
-        return INT
-    if isinstance(e, UnitLit):
-        return UNIT
-    if isinstance(e, Let):
-        check_type(env, e.value, e.ty)
-        return type_of(env.bind(e.name, e.ty), e.body)
-    if isinstance(e, Call):
+
+    def check_choice(self, env: TypeEnv, e: Choice, expected: TypeExpr) -> None:
+        for arm in e.arms:
+            self.check(env, arm, expected)
+
+    def type_of(self, env: TypeEnv, e: Expr) -> TypeExpr:
+        """The unique type of `e` under `env`; raises TypeCheckError otherwise.
+
+        Precondition: `e` contains no polymorphic synthesis constructs.
+        """
+        t = type(e)
+        if t is Var:
+            found = env.lookup(e.name)
+            if found is None:
+                raise TypeCheckError(f"unbound variable {e.name!r}", e.span)
+            return found
+        if t is FuncRef:
+            f = env.program.function(e.name)
+            if f is None:
+                raise TypeCheckError(f"unknown function {e.name!r}", e.span)
+            if f.kind != STANDARD:
+                raise TypeCheckError(
+                    f"generator {e.name!r} has no bottom-up type", e.span
+                )
+            return signature_type(f)
+        if t is IntLit:
+            return INT
+        if t is UnitLit:
+            return UNIT
+        if t is Let:
+            self.check(env, e.value, e.ty)
+            return self.type_of(env.bind(e.name, e.ty), e.body)
+        if t is Call:
+            return self.type_call(env, e)
+        if t is Switch:
+            adt, _ = _switch_parts(env, e)
+            result: TypeExpr | None = None
+            for arm in e.arms:
+                variant = adt.variant(arm.variant)
+                arm_ty = self.type_of(env.bind(e.scrutinee, variant.record_type()), arm.body)
+                if result is None:
+                    result = arm_ty
+                elif result != arm_ty:
+                    raise TypeCheckError(f"switch arms disagree: {result} vs {arm_ty}", e.span)
+            return result
+        if t is FieldAccess:
+            bt = self.type_of(env, e.base)
+            if isinstance(bt, RecordType):
+                ft = bt.field_type(e.label)
+                if ft is None:
+                    raise TypeCheckError(f"no field {e.label!r} in {bt}", e.span)
+                return ft
+            raise TypeCheckError(f"field access on non-record type {bt}", e.span)
+        if t is Ctor:
+            owner = env.program.variant_owner(e.variant)
+            if owner is None:
+                raise TypeCheckError(f"unknown variant {e.variant!r}", e.span)
+            decl = owner.variant(e.variant)
+            declared = dict(decl.fields)
+            if set(declared) != {l for l, _ in e.fields}:
+                raise TypeCheckError(f"constructor {e.variant!r} field mismatch", e.span)
+            for label, value in e.fields:
+                self.check(env, value, declared[label])
+            return AdtType(owner.name)
+        if t is ArrayLit:
+            if not e.items:
+                if e.elem_ty is None:
+                    raise TypeCheckError("cannot type an empty array literal", e.span)
+                return ArrayType(e.elem_ty)
+            t0 = self.type_of(env, e.items[0])
+            for item in e.items[1:]:
+                self.check(env, item, t0)
+            return ArrayType(t0)
+        if t is Index:
+            bt = self.type_of(env, e.base)
+            if not isinstance(bt, ArrayType):
+                raise TypeCheckError(f"indexing non-array type {bt}", e.span)
+            self.check(env, e.index, INT)
+            return bt.elem
+        if t is Assert:
+            self.check(env, e.cond, BIT)
+            return UNIT
+        if t is BinOp:
+            return self._type_binop(env, e)
+        if t is UnOp:
+            self.check(env, e.operand, BIT)
+            return BIT
+        if t is If:
+            self.check(env, e.cond, BIT)
+            then = self.type_of(env, e.then)
+            self.check(env, e.els, then)
+            return then
+        if t is Hole:
+            return self.type_hole(env, e)
+        if t is Choice:
+            return self.type_choice(env, e)
+        if t is AlwaysFail or t is BoxMake:
+            return e.ty
+        if t in _PSC:
+            return self.type_psc(env, e)
+        raise TypeCheckError(f"cannot type node {t.__name__}", getattr(e, "span", None))
+
+    def _type_binop(self, env: TypeEnv, e: BinOp) -> TypeExpr:
+        if e.op in ARITH_OPS:
+            self.check(env, e.lhs, INT)
+            self.check(env, e.rhs, INT)
+            return INT
+        if e.op in REL_OPS:
+            self.check(env, e.lhs, INT)
+            self.check(env, e.rhs, INT)
+            return BIT
+        if e.op in BOOL_OPS:
+            self.check(env, e.lhs, BIT)
+            self.check(env, e.rhs, BIT)
+            return BIT
+        if e.op in EQ_OPS:
+            lt = self.try_type(env, e.lhs)
+            rt = self.try_type(env, e.rhs)
+            if lt is None and rt is None:
+                raise TypeCheckError("cannot infer operand types for equality", e.span)
+            if lt is None:
+                self.check(env, e.lhs, rt)
+                lt = rt
+            elif rt is None:
+                self.check(env, e.rhs, lt)
+            elif lt != rt:
+                if not _lit_compatible(e.lhs, e.rhs, lt, rt, env):
+                    raise TypeCheckError(f"comparing {lt} with {rt}", e.span)
+            return BIT
+        raise TypeCheckError(f"unknown operator {e.op!r}", e.span)
+
+    def try_type(self, env: TypeEnv, e: Expr) -> TypeExpr | None:
+        try:
+            return self.type_of(env, e)
+        except TypeCheckError:
+            return None
+
+    def type_call(self, env: TypeEnv, e: Call) -> TypeExpr:
         local = env.lookup(e.callee)
         if local is not None:
             raise TypeCheckError(
@@ -320,116 +435,29 @@ def type_of(env: TypeEnv, e: Expr) -> TypeExpr:
             )
         for arg, (_, pt) in zip(e.args, f.params):
             if isinstance(pt, FunType):
-                at = type_of(env, arg)
+                at = self.type_of(env, arg)
                 if not isinstance(at, (ArrowType, FunType)):
                     raise TypeCheckError(f"expected a function argument, found {at}", e.span)
             else:
-                check_type(env, arg, pt)
+                self.check(env, arg, pt)
         return f.ret
-    if isinstance(e, Switch):
-        adt, _ = _switch_parts(env, e)
-        result: TypeExpr | None = None
-        for arm in e.arms:
-            variant = adt.variant(arm.variant)
-            arm_env = env.bind(e.scrutinee, variant.record_type())
-            t = type_of(arm_env, arm.body)
-            if result is None:
-                result = t
-            elif result != t:
-                raise TypeCheckError(f"switch arms disagree: {result} vs {t}", e.span)
-        return result
-    if isinstance(e, FieldAccess):
-        bt = type_of(env, e.base)
-        if isinstance(bt, RecordType):
-            ft = bt.field_type(e.label)
-            if ft is None:
-                raise TypeCheckError(f"no field {e.label!r} in {bt}", e.span)
-            return ft
-        raise TypeCheckError(f"field access on non-record type {bt}", e.span)
-    if isinstance(e, Ctor):
-        owner = env.program.variant_owner(e.variant)
-        if owner is None:
-            raise TypeCheckError(f"unknown variant {e.variant!r}", e.span)
-        decl = owner.variant(e.variant)
-        declared = dict(decl.fields)
-        if set(declared) != {l for l, _ in e.fields}:
-            raise TypeCheckError(f"constructor {e.variant!r} field mismatch", e.span)
-        for label, value in e.fields:
-            check_type(env, value, declared[label])
-        return AdtType(owner.name)
-    if isinstance(e, ArrayLit):
-        if not e.items:
-            if e.elem_ty is None:
-                raise TypeCheckError("cannot type an empty array literal", e.span)
-            return ArrayType(e.elem_ty)
-        t0 = type_of(env, e.items[0])
-        for item in e.items[1:]:
-            check_type(env, item, t0)
-        return ArrayType(t0)
-    if isinstance(e, Index):
-        bt = type_of(env, e.base)
-        if not isinstance(bt, ArrayType):
-            raise TypeCheckError(f"indexing non-array type {bt}", e.span)
-        check_type(env, e.index, INT)
-        return bt.elem
-    if isinstance(e, Assert):
-        check_type(env, e.cond, BIT)
-        return UNIT
-    if isinstance(e, BinOp):
-        if e.op in ARITH_OPS:
-            check_type(env, e.lhs, INT)
-            check_type(env, e.rhs, INT)
-            return INT
-        if e.op in REL_OPS:
-            check_type(env, e.lhs, INT)
-            check_type(env, e.rhs, INT)
-            return BIT
-        if e.op in BOOL_OPS:
-            check_type(env, e.lhs, BIT)
-            check_type(env, e.rhs, BIT)
-            return BIT
-        if e.op in EQ_OPS:
-            lt = _try_type(env, e.lhs)
-            rt = _try_type(env, e.rhs)
-            if lt is None and rt is None:
-                raise TypeCheckError("cannot infer operand types for equality", e.span)
-            if lt is None:
-                check_type(env, e.lhs, rt)
-                lt = rt
-            elif rt is None:
-                check_type(env, e.rhs, lt)
-            elif lt != rt:
-                if not _lit_compatible(e.lhs, e.rhs, lt, rt, env):
-                    raise TypeCheckError(f"comparing {lt} with {rt}", e.span)
-            return BIT
-        raise TypeCheckError(f"unknown operator {e.op!r}", e.span)
-    if isinstance(e, UnOp):
-        check_type(env, e.operand, BIT)
-        return BIT
-    if isinstance(e, If):
-        check_type(env, e.cond, BIT)
-        t = type_of(env, e.then)
-        check_type(env, e.els, t)
-        return t
-    if isinstance(e, Hole):
+
+    def type_hole(self, env: TypeEnv, e: Hole) -> TypeExpr:
         if e.ty is None:
             raise TypeCheckError("unexpanded hole has no type", e.span)
         return e.ty
-    if isinstance(e, Choice):
-        t0 = type_of(env, e.arms[0])
+
+    def type_choice(self, env: TypeEnv, e: Choice) -> TypeExpr:
+        t0 = self.type_of(env, e.arms[0])
         for arm in e.arms[1:]:
-            check_type(env, arm, t0)
+            self.check(env, arm, t0)
         return t0
-    if isinstance(e, AlwaysFail):
-        return e.ty
-    if isinstance(e, BoxMake):
-        return e.ty
-    if isinstance(e, (FieldsOf, FlexSwitch, UnknownCtor, GenLambda)):
+
+    def type_psc(self, env: TypeEnv, e: Expr) -> TypeExpr:
         raise TypeCheckError(
             f"{type(e).__name__} is a synthesis construct with no bottom-up type",
             getattr(e, "span", None),
         )
-    raise TypeCheckError(f"cannot type node {type(e).__name__}", getattr(e, "span", None))
 
 
 def _lit_compatible(lhs, rhs, lt, rt, env) -> bool:
@@ -441,11 +469,9 @@ def _lit_compatible(lhs, rhs, lt, rt, env) -> bool:
     return False
 
 
-def _try_type(env: TypeEnv, e: Expr) -> TypeExpr | None:
-    try:
-        return type_of(env, e)
-    except TypeCheckError:
-        return None
+_TYPER = Typer()
+check_type = _TYPER.check
+type_of = _TYPER.type_of
 
 
 def typecheck_function(program: SurfaceProgram, f: FuncDecl) -> None:

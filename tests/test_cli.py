@@ -37,9 +37,16 @@ def test_synth_elimbool(tmp_path, capsys):
         "counterexamples",
         "wall_ms",
         "per_arm",
+        "phases_ms",
         "status",
     }
     assert data["status"] == "solved"
+    assert list(data["phases_ms"]) == [
+        "parse", "expand", "decompose", "compile", "search", "verify", "concretize",
+    ]
+    assert all(ms >= 0 for ms in data["phases_ms"].values())
+    # parse and expand run before `run_cegis`, where `wall_ms` starts
+    assert data["phases_ms"]["parse"] > 0 and data["phases_ms"]["expand"] > 0
     assert all(set(a) == {"variant", "solved", "ms"} for a in data["per_arm"])
     arms = [a["variant"] for a in data["per_arm"]]
     assert arms == ["TrueB", "FalseB", "NotB", "AndB", "OrB"]
@@ -260,3 +267,28 @@ def test_lib_env_fallback(tmp_path, monkeypatch):
     f = tmp_path / "uses.synrec"
     f.write_text("adt L { N {} } int f(L l) { return three(); } harness void m(L l) { assert(f(l) == 3); }")
     assert run_cli("synth", f, "-o", tmp_path / "o.synrec") == 0
+
+
+# a syntax error at 1:41, the `;` after `+`
+BROKEN = "dstAST desugar(srcAST src) { return 1 + ; }\n"
+
+
+def test_syntax_error_names_the_solution_file(tmp_path, capsys):
+    bad = tmp_path / "bad.synrec"
+    bad.write_text(BROKEN)
+    assert run_cli("check", CORPUS / "lang.synrec", bad, "--input-depth", "1") == 1
+    assert capsys.readouterr().err == f"error: {bad}:1:41: unexpected token ';'\n"
+
+
+def test_syntax_error_names_the_program_file(tmp_path, capsys):
+    bad = tmp_path / "bad.synrec"
+    bad.write_text(BROKEN)
+    assert run_cli("synth", bad) == 1
+    assert capsys.readouterr().err == f"error: {bad}:1:41: unexpected token ';'\n"
+
+
+def test_syntax_error_names_the_lib_file(tmp_path, capsys):
+    lib = tmp_path / "badlib.synrec"
+    lib.write_text("generator int two() { return 2 }\n")
+    assert run_cli("synth", CORPUS / "lIns.synrec", "--lib", lib) == 1
+    assert capsys.readouterr().err == f"error: {lib}:1:32: expected ';', found '}}'\n"

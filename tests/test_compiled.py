@@ -16,6 +16,7 @@ from synrec.cegis import (
     total_assignment,
     verify,
 )
+from synrec import compiled
 from synrec.compiled import CAssertFail, CExhausted, CInfeasible, compile_concrete
 from synrec.evaluator import EvalLimits, evaluate_harness, format_value
 from synrec.expand import ExpansionContext, expand_program
@@ -29,6 +30,7 @@ from synrec.indecomp import (
 )
 from synrec.parser import parse_program
 from synrec.pipeline import load_with_library, prepare
+from synrec.scaling import scaling_benchmark
 import toys
 from conftest import (
     CORPUS,
@@ -75,10 +77,19 @@ def sample_phis(exp, rng, n):
     return phis
 
 
-@pytest.mark.parametrize("source", ["PARITY", "SHIFT", "GAMMA"])
+def _toy_or_scaling(source):
+    """A toy program, or `scalingN`: the scaling family member with N
+    source variants, where instances of one template share compiled code
+    (at N = 8, the seven unary arms share one chunk)."""
+    if source.startswith("scaling"):
+        return load_with_library(scaling_benchmark(int(source.removeprefix("scaling"))))
+    return parse_program(getattr(toys, source))
+
+
+@pytest.mark.parametrize("source", ["PARITY", "SHIFT", "GAMMA", "scaling3", "scaling8"])
 @pytest.mark.parametrize("decompose", [False, True])
 def test_compiled_matches_reference(source, decompose):
-    exp = expand_program(parse_program(getattr(toys, source)), ExpansionContext())
+    exp = expand_program(_toy_or_scaling(source), ExpansionContext())
     decomp = None
     if decompose:
         shape = detect_spec_shape(exp.program, exp.program.harnesses[0])
@@ -261,6 +272,27 @@ def test_decomposed_program_with_translation_bound_checks_as_plain(source, depth
     assert checked
 
 
+def test_scaling8_unary_arms_share_one_chunk(monkeypatch):
+    """Each arm of `lower` is one outlined instance of the template; the
+    seven unary arms differ only in control ids and names, so their chunk
+    is compiled once, and the literal arm, which also reads `e.v`, has its
+    own.  Each instance runs the same bytecode with its own control ids."""
+    exp = expand_program(load_with_library(scaling_benchmark(8)), ExpansionContext())
+    sources = []
+
+    def counting_compile(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(compiled, "compile", counting_compile, raising=False)
+    ns = compile_concrete(exp.program).namespace
+    assert len(sources) == 3  # the program's functions, and two chunks
+    chunks = [ns[f"_x{i}"].__code__ for i in range(8)]
+    assert "_x8" not in ns
+    assert len({c.co_code for c in chunks[1:]}) == 1
+    assert len({c.co_consts for c in chunks}) == 8
+
+
 # The constructor's first field reads a hole, and its second holds the
 # inlined generator, a switch with a let in one arm: the compiled code runs
 # the switch as statements, so the first field must be read ahead of it.
@@ -336,7 +368,7 @@ harness void main(nat x) {
 
 SEARCH_CASES = [
     (name, decompose)
-    for name in ("PARITY", "SHIFT", "GAMMA", "elimBool", "lang")
+    for name in ("PARITY", "SHIFT", "GAMMA", "elimBool", "lang", "scaling3", "scaling8")
     for decompose in (False, True)
 ] + [("SPILL", False), ("FORCED", True)]
 
@@ -347,8 +379,10 @@ def test_compiled_search_takes_reference_path(name, decompose):
     and evaluates exactly as the tree-walking search does."""
     if name in ("elimBool", "lang"):
         program = load_with_library(corpus_text(name))
+    elif name in ("SPILL", "FORCED"):
+        program = parse_program({"SPILL": SPILL, "FORCED": FORCED}[name])
     else:
-        program = parse_program({"SPILL": SPILL, "FORCED": FORCED}.get(name) or getattr(toys, name))
+        program = _toy_or_scaling(name)
     cfg = SynthesisConfig(input_depth=3 if name == "FORCED" else 2)
     exp = expand_program(program, cfg.expansion_context())
     harness = exp.program.harnesses[0]

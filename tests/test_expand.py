@@ -319,3 +319,15 @@ def test_arm_order_follows_declarations(lang):
         for c in ctor_chooses:
             names = [a.variant for a in c.arms]
             assert names in (["NumD", "BoolD", "BinaryD"], ["AndOp", "OrOp", "LtOp"])
+
+
+def test_validation_retypes_an_equality_operand_without_false_duplicates():
+    """`choose(1, ??)` at `bit` has no bottom-up type (its first arm is an
+    int literal), so the equality types it again top down; its control
+    points are still each met once."""
+    src = """
+    adt N { Z {} }
+    harness void main(N n) { bit b = 1; assert(b == choose(1, ??)); }
+    """
+    out = expand_program(parse_program(src), ExpansionContext())
+    assert [p.kind for p in out.control_space] == ["hole", "choice"]
