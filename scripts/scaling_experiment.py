@@ -4,7 +4,8 @@ inductive decomposition.
 
 Generates the scaling family (one literal plus a growing set of unary
 arithmetic constructs), synthesizes each member in both modes, and prints
-a TSV table of wall times, evaluation counts, and speedup ratios.  The
+a TSV table of wall times, evaluation counts (all harness runs, and
+those of the inductive search alone), and speedup ratios.  The
 no-decomposition runs are expected to grow steeply and may hit the
 timeout at the top of the range.
 """
@@ -35,15 +36,19 @@ def main() -> int:
     ap.add_argument("--timeout-secs", type=float, default=120.0)
     args = ap.parse_args()
 
-    print("variants\tstatus\twall_s\tevals\tstatus_noopt\twall_s_noopt\tevals_noopt\tspeedup")
+    print(
+        "variants\tstatus\twall_s\tevals\tsearch_evals"
+        "\tstatus_noopt\twall_s_noopt\tevals_noopt\tsearch_evals_noopt\tspeedup"
+    )
     for n in range(args.min, args.max + 1):
         opt, t_opt = run(n, args.timeout_secs, True)
         unopt, t_unopt = run(n, args.timeout_secs, False)
         speedup = f"{t_unopt / max(t_opt, 1e-3):.1f}"
         print(
             f"{n}\t{opt.status}\t{t_opt:.2f}\t{opt.stats.candidate_evaluations}"
+            f"\t{opt.stats.search_evaluations}"
             f"\t{unopt.status}\t{t_unopt:.2f}\t{unopt.stats.candidate_evaluations}"
-            f"\t{speedup}"
+            f"\t{unopt.stats.search_evaluations}\t{speedup}"
         )
     return 0
 

@@ -18,7 +18,10 @@ counterexample is re-run once on the reference evaluator.
 When inductive decomposition produced a morphism, switch arms of the
 function under synthesis share no control points with each other, so the
 inductive step solves each arm against only the counterexamples rooted at
-its variant and caches arm solutions across iterations.  If the arm
+its variant.  Each arm keeps its search across iterations: an arm without
+a new counterexample keeps its solution, and an arm with one resumes its
+search from that solution, which is where a fresh search on the longer
+list would get to by the same steps (see `_search`).  If the arm
 solutions bind a common point, or their merge fails a counterexample, the
 run falls back to the joint search, preserving completeness.  An arm with
 no solution needs no fallback: the search is complete, and every joint
@@ -334,7 +337,9 @@ def total_assignment(
 
 @dataclass
 class _Stats:
-    candidate_evaluations: int = 0
+    # harness runs of the inductive search, and of the bounded checks
+    search_evaluations: int = 0
+    verify_evaluations: int = 0
 
 
 def _passes(compiled: CompiledProgram, run, cexs: list[tuple], stats: _Stats) -> bool:
@@ -342,15 +347,14 @@ def _passes(compiled: CompiledProgram, run, cexs: list[tuple], stats: _Stats) ->
     counting every run; False at the first failure.
 
     Memo entries replay control reads that stay bound until a run fails;
-    after that the binder may change a binding, so they are dropped along
-    with the depth counters the failure left raised."""
+    after that the binder may change a binding, so the candidate's entries
+    are dropped along with the depth counters the failure left raised."""
     for args in cexs:
-        stats.candidate_evaluations += 1
+        stats.search_evaluations += 1
         try:
             run(*args)
         except _FAILURES:
-            compiled.namespace["_reset_depths"]()
-            compiled.clear_memos()
+            compiled.drop_candidate()
             return False
     return True
 
@@ -361,23 +365,35 @@ def _search(
     cexs: list[tuple],
     deadline: float | None,
     stats: _Stats,
+    binder: LazyBinder | None = None,
+    passed: int = 0,
 ) -> tuple[LazyBinder, bool]:
     """Complete deterministic search over assignments reachable by reads.
 
     Returns the binder and whether its bindings pass every counterexample.
+    Given `binder`, whose bindings a search on `cexs[:passed]` returned as
+    passing, the search resumes from there, and its first candidate runs
+    only `cexs[passed:]`.  A fresh search on `cexs` takes the same steps
+    as that earlier search up to those bindings (each candidate before
+    them fails one of the first `passed` counterexamples, the same way),
+    then passes the first `passed` again: so the resumed search ends with
+    the same binder, and the two together make the fresh search's runs.
     """
-    binder = LazyBinder(expanded.control_space)
+    if binder is None:
+        binder = LazyBinder(expanded.control_space)
     if not cexs:
         return binder, True
     compiled.bind_controls(binder.bound.__getitem__)
     run = compiled.func(expanded.program.harnesses[0].name)
+    todo = cexs[passed:]
     while True:
         if deadline is not None and time.monotonic() > deadline:
             raise SynthesisTimeout
-        if _passes(compiled, run, cexs, stats):
+        if _passes(compiled, run, todo, stats):
             return binder, True
         if not binder.advance():
             return binder, False
+        todo = cexs
 
 
 def synthesize_inductive(
@@ -515,7 +531,8 @@ def _verify_value_classes(prog, shape, cfg, deadline, harness):
 
     Level k = 1..d runs the harness on every tree whose children are class
     witnesses of depth <= k-1, at least one of depth exactly k-1, in the
-    exhaustive enumeration's order.  Every tree of depth k behaves like
+    exhaustive enumeration's order, and classifies those trees only once
+    all of them passed.  Every tree of depth k behaves like
     the tree of its children's witnesses, which sorts no later, and every
     level is checked only after all smaller ones passed; so the first
     failure found here is the exhaustive check's first failure.
@@ -570,7 +587,7 @@ def _verify_value_classes(prog, shape, cfg, deadline, harness):
     seen: set = set()
     for level in range(1, cfg.input_depth + 1):
         last = level == cfg.input_depth
-        fresh: list = []
+        trees: list = []
         for tree in en.iter_exact(src, level, layer):
             if deadline is not None and time.monotonic() > deadline:
                 raise SynthesisTimeout
@@ -580,10 +597,16 @@ def _verify_value_classes(prog, shape, cfg, deadline, harness):
                     program, harness, (tree,), failure, evals, VALUE_CLASS
                 )
             if not last:
-                key = class_of(tree)
-                if key not in seen:
-                    seen.add(key)
-                    fresh.append(tree)
+                trees.append(tree)
+        # only a level that passed needs its classes
+        fresh: list = []
+        for tree in trees:
+            if deadline is not None and time.monotonic() > deadline:
+                raise SynthesisTimeout
+            key = class_of(tree)
+            if key not in seen:
+                seen.add(key)
+                fresh.append(tree)
         witnesses.append(fresh)
     return VerifyResult(True, evaluations=evals, strategy=VALUE_CLASS)
 
@@ -671,7 +694,9 @@ class CegisState:
     counterexamples: list[tuple] = field(default_factory=list)
     cex_keys: list[str] = field(default_factory=list)
     iterations: int = 0
-    arm_cache: dict[str, dict[int, int]] = field(default_factory=dict)
+    # per arm: its search, whose bindings pass the arm's first
+    # `arm_cex_count` counterexamples
+    arm_search: dict[str, LazyBinder] = field(default_factory=dict)
     arm_cex_count: dict[str, int] = field(default_factory=dict)
     arm_ms: dict[str, float] = field(default_factory=dict)
     arm_solved: dict[str, bool] = field(default_factory=dict)
@@ -693,7 +718,9 @@ def add_phase(phases: dict | None, name: str, start: float) -> float:
 @dataclass
 class SynthesisStats:
     iterations: int = 0
-    candidate_evaluations: int = 0
+    # harness runs of the inductive search, and of the bounded checks
+    search_evaluations: int = 0
+    verify_evaluations: int = 0
     counterexamples: list[str] = field(default_factory=list)
     # from the entry of `run_cegis`: parse and expand are not in it
     wall_ms: int = 0
@@ -701,10 +728,16 @@ class SynthesisStats:
     # seconds spent in each of `PHASES`, parse and expand included
     phases: dict[str, float] = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
 
+    @property
+    def candidate_evaluations(self) -> int:
+        return self.search_evaluations + self.verify_evaluations
+
     def to_json(self) -> dict:
         return {
             "iterations": self.iterations,
             "candidate_evaluations": self.candidate_evaluations,
+            "search_evaluations": self.search_evaluations,
+            "verify_evaluations": self.verify_evaluations,
             "counterexamples": list(self.counterexamples),
             "wall_ms": self.wall_ms,
             "per_arm": [
@@ -755,11 +788,16 @@ def _solve_per_arm(
         cexs = groups.get(variant, [])
         if not cexs:
             continue
-        if state.arm_cex_count.get(variant) == len(cexs) and variant in state.arm_cache:
+        # the arm's counterexamples only ever grow at the end
+        passed = state.arm_cex_count.get(variant, 0)
+        if passed == len(cexs):
             continue
         start = time.monotonic()
         try:
-            binder, found = _search(expanded, compiled, cexs, deadline, stats)
+            binder, found = _search(
+                expanded, compiled, cexs, deadline, stats,
+                state.arm_search.get(variant), passed,
+            )
         finally:
             state.arm_ms[variant] = state.arm_ms.get(variant, 0.0) + (
                 (time.monotonic() - start) * 1000
@@ -769,11 +807,12 @@ def _solve_per_arm(
             # every joint assignment must pass this arm's counterexamples
             state.arm_solved[variant] = False
             return None
-        state.arm_cache[variant] = dict(binder.bound)
+        state.arm_search[variant] = binder
         state.arm_solved[variant] = True
     # the arm solutions must bind disjoint control points
     merged: dict[int, int] = {}
-    for frag in state.arm_cache.values():
+    for binder in state.arm_search.values():
+        frag = binder.bound
         if merged.keys() & frag.keys():
             return "fallback"
         merged.update(frag)
@@ -862,7 +901,8 @@ def run_cegis(
     def finish(status, assignment, solution) -> SynthesisResult:
         s = SynthesisStats(
             iterations=state.iterations,
-            candidate_evaluations=stats.candidate_evaluations,
+            search_evaluations=stats.search_evaluations,
+            verify_evaluations=stats.verify_evaluations,
             counterexamples=list(state.cex_keys),
             wall_ms=int((time.monotonic() - start) * 1000),
             phases=phases,
@@ -881,13 +921,17 @@ def run_cegis(
             ]
         return SynthesisResult(status, assignment, solution, s)
 
-    def drop_decomposition():
-        nonlocal per_arm, decomp, classes
+    def drop_arm_searches():
+        nonlocal per_arm
         per_arm = False
+        state.arm_search.clear()
+        state.arm_cex_count.clear()
+
+    def drop_decomposition():
+        nonlocal decomp, classes
+        drop_arm_searches()
         decomp = classes = None
         compiled.bind_boxes(False)
-        state.arm_cache.clear()
-        state.arm_cex_count.clear()
 
     try:
         while True:
@@ -899,7 +943,7 @@ def run_cegis(
                 got = _solve_per_arm(expanded, compiled, shape, state, deadline, stats)
                 if got == "fallback":
                     log.warning("per-arm decoupling failed; falling back to joint solve")
-                    per_arm = False
+                    drop_arm_searches()
             if not per_arm:
                 got = synthesize_inductive(
                     expanded, compiled, state.counterexamples, deadline, stats
@@ -926,7 +970,7 @@ def run_cegis(
             if decomp is not None:
                 compiled.bind_boxes(False)
             vr = verify(expanded, phi, cfg, classes, deadline, compiled)
-            stats.candidate_evaluations += vr.evaluations
+            stats.verify_evaluations += vr.evaluations
             if vr.passed:
                 lap = add_phase(phases, "verify", lap)
                 solution = concretize(expanded, phi)

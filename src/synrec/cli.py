@@ -187,8 +187,8 @@ def cmd_bench(args) -> int:
     for path in entries:
         rows.append(_bench_one(path, args))
     print(
-        "benchmark\tsolved\twall_ms\tevaluations\twall_ms_noopt\tevals_noopt"
-        "\tspeedup\texpected_ok"
+        "benchmark\tsolved\twall_ms\tevaluations\tsearch_evals\twall_ms_noopt"
+        "\tevals_noopt\tsearch_evals_noopt\tspeedup\texpected_ok"
     )
     for row in rows:
         print("\t".join(str(c) for c in row))
@@ -226,15 +226,21 @@ def _bench_one(path: Path, args) -> tuple:
             expected_ok = "error"
     status, stats = results["opt"]
     ustatus, ustats = results["unopt"]
-    wall = stats.wall_ms if stats else -1
-    evals = stats.candidate_evaluations if stats else -1
-    uwall = ustats.wall_ms if ustats else -1
-    uevals = ustats.candidate_evaluations if ustats else -1
+    wall, evals, search = _bench_counts(stats)
+    uwall, uevals, usearch = _bench_counts(ustats)
     speedup = round(uwall / wall, 2) if (stats and ustats and wall > 0) else "-"
     solved = "yes" if status == SOLVED else status
     if ustatus != SOLVED:
         solved += f"/unopt:{ustatus}"
-    return (name, solved, wall, evals, uwall, uevals, speedup, expected_ok)
+    return (name, solved, wall, evals, search, uwall, uevals, usearch, speedup, expected_ok)
+
+
+def _bench_counts(stats) -> tuple:
+    """A run's wall ms, evaluations and search evaluations; -1 each when
+    the run failed."""
+    if stats is None:
+        return -1, -1, -1
+    return stats.wall_ms, stats.candidate_evaluations, stats.search_evaluations
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -40,10 +40,17 @@ together with the entry values of every depth counter the call can
 reach: a result is reused only at the same nesting, where the reference
 evaluator computes the same result, and never where it would run out of
 depth instead.  Entries hold only while the controls they read keep their
-values: `bind_controls` drops them, and so must a lazy search before it
-changes a binding.  A hit then replays only reads that are already bound.
-The argument is kept alive by the cache (so its identity is not reused),
-and callers clear caches periodically to bound memory.
+values: `bind_controls` and `bind_boxes` drop them all, and a lazy search
+drops those of the candidate's tables (`drop_candidate`) before it changes
+a binding.  A hit then replays only reads that are already bound.  A table
+is the candidate's unless its function is input-only: neither it nor
+anything it can call reads a control point, makes a box or forces one, so
+its entries hold under every assignment, and no function of the program
+constructs a value of its parameter's ADT, so its arguments are inputs and
+their parts, which the search runs again and again (the source
+interpreter, on a counterexample's subtrees).  The argument is kept alive
+by the cache (so its identity is not reused), and callers clear caches
+periodically to bound memory.
 """
 
 from __future__ import annotations
@@ -113,6 +120,9 @@ class CompiledProgram:
     namespace: dict
     program: SurfaceProgram
     memos: list[dict]
+    # the tables of `memos` whose entries hold only under the candidate
+    # that made them (see the module docstring)
+    candidate_memos: list[dict]
     # the decomposition's translation, if compiled with a shape
     trans: str | None = None
 
@@ -121,6 +131,14 @@ class CompiledProgram:
 
     def clear_memos(self) -> None:
         for table in self.memos:
+            table.clear()
+
+    def drop_candidate(self) -> None:
+        """Forget a candidate that failed: rebalance the depth counters its
+        escaping exception left raised, and drop the memo entries that
+        hold only under its bindings.  Input-only entries stay."""
+        self.namespace["_reset_depths"]()
+        for table in self.candidate_memos:
             table.clear()
 
     def call_at(self, name: str, depth: int, *args):
@@ -152,8 +170,10 @@ class CompiledProgram:
 
 
 class _FnCompiler:
-    """Compiles one function's body, collecting its callees; `compile` adds
-    the depth and memo bookkeeping once the whole call graph is known."""
+    """Compiles one function's body, collecting its callees, the variants
+    it constructs and whether it reads the candidate (a control point, or
+    a box it makes or forces); `compile` adds the depth and memo
+    bookkeeping once the whole call graph is known."""
 
     def __init__(self, comp: "_Compiler", fn: FuncDecl):
         self.comp = comp
@@ -163,6 +183,10 @@ class _FnCompiler:
         self.scope: dict[str, str] = {}
         self.used: set[str] = set()
         self.callees: set[str] = set()
+        self.variants: set[str] = set()
+        # the destination interpreter's rewrite forces boxes
+        shape = comp.shape
+        self.reads_candidate = shape is not None and fn.name == shape.interp_d
         # Python expressions that raise CInfeasible, after their reads, as
         # soon as they run: a constructor or array whose first operand is
         # one fails the same way, so it compiles to that operand alone.
@@ -244,6 +268,7 @@ class _FnCompiler:
             idx = [l for l, _ in bt.fields].index(e.label) + 1
             return f"{self.expr(e.base, env, indent)}[{idx}]"
         if t is Ctor:
+            self.variants.add(e.variant)
             values = self.operands([v for _, v in e.fields], env, indent)
             if values and values[0] in self.failing:
                 return values[0]
@@ -270,12 +295,15 @@ class _FnCompiler:
             cond = self.cond(e.cond, env, indent)
             return self.branches(cond, (e.then, e.els), env, indent)
         if t is Hole:
+            self.reads_candidate = True
             return f"_rd({e.cp})"
         if t is Choice:
+            self.reads_candidate = True
             return self.branches(None, e.arms, env, indent, e.cp)
         if t is AlwaysFail:
             return _FAIL
         if t is BoxMake:
+            self.reads_candidate = True
             self.callees.add(e.trans)
             parts = (e.term,) if e.gamma is None else (e.term, e.gamma)
             return f"_box({', '.join(self.operands(parts, env, indent))})"
@@ -359,6 +387,8 @@ class _FnCompiler:
                 neg = "not " if op == "!=" else ""
                 lhs, rhs = self.operands((e.lhs, e.rhs), env, indent)
                 if not isinstance(lt, PrimType):
+                    if self.comp.shape is not None:
+                        self.reads_candidate = True  # `_eq` forces boxes
                     return f"({neg}_eq({lhs}, {rhs}))"
                 return f"({lhs} {op} {rhs})"
         if isinstance(e, UnOp):
@@ -382,6 +412,7 @@ class _FnCompiler:
         shape = self.comp.shape
         if shape is not None and st.name == shape.dest_adt:
             # the arms see the forced value; the variable keeps the box
+            self.reads_candidate = True
             boxed, scrut_py = scrut_py, self.fresh(e.scrutinee)
             self.emit(indent, f"{scrut_py} = _force({boxed}) if type({boxed}) is Box else {boxed}")
             self.scope[e.scrutinee] = scrut_py
@@ -557,9 +588,10 @@ def _instance(code: CodeType, cps: list[int], nested: list[str], namespace: dict
 
 def _recursive_functions(calls: dict[str, set[str]], shape):
     """Names reachable from their own bodies through the call graph
-    `calls` (callees by caller, boxes counting as calls of trans), and
-    for each function the recursive functions its calls can reach
-    (itself included when recursive).
+    `calls` (callees by caller, boxes counting as calls of trans); for
+    each function the recursive functions its calls can reach (itself
+    included when recursive); and for each function every function its
+    calls can reach.
 
     Only recursive functions need depth bookkeeping.  With decomposition
     active, the destination interpreter's rewrite adds the calls it makes.
@@ -581,7 +613,7 @@ def _recursive_functions(calls: dict[str, set[str]], shape):
         reachable[name] = seen
     recursive = {name for name, seen in reachable.items() if name in seen}
     reach = {name: (seen | {name}) & recursive for name, seen in reachable.items()}
-    return recursive, reach
+    return recursive, reach, reachable
 
 
 
@@ -637,9 +669,12 @@ def compile_concrete(
     """
     comp = _Compiler(program, shape, max_depth)
     fns = [_FnCompiler(comp, f) for f in program.functions]
-    comp.recursive, comp.reach = _recursive_functions(
+    comp.recursive, comp.reach, reachable = _recursive_functions(
         {fc.fn.name: fc.callees for fc in fns}, shape
     )
+    # what a memo table needs to be input-only (see the module docstring)
+    reads_candidate = {fc.fn.name for fc in fns if fc.reads_candidate}
+    built = {program.variant_owner(v).name for fc in fns for v in fc.variants}
     pieces = []
     depth_vars = []
     namespace = {
@@ -652,6 +687,7 @@ def compile_concrete(
         "_wrap64": wrap64,
     }
     memos: list[dict] = []
+    candidate_memos: list[dict] = []
     for fc in fns:
         name = fc.fn.name
         if name in comp.recursive:
@@ -661,6 +697,10 @@ def compile_concrete(
                 tables = [{} for _ in range(max_depth + 1)]
                 namespace[f"_memo_{name}"] = tables
                 memos += tables
+                if (reachable[name] | {name}) & reads_candidate or (
+                    fc.fn.params[0][1].name in built
+                ):
+                    candidate_memos += tables
         pieces.append(fc.compile())
     if depth_vars:
         pieces.append("def _reset_depths():")
@@ -688,5 +728,5 @@ def compile_concrete(
     else:
         namespace["_FORCE_FN"] = None
     trans = None if shape is None else shape.trans
-    return CompiledProgram(namespace, program, memos, trans)
+    return CompiledProgram(namespace, program, memos, candidate_memos, trans)
 

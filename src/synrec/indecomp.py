@@ -383,7 +383,12 @@ def _decompose(
             term = rewrite(e.args[0])
             gamma = rewrite(e.args[1]) if len(e.args) > 1 else None
             return BoxMake(shape.trans, term, gamma, ret, span=e.span)
-        return rebuild(e, [rewrite(c) for c in children(e)])
+        kids = children(e)
+        new = [rewrite(c) for c in kids]
+        # only the paths to self-calls are rebuilt
+        if all(a is b for a, b in zip(new, kids)):
+            return e
+        return rebuild(e, new)
 
     new_trans = replace(trans, body=rewrite(trans.body))
     if report.is_morphism:

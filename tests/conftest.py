@@ -76,7 +76,7 @@ def _reference_passes(program, controls, cexs, limits, decomp, stats, harness) -
         out = evaluate_harness(
             program, controls, sigma, limits, decomposition=decomp, harness=harness
         )
-        stats.candidate_evaluations += 1
+        stats.search_evaluations += 1
         if not out.passed:
             return False
     return True

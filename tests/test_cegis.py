@@ -323,9 +323,9 @@ def test_per_arm_solutions_sharing_a_hole_fall_back_to_joint_search(caplog):
 # at the depth limit: (variants, input depth, unroll depth), the warning
 # of the decomposed run, and its status, iterations and evaluations.
 FALLBACKS = {
-    "divergence": ((4, 2, 2), "decomposed/plain divergence", SOLVED, 10, 3533),
+    "divergence": ((4, 2, 2), "decomposed/plain divergence", SOLVED, 10, 3360),
     "exhausted": ((3, 2, 1), "decomposed search exhausted", UNSAT, 3, 480),
-    "late-divergence": ((5, 3, 3), "decomposed/plain divergence", SOLVED, 13, 41073),
+    "late-divergence": ((5, 3, 3), "decomposed/plain divergence", SOLVED, 13, 40732),
 }
 
 

@@ -34,6 +34,8 @@ def test_synth_elimbool(tmp_path, capsys):
     assert set(data) == {
         "iterations",
         "candidate_evaluations",
+        "search_evaluations",
+        "verify_evaluations",
         "counterexamples",
         "wall_ms",
         "per_arm",
@@ -41,6 +43,10 @@ def test_synth_elimbool(tmp_path, capsys):
         "status",
     }
     assert data["status"] == "solved"
+    assert data["search_evaluations"] > 0 and data["verify_evaluations"] > 0
+    assert data["candidate_evaluations"] == (
+        data["search_evaluations"] + data["verify_evaluations"]
+    )
     assert list(data["phases_ms"]) == [
         "parse", "expand", "decompose", "compile", "search", "verify", "concretize",
     ]
@@ -233,8 +239,14 @@ def test_bench_tiny_corpus(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     lines = out.strip().splitlines()
-    assert lines[0].startswith("benchmark\tsolved\twall_ms")
-    assert lines[1].startswith("toy\tyes")
+    assert lines[0].split("\t") == [
+        "benchmark", "solved", "wall_ms", "evaluations", "search_evals", "wall_ms_noopt",
+        "evals_noopt", "search_evals_noopt", "speedup", "expected_ok",
+    ]
+    row = lines[1].split("\t")
+    assert row[:2] == ["toy", "yes"] and len(row) == 10
+    # the first candidate passes: every evaluation is the check's
+    assert int(row[4]) == 0 < int(row[3])
 
 
 def test_bench_reports_expected_check_timeout(tmp_path, capsys):

@@ -11,6 +11,7 @@ from synrec.cegis import (
     _failure,
     _search,
     _Stats,
+    compile_run,
     iter_inputs,
     run_cegis,
     total_assignment,
@@ -373,10 +374,9 @@ SEARCH_CASES = [
 ] + [("SPILL", False), ("FORCED", True)]
 
 
-@pytest.mark.parametrize("name,decompose", SEARCH_CASES)
-def test_compiled_search_takes_reference_path(name, decompose):
-    """On seeded counterexample lists, the compiled search binds, reads
-    and evaluates exactly as the tree-walking search does."""
+def _search_case(name, decompose):
+    """The expansion (decomposed or not), its configuration, shape, inputs
+    and search program of one of `SEARCH_CASES`."""
     if name in ("elimBool", "lang"):
         program = load_with_library(corpus_text(name))
     elif name in ("SPILL", "FORCED"):
@@ -392,7 +392,15 @@ def test_compiled_search_takes_reference_path(name, decompose):
         report = classify_transformer(exp.program.function(shape.trans), shape.source_adt)
         exp = apply_inductive_decomposition(exp, shape, report)
     inputs = list(iter_inputs(exp.program, harness, cfg))
-    compiled = search_program(exp, cfg, shape)
+    return exp, cfg, shape, inputs, search_program(exp, cfg, shape)
+
+
+@pytest.mark.parametrize("name,decompose", SEARCH_CASES)
+def test_compiled_search_takes_reference_path(name, decompose):
+    """On seeded counterexample lists, the compiled search binds, reads
+    and evaluates exactly as the tree-walking search does."""
+    exp, cfg, shape, inputs, compiled = _search_case(name, decompose)
+    harness = exp.program.harnesses[0]
     rng = random.Random(f"{name}-{decompose}")
     for _ in range(6):
         cexs = rng.sample(inputs, rng.randint(1, min(4, len(inputs))))
@@ -403,7 +411,87 @@ def test_compiled_search_takes_reference_path(name, decompose):
         assert found == ref_found
         assert binder.bound == ref.bound
         assert binder.trail == ref.trail
-        assert got.candidate_evaluations == want.candidate_evaluations
+        assert got.search_evaluations == want.search_evaluations
+
+
+@pytest.mark.parametrize("name,decompose", SEARCH_CASES)
+def test_resumed_search_ends_where_a_fresh_one_does(name, decompose):
+    """A search resumed on a longer counterexample list from the solution
+    of a search on its prefix ends with the fresh search's binder, and the
+    two runs make exactly the fresh search's evaluations."""
+    exp, _, _, inputs, compiled = _search_case(name, decompose)
+    # the lists of `test_compiled_search_takes_reference_path`, split at
+    # every point
+    rng = random.Random(f"{name}-{decompose}")
+    for _ in range(6):
+        cexs = rng.sample(inputs, rng.randint(1, min(4, len(inputs))))
+        fresh = _Stats()
+        want, want_found = _search(exp, compiled, cexs, None, fresh)
+        for k in range(1, len(cexs)):
+            first, resumed = _Stats(), _Stats()
+            binder, found = _search(exp, compiled, cexs[:k], None, first)
+            if found:
+                binder, found = _search(exp, compiled, cexs, None, resumed, binder, k)
+            assert found == want_found
+            assert binder.bound == want.bound
+            assert binder.trail == want.trail
+            assert fresh.search_evaluations == (
+                first.search_evaluations + resumed.search_evaluations
+            )
+
+
+def _memo_split(text, decompose=True):
+    """The program compiled as a synthesis run compiles it, its memoized
+    functions, and those whose tables a failed candidate clears."""
+    cfg = SynthesisConfig(input_depth=2, indecomp=decompose)
+    prep = prepare(load_with_library(text), cfg)
+    prog, _, _ = compile_run(prep.expanded, cfg, prep.shape, prep.report)
+
+    def owners(tables):
+        ids = {id(t) for t in tables}
+        return {
+            name.removeprefix("_memo_")
+            for name, value in prog.namespace.items()
+            if name.startswith("_memo_") and all(id(t) in ids for t in value)
+        }
+
+    return prog, owners(prog.memos), owners(prog.candidate_memos)
+
+
+def test_failed_candidate_keeps_only_input_only_memo_tables():
+    """On `lang` the source interpreter reads no control point and nothing
+    builds a source tree, so its tables survive a failed candidate; the
+    translation and the destination interpreter read the candidate."""
+    prog, memoized, cleared = _memo_split(corpus_text("lang"))
+    assert memoized == {"srcInterpret", "dstInterpret", "desugar"}
+    assert cleared == {"dstInterpret", "desugar"}
+    assert len(prog.memos) == 18 and len(prog.candidate_memos) == 12
+    # without decomposition, the destination interpreter reads no control,
+    # but the translation builds its trees
+    assert _memo_split(corpus_text("lang"), decompose=False)[2] == cleared
+
+
+def test_memo_table_of_a_source_interpreter_with_a_hole_is_cleared():
+    text = toys.PARITY.replace(
+        "case S1: if (parity(x.p) != 0)", "case S1: if (parity(x.p) != ??)"
+    )
+    assert text != toys.PARITY
+    _, memoized, cleared = _memo_split(text)
+    assert "parity" in memoized and "parity" in cleared
+    assert "parity" not in _memo_split(toys.PARITY)[2]
+
+
+def test_memo_table_over_a_constructed_adt_is_cleared():
+    """A function over an ADT that the program builds gets new trees on
+    every run: its table is cleared even though it reads no control."""
+    text = toys.PARITY.replace(
+        "assert(parity(x) == flagRun(encode(x)));",
+        "assert(parity(x) == flagRun(encode(x)));\n"
+        "  assert(parity(new S1(p = x)) == 1 - parity(x));",
+    )
+    assert text != toys.PARITY
+    _, memoized, cleared = _memo_split(text)
+    assert "parity" in memoized and "parity" in cleared
 
 
 def test_spill_keeps_the_first_read_first():

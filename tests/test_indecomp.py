@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from synrec.ast import BoxMake, Call, children, rebuild, walk
 from synrec.cegis import SynthesisConfig, enumerate_values
 from synrec.evaluator import EvalLimits, evaluate_harness
 from synrec.expand import ExpansionContext, expand_program
@@ -16,8 +17,10 @@ from synrec.indecomp import (
 )
 from synrec.parser import parse_program
 from synrec.pipeline import load_with_library
+from synrec.scaling import scaling_benchmark
 
 import toys
+from conftest import corpus_text
 
 LIMITS = EvalLimits(max_depth=30)
 
@@ -158,6 +161,32 @@ def test_decomposition_eliminates_self_calls(lang_program):
     assert count_self_calls(dec.program.function("desugar")) == 0
     # control space untouched
     assert dec.control_space == exp.control_space
+
+
+def _rebuilt_everywhere(e, trans, ret):
+    """The rewrite with every node rebuilt, shared subtrees or not."""
+    if isinstance(e, Call) and e.callee == trans:
+        args = [_rebuilt_everywhere(a, trans, ret) for a in e.args]
+        return BoxMake(trans, args[0], args[1] if len(args) > 1 else None, ret, span=e.span)
+    return rebuild(e, [_rebuilt_everywhere(c, trans, ret) for c in children(e)])
+
+
+@pytest.mark.parametrize("name", ["lang", "elimBool", "scaling8"])
+def test_decomposition_rebuilds_only_the_paths_to_self_calls(name):
+    text = scaling_benchmark(8) if name == "scaling8" else corpus_text(name)
+    exp = expand_program(load_with_library(text), ExpansionContext())
+    shape = detect_spec_shape(exp.program, exp.program.harnesses[0])
+    report = classify_transformer(exp.program.function(shape.trans), shape.source_adt)
+    dec = apply_inductive_decomposition(exp, shape, report)
+    old = exp.program.function(shape.trans)
+    new = dec.program.function(shape.trans)
+    assert new.body == _rebuilt_everywhere(old.body, shape.trans, old.ret)
+    # a subtree without a self-call is the expansion's own node
+    calls = {id(n) for n in walk(old.body) if isinstance(n, Call) and n.callee == shape.trans}
+    kept = [n for n in walk(old.body) if not any(id(m) in calls for m in walk(n))]
+    assert kept
+    shared = {id(n) for n in walk(new.body)}
+    assert all(id(n) in shared for n in kept)
 
 
 def test_other_classification_refuses(lang_program):

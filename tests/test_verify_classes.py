@@ -13,6 +13,7 @@ import pytest
 
 from synrec import cegis, pipeline
 from synrec.cegis import EXHAUSTIVE, VALUE_CLASS, SynthesisConfig, run_cegis
+from synrec.compiled import CompiledProgram
 from synrec.evaluator import format_value
 from synrec.expand import expand_program
 from synrec.indecomp import (
@@ -362,6 +363,31 @@ def test_check_matches_exhaustive_on_lang_expected(mutant):
     assert vr.passed == (fails_at is None)
     if fails_at is not None:
         assert _depth(vr.args[0]) == fails_at
+
+
+def test_failing_middle_level_is_not_classified(monkeypatch):
+    """`and-as-or` first fails at depth 2 of 3.  The check runs the harness
+    on the trees of depth 2 before it would classify any of them, so it
+    classifies the trees of depth 1 alone: 43 compiled calls, where
+    classifying each tree right after its harness run took 226."""
+    old, new, fails_at = CHECK_MUTANTS["and-as-or"]
+    text = corpus_text("lang.expected").replace(old, new)
+    calls = []
+    real = CompiledProgram.call_at
+
+    def recording(self, name, depth, *args):
+        calls.append((name, args))
+        return real(self, name, depth, *args)
+
+    monkeypatch.setattr(CompiledProgram, "call_at", recording)
+    vr = _check_matches_exhaustive(text, SynthesisConfig(input_depth=3, int_domain=(2,)))
+    assert vr.strategy == VALUE_CLASS and _depth(vr.args[0]) == fails_at == 2
+    assert vr.evaluations == len(calls) == 43
+    first_deep = next(
+        i for i, (name, args) in enumerate(calls) if name == "main" and _depth(args[0]) == 2
+    )
+    assert all(name == "main" for name, _ in calls[first_deep:])
+    assert calls[-1] == ("main", vr.args)
 
 
 def _depth(value) -> int:
