@@ -328,11 +328,12 @@ class LazyBinder:
         return False
 
 
-def total_assignment(
-    space: tuple[ControlPoint, ...], partial: dict[int, int]
-) -> dict[int, int]:
-    """Complete a partial assignment with first-domain-value defaults."""
-    return {p.id: partial.get(p.id, p.lo) for p in space}
+def total_assignment(expanded: ExpandedProgram, partial: dict[int, int]) -> dict[int, int]:
+    """Complete a partial assignment of `expanded`'s control space with
+    first-domain-value defaults, keyed in the order of the space."""
+    phi = expanded.defaults.copy()
+    phi.update(partial)
+    return phi
 
 
 @dataclass
@@ -410,7 +411,7 @@ def synthesize_inductive(
     binder, found = _search(expanded, compiled, cexs, deadline, stats)
     if not found:
         return None
-    return total_assignment(expanded.control_space, binder.bound)
+    return total_assignment(expanded, binder.bound)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +457,7 @@ def verify(
     """
     harness = expanded.program.harnesses[0]
     if len(phi) != len(expanded.control_space):
-        phi = total_assignment(expanded.control_space, phi)
+        phi = total_assignment(expanded, phi)
     if compiled is None:
         compiled = compile_concrete(expanded.program, None, cfg.effective_unroll)
     compiled.bind_controls(phi.__getitem__)
@@ -653,7 +654,7 @@ def concretize(expanded: ExpandedProgram, phi: dict[int, int]) -> SurfaceProgram
     effects.
     """
     if len(phi) != len(expanded.control_space):
-        phi = total_assignment(expanded.control_space, phi)
+        phi = total_assignment(expanded, phi)
 
     def go(e: Expr) -> Expr:
         if isinstance(e, Hole):
@@ -816,7 +817,7 @@ def _solve_per_arm(
         if merged.keys() & frag.keys():
             return "fallback"
         merged.update(frag)
-    phi = total_assignment(expanded.control_space, merged)
+    phi = total_assignment(expanded, merged)
     compiled.bind_controls(phi.__getitem__)
     if not _passes(compiled, compiled.func(harness.name), state.counterexamples, stats):
         return "fallback"
@@ -842,13 +843,13 @@ def compile_run(
     """
     start = time.perf_counter()
     program, decomp, blocker = expanded.program, None, None
-    if shape is None or report is None:
-        blocker = "no inductive shape"
-    elif not cfg.indecomp:
+    if not cfg.indecomp:
         # Value classes would be sound here as well, but the level-by-level
         # check is the decomposition's induction argument, so the baseline
         # without it keeps the exhaustive scan.
         blocker = "decomposition is off"
+    elif shape is None or report is None:
+        blocker = "no inductive shape"
     else:
         dec = apply_inductive_decomposition(expanded, shape, report)
         program, blocker = dec.program, dec.blocker

@@ -15,6 +15,7 @@ import argparse
 import json
 import logging
 import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -183,24 +184,36 @@ def cmd_bench(args) -> int:
     entries = sorted(
         p for p in corpus.glob("*.synrec") if not p.name.endswith(".expected.synrec")
     )
-    rows = []
-    for path in entries:
-        rows.append(_bench_one(path, args))
+    runs = [_bench_one(path, args) for path in entries]
     print(
         "benchmark\tsolved\twall_ms\tevaluations\tsearch_evals\twall_ms_noopt"
         "\tevals_noopt\tsearch_evals_noopt\tspeedup\texpected_ok"
     )
-    for row in rows:
+    for row, _ in runs:
         print("\t".join(str(c) for c in row))
+    if args.json:
+        report = {
+            "nproc": os.cpu_count(),
+            "python": platform.python_version(),
+            "rows": [entry for _, entry in runs],
+        }
+        Path(args.json).write_text(json.dumps(report, indent=2) + "\n")
     return EXIT_OK
 
 
-def _bench_one(path: Path, args) -> tuple:
+# what `bench --json` keeps of each run's stats
+_BENCH_JSON_KEYS = (
+    "iterations", "search_evaluations", "verify_evaluations", "wall_ms", "phases_ms",
+)
+
+
+def _bench_one(path: Path, args) -> tuple[tuple, dict]:
+    """One corpus entry's TSV row, and its entry of the `--json` report."""
     name = path.stem
     text = path.read_text()
     lib = _library(args)
     results = {}
-    for label, indecomp in (("opt", True), ("unopt", False)):
+    for label, indecomp in (("opt", True), ("noopt", False)):
         overrides = _cli_overrides(args)
         overrides["indecomp"] = indecomp and overrides.get("indecomp", True)
         cfg = config_for(text, overrides)
@@ -225,14 +238,19 @@ def _bench_one(path: Path, args) -> tuple:
             log.error("%s [expected]: %s", name, err)
             expected_ok = "error"
     status, stats = results["opt"]
-    ustatus, ustats = results["unopt"]
+    ustatus, ustats = results["noopt"]
     wall, evals, search = _bench_counts(stats)
     uwall, uevals, usearch = _bench_counts(ustats)
     speedup = round(uwall / wall, 2) if (stats and ustats and wall > 0) else "-"
     solved = "yes" if status == SOLVED else status
     if ustatus != SOLVED:
         solved += f"/unopt:{ustatus}"
-    return (name, solved, wall, evals, search, uwall, uevals, usearch, speedup, expected_ok)
+    row = (name, solved, wall, evals, search, uwall, uevals, usearch, speedup, expected_ok)
+    entry = {"benchmark": name, "expected_ok": expected_ok}
+    for label, (mode_status, mode_stats) in results.items():
+        data = {} if mode_stats is None else mode_stats.to_json()
+        entry[label] = {"status": mode_status} | {key: data.get(key) for key in _BENCH_JSON_KEYS}
+    return row, entry
 
 
 def _bench_counts(stats) -> tuple:
@@ -272,6 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run a corpus with and without decomposition")
     p.add_argument("corpus")
+    p.add_argument(
+        "--json", default=None, metavar="PATH",
+        help="also write each run's status, counts and phase times as JSON",
+    )
     _add_config_flags(p)
     p.set_defaults(func=cmd_bench)
     return ap

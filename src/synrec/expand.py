@@ -33,6 +33,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 from .ast import (
     BIT,
@@ -132,6 +133,11 @@ class ExpandedProgram:
     @property
     def functions(self):
         return self.program.functions
+
+    @cached_property
+    def defaults(self) -> dict[int, int]:
+        """The assignment of each control point's first domain value."""
+        return {p.id: p.lo for p in self.control_space}
 
 
 @dataclass(frozen=True)

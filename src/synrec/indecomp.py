@@ -10,12 +10,22 @@ discharged structurally: only functions classified as recursive
 transformers (or morphisms) are rewritten.  For morphisms the rewrite
 removes every self-call, which is what lets the synthesizer solve the
 switch arms independently.
+
+`classify_transformer` analyses the translation in one post-order pass.
+Each node passes up whether its value can carry a self-call result (a
+`let` name carries its value's taint in its scope) and whether a
+self-call lies below it; an inspecting parent of a carrying child makes
+the verdict a transformer.  The pass also records which fields each arm
+recurses on, the nodes on paths to self-calls, and how the body uses its
+parameter otherwise (`TransFacts`).  The rewrite rebuilds only those
+paths, and `value_class_blocker` reads the parameter uses instead of
+walking the decomposed translation.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .ast import (
     AdtType,
@@ -26,7 +36,6 @@ from .ast import (
     BoxMake,
     Call,
     Choice,
-    Ctor,
     Expr,
     FieldAccess,
     FuncDecl,
@@ -78,6 +87,7 @@ class VariantDetail:
 class ClassificationReport:
     verdict: str
     details: tuple[VariantDetail, ...] = ()
+    facts: TransFacts | None = field(default=None, compare=False, repr=False)
 
     @property
     def is_morphism(self) -> bool:
@@ -190,152 +200,123 @@ def _match_orientation(
 # ---------------------------------------------------------------------------
 # Structural classification
 
+# the flags each node of the translation's body passes to its parent
+_TAINT = 1  # its value can carry a self-call result
+_CALL = 2  # a self-call lies at or below it
+
+# how the translation uses its parameter (`TransFacts.param_uses`)
+_WHOLE = "whole"  # as a value, not as the base of a field read
+_REBOUND = "rebound"  # as the name of a `let`
+_FIELD = "field"  # a field read, other than as the sole self-call argument
+
+
+@dataclass(frozen=True)
+class TransFacts:
+    """What `classify_transformer`'s pass found in a translation's body,
+    for the rewrite and for `value_class_blocker`."""
+
+    body: Expr  # the body that the node ids belong to
+    on_path: frozenset[int]  # ids of the nodes at or above a self-call
+    # (kind, field label) in post-order: the last one is the first that a
+    # walk from the root, last child first, meets
+    param_uses: tuple[tuple[str, str], ...]
+
+
+class _NotTransformer(Exception):
+    pass
+
 
 def classify_transformer(fn: FuncDecl, adt_name: str) -> ClassificationReport:
-    """Classify `fn` (typically the expanded trans) against its input ADT.
+    """Classify `fn` (typically the expanded trans) against its input ADT,
+    in one post-order pass over its body.
 
-    Transformer: body is a single switch on the first parameter and every
-    self-call argument is a same-ADT field of the scrutinee.  Morphism:
-    additionally, self-call results flow only into constructor leaves
-    (array literals, selections, and choices are transparent); nothing
-    inspects them.
+    Transformer: body is a single switch on the first parameter, every
+    self-call argument is a same-ADT field of the scrutinee, and no other
+    self-call argument holds a self-call.  Morphism: additionally,
+    self-call results flow only into constructor leaves (`let` names,
+    array literals, selections, choices and branches pass them on) and
+    nothing inspects them: no condition, operand, index, scrutinee, field
+    base or argument of another call.  The report's `facts` hold what the
+    rewrite and `value_class_blocker` need.
     """
     if not fn.params:
         return ClassificationReport(OTHER)
-    pname, pty = fn.params[0]
+    p, pty = fn.params[0]
     if not (isinstance(pty, AdtType) and pty.name == adt_name):
         return ClassificationReport(OTHER)
-    if not isinstance(fn.body, Switch) or fn.body.scrutinee != pname:
+    if not isinstance(fn.body, Switch) or fn.body.scrutinee != p:
         return ClassificationReport(OTHER)
-    details: list[VariantDetail] = []
-    morphism = True
-    for arm in fn.body.arms:
-        recursed: list[str] = []
-        for node in walk(arm.body):
-            if isinstance(node, Call) and node.callee == fn.name:
-                arg = node.args[0] if node.args else None
-                ok = (
-                    isinstance(arg, FieldAccess)
-                    and isinstance(arg.base, Var)
-                    and arg.base.name == pname
-                )
-                if not ok:
-                    return ClassificationReport(OTHER)
-                recursed.append(arg.label)
-                for extra in node.args[1:]:
-                    if _taints(extra, fn.name):
-                        return ClassificationReport(OTHER)
-        if not _leaves_only(arm.body, fn.name):
-            morphism = False
-        details.append(VariantDetail(arm.variant, tuple(recursed)))
-    verdict = MORPHISM if morphism else TRANSFORMER
-    return ClassificationReport(verdict, tuple(details))
+    tainted: set[str] = set()  # `let` names in scope whose value has _TAINT
+    on_path: set[int] = set()
+    uses: list[tuple[str, str]] = []
+    recursed: list[str] = []
+    inspected = False  # a self-call result reaches an inspecting position
 
+    def look(flags: int) -> int:
+        nonlocal inspected
+        if flags & _TAINT:
+            inspected = True
+        return flags & _CALL
 
-def _taints(e: Expr, trans: str) -> bool:
-    """Does `e` contain a self-call result?"""
-    return any(isinstance(n, Call) and n.callee == trans for n in walk(e))
-
-
-def _leaves_only(body: Expr, trans: str) -> bool:
-    """Check that self-call results are only embedded, never inspected.
-
-    Tainted values may flow through let bindings, array literals, array
-    selection by an untainted index, choices, if/switch branches, and
-    constructor fields; they may not reach conditions, operands,
-    scrutinees, indices, asserts, or arguments of other calls.
-    """
-    tainted_vars: set[str] = set()
-
-    def tainted(e: Expr) -> bool:
-        if isinstance(e, Var):
-            return e.name in tainted_vars
-        if isinstance(e, Call):
-            return e.callee == trans or any(tainted(a) for a in e.args)
-        if isinstance(e, (ArrayLit, Choice)):
-            return any(tainted(c) for c in children(e))
-        if isinstance(e, Index):
-            return tainted(e.base)
-        if isinstance(e, If):
-            return tainted(e.then) or tainted(e.els)
-        if isinstance(e, Switch):
-            return any(tainted(a.body) for a in e.arms)
-        if isinstance(e, Ctor):
-            return False  # constructor embedding makes an opaque tree
-        if isinstance(e, Let):
-            return tainted(e.value) or tainted(e.body)
-        return False
-
-    ok = True
-
-    def visit(e: Expr) -> None:
-        nonlocal ok
-        if not ok:
-            return
-        if isinstance(e, Let):
-            visit(e.value)
-            was = e.name in tainted_vars
-            if tainted(e.value):
-                tainted_vars.add(e.name)
-            visit(e.body)
-            if not was:
-                tainted_vars.discard(e.name)
-            return
-        if isinstance(e, Call):
-            if e.callee == trans:
-                for a in e.args:
-                    visit(a)
-                return
-            for a in e.args:
-                if tainted(a):
-                    ok = False
-                visit(a)
-            return
-        if isinstance(e, Index):
-            if tainted(e.index):
-                ok = False
-            visit(e.base)
-            visit(e.index)
-            return
-        if isinstance(e, (BinOp,)):
-            if tainted(e.lhs) or tainted(e.rhs):
-                ok = False
-            visit(e.lhs)
-            visit(e.rhs)
-            return
-        if isinstance(e, UnOp):
-            if tainted(e.operand):
-                ok = False
-            visit(e.operand)
-            return
-        if isinstance(e, Assert):
-            if tainted(e.cond):
-                ok = False
-            visit(e.cond)
-            return
-        if isinstance(e, If):
-            if tainted(e.cond):
-                ok = False
-            visit(e.cond)
-            visit(e.then)
-            visit(e.els)
-            return
-        if isinstance(e, Switch):
-            if e.scrutinee in tainted_vars:
-                ok = False
+    def visit(e: Expr) -> int:
+        t = type(e)
+        if t is Var:
+            if e.name == p:
+                uses.append((_WHOLE, ""))
+            return _TAINT if e.name in tainted else 0
+        if t is FieldAccess and type(e.base) is Var and e.base.name == p:
+            uses.append((_FIELD, e.label))
+            return look(_TAINT if p in tainted else 0)
+        if t is Call and e.callee == fn.name:
+            arg = e.args[0] if e.args else None
+            if not (type(arg) is FieldAccess and type(arg.base) is Var and arg.base.name == p):
+                raise _NotTransformer
+            recursed.append(arg.label)
+            if len(e.args) == 1:  # a field read in the recursive position
+                look(_TAINT if p in tainted else 0)
+            elif any(visit(a) & _CALL for a in e.args):
+                raise _NotTransformer
+            flags = _TAINT | _CALL
+        elif t is Let:
+            value, was = visit(e.value), e.name in tainted
+            (tainted.add if value & _TAINT else tainted.discard)(e.name)
+            flags = visit(e.body) | (value & _CALL)
+            (tainted.add if was else tainted.discard)(e.name)
+            if e.name == p:
+                uses.append((_REBOUND, ""))
+        elif t is Index:
+            flags = visit(e.base) | look(visit(e.index))
+        elif t is If:
+            flags = look(visit(e.cond)) | visit(e.then) | visit(e.els)
+        elif t is Switch:
+            look(_TAINT if e.scrutinee in tainted else 0)
+            flags = 0
             for arm in e.arms:
-                visit(arm.body)
-            return
-        if isinstance(e, FieldAccess):
-            if tainted(e.base):
-                ok = False
-            visit(e.base)
-            return
-        for c in children(e):
-            visit(c)
+                flags |= visit(arm.body)
+        else:
+            flags = 0
+            for c in children(e):
+                flags |= visit(c)
+            if t is FieldAccess or t is Call or t is BinOp or t is UnOp or t is Assert:
+                look(flags)  # a field base, another call's argument, an operand
+            if not (t is ArrayLit or t is Choice):
+                flags &= _CALL  # e.g. a constructor's tree is opaque
+        if flags & _CALL:
+            on_path.add(id(e))
+        return flags
 
-    visit(body)
-    return ok
+    details: list[VariantDetail] = []
+    try:
+        for arm in fn.body.arms:
+            visit(arm.body)
+            details.append(VariantDetail(arm.variant, tuple(recursed)))
+            recursed.clear()
+    except _NotTransformer:
+        return ClassificationReport(OTHER)
+    if on_path:
+        on_path.add(id(fn.body))
+    facts = TransFacts(fn.body, frozenset(on_path), tuple(uses))
+    return ClassificationReport(TRANSFORMER if inspected else MORPHISM, tuple(details), facts)
 
 
 # ---------------------------------------------------------------------------
@@ -375,38 +356,28 @@ def apply_inductive_decomposition(
 def _decompose(
     program: SurfaceProgram, shape: SpecShape, report: ClassificationReport
 ) -> SurfaceProgram:
-    trans = program.function(shape.trans)
-    ret = trans.ret
+    """Rebuild the nodes on the recorded paths to self-calls, each
+    self-call a `BoxMake`; every other node stays the expansion's own."""
+    trans, facts = program.function(shape.trans), report.facts
+    if facts is None or facts.body is not trans.body:
+        raise ValueError(f"the report does not classify this program's {shape.trans}")
+    ret, on_path, boxed = trans.ret, facts.on_path, 0
 
     def rewrite(e: Expr) -> Expr:
-        if isinstance(e, Call) and e.callee == shape.trans:
-            term = rewrite(e.args[0])
-            gamma = rewrite(e.args[1]) if len(e.args) > 1 else None
-            return BoxMake(shape.trans, term, gamma, ret, span=e.span)
-        kids = children(e)
-        new = [rewrite(c) for c in kids]
-        # only the paths to self-calls are rebuilt
-        if all(a is b for a, b in zip(new, kids)):
+        nonlocal boxed
+        if type(e) is Call and e.callee == shape.trans:
+            boxed += 1
+            gamma = e.args[1] if len(e.args) > 1 else None
+            return BoxMake(shape.trans, e.args[0], gamma, ret, span=e.span)
+        if id(e) not in on_path:
             return e
-        return rebuild(e, new)
+        return rebuild(e, [rewrite(c) for c in children(e)])
 
     new_trans = replace(trans, body=rewrite(trans.body))
-    if report.is_morphism:
-        residual = [
-            n
-            for n in walk(new_trans.body)
-            if isinstance(n, Call) and n.callee == shape.trans
-        ]
-        if residual:
-            raise AssertionError(
-                "morphism decomposition left self-calls behind"
-            )
+    if boxed != sum(len(d.recursed_fields) for d in report.details):
+        raise AssertionError("decomposition left self-calls behind")
     funcs = tuple(new_trans if f.name == shape.trans else f for f in program.functions)
     return SurfaceProgram(program.adts, funcs)
-
-
-def count_self_calls(fn: FuncDecl) -> int:
-    return sum(1 for n in walk(fn.body) if isinstance(n, Call) and n.callee == fn.name)
 
 
 # ---------------------------------------------------------------------------
@@ -452,19 +423,18 @@ def value_class_blocker(
                     if _reaches(program, ty, target):
                         return f"field {variant.name}.{label} nests {target} in another type"
 
-    def boxed(parent, e):
-        return isinstance(parent, BoxMake) and parent.gamma is None and parent.term is e
-
-    def self_call(name):
-        return lambda parent, e: _sole_arg(parent, e, name)
-
-    checks = (
-        (shape.interp_s, shape.source_adt, self_call(shape.interp_s)),
-        (shape.trans, shape.source_adt, boxed),
-        (shape.interp_d, shape.dest_adt, self_call(shape.interp_d)),
-    )
-    for fname, adt_name, allowed in checks:
-        reason = _fields_reached_only(program, program.function(fname), adt_name, allowed)
+    for fname, adt_name in (
+        (shape.interp_s, shape.source_adt),
+        (shape.trans, shape.source_adt),
+        (shape.interp_d, shape.dest_adt),
+    ):
+        fn = program.function(fname)
+        if len(fn.params) != 1 or fn.params[0][1] != AdtType(adt_name):
+            return f"{fname}: expected one {adt_name} parameter"
+        # the decomposed trans reads a field as a `BoxMake` term where the
+        # classified one read it as the sole argument of a self-call
+        uses = report.facts.param_uses if fname == shape.trans else _param_uses(fn)
+        reason = _read_outside_recursion(program, fn.params[0][0], adt_name, uses)
         if reason is not None:
             return f"{fname}: {reason}"
     x = shape.ast_param
@@ -518,34 +488,48 @@ def _reaches(program: SurfaceProgram, ty: TypeExpr, name: str) -> bool:
     return False
 
 
-def _fields_reached_only(
-    program: SurfaceProgram, fn: FuncDecl, adt_name: str, allowed
-) -> str | None:
-    """Check that `fn` observes its one parameter only by switching on it
-    and reading its fields, and reads every `adt_name`-typed field only
-    where `allowed(parent, access)` holds."""
-    if len(fn.params) != 1 or fn.params[0][1] != AdtType(adt_name):
-        return f"expected one {adt_name} parameter"
+def _param_uses(fn: FuncDecl) -> list[tuple[str, str]]:
+    """How `fn` uses its one parameter, as in `TransFacts.param_uses`: the
+    sole argument of a self-call is the recursive position."""
     p = fn.params[0][0]
+    uses: list[tuple[str, str]] = []
+
+    def visit(e: Expr, sole: bool = False) -> None:
+        if type(e) is FieldAccess and type(e.base) is Var and e.base.name == p:
+            if not sole:
+                uses.append((_FIELD, e.label))
+            return
+        if type(e) is Call and e.callee == fn.name and len(e.args) == 1:
+            visit(e.args[0], True)
+            return
+        for c in children(e):
+            visit(c)
+        if type(e) is Var and e.name == p:
+            uses.append((_WHOLE, ""))
+        elif type(e) is Let and e.name == p:
+            uses.append((_REBOUND, ""))
+
+    visit(fn.body)
+    return uses
+
+
+def _read_outside_recursion(
+    program: SurfaceProgram, p: str, adt_name: str, uses: tuple | list
+) -> str | None:
+    """The first of `uses` (the last in post-order) that reads parameter
+    `p` other than by switching on it and reading its non-`adt_name`
+    fields, or reading its `adt_name` fields in a recursive position."""
     rec_labels = {
         label
         for v in program.adt(adt_name).variants
         for label, ty in v.fields
         if ty == AdtType(adt_name)
     }
-    for e, parent in _with_parents(fn.body):
-        if isinstance(e, Var) and e.name == p and not (
-            isinstance(parent, FieldAccess) and parent.base is e
-        ):
+    for kind, label in reversed(uses):
+        if kind == _WHOLE:
             return f"{p} is used whole"
-        if (
-            isinstance(e, FieldAccess)
-            and isinstance(e.base, Var)
-            and e.base.name == p
-            and e.label in rec_labels
-            and not allowed(parent, e)
-        ):
-            return f"field {p}.{e.label} is read outside a recursive position"
-        if isinstance(e, Let) and e.name == p:
+        if kind == _REBOUND:
             return f"{p} is rebound"
+        if label in rec_labels:
+            return f"field {p}.{label} is read outside a recursive position"
     return None

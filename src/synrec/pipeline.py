@@ -127,23 +127,26 @@ def _only_harness(program: SurfaceProgram) -> FuncDecl:
 def prepare(
     program: SurfaceProgram, cfg: SynthesisConfig, phases: dict | None = None
 ) -> Prepared:
-    """Expand the program and classify its inductive shape, adding the time
-    spent to the `expand` and `decompose` entries of `phases`."""
+    """Expand the program, detect its inductive shape and, when
+    decomposition is on, classify its translation (else `report` is None),
+    adding the time spent to the `expand` and `decompose` entries of
+    `phases`."""
     start = time.perf_counter()
     expanded = expand_program(program, cfg.expansion_context())
     start = add_phase(phases, "expand", start)
     shape = detect_spec_shape(expanded.program, _only_harness(expanded.program))
     report = None
     if shape is not None:
-        report = classify_transformer(
-            expanded.program.function(shape.trans), shape.source_adt
-        )
+        if cfg.indecomp:
+            report = classify_transformer(
+                expanded.program.function(shape.trans), shape.source_adt
+            )
         log.info(
             "inductive shape: trans=%s interp_s=%s interp_d=%s (%s)",
             shape.trans,
             shape.interp_s,
             shape.interp_d,
-            report.verdict,
+            "not classified: decomposition is off" if report is None else report.verdict,
         )
     add_phase(phases, "decompose", start)
     return Prepared(expanded, shape, report)

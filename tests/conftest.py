@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from synrec.ast import Call, FuncDecl, walk
 from synrec.cegis import (
     LazyBinder,
     SynthesisConfig,
@@ -27,6 +28,10 @@ def corpus_text(name: str) -> str:
     return (CORPUS / f"{name}.synrec").read_text()
 
 
+def count_self_calls(fn: FuncDecl) -> int:
+    return sum(1 for n in walk(fn.body) if isinstance(n, Call) and n.callee == fn.name)
+
+
 @pytest.fixture(scope="session")
 def lang_text() -> str:
     return corpus_text("lang")
@@ -48,7 +53,7 @@ def reference_verify(expanded, phi, cfg) -> VerifyResult:
     harness = expanded.program.harnesses[0]
     limits = cfg.eval_limits()
     if len(phi) != len(expanded.control_space):
-        phi = total_assignment(expanded.control_space, phi)
+        phi = total_assignment(expanded, phi)
     evals = 0
     for args in iter_inputs(expanded.program, harness, cfg):
         sigma = reference_sigma(expanded.program, harness, args)

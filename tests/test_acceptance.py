@@ -27,7 +27,6 @@ from synrec.indecomp import (
     MORPHISM,
     apply_inductive_decomposition,
     classify_transformer,
-    count_self_calls,
     detect_spec_shape,
 )
 from synrec.parser import parse_program
@@ -36,7 +35,7 @@ from synrec.scaling import scaling_benchmark
 from synrec.typesys import TypeEnv, check_type
 
 import toys
-from conftest import corpus_text, search_program
+from conftest import corpus_text, count_self_calls, search_program
 
 CORPUS_NAMES = ("elimBool", "lIns", "lang", "tIns")
 

@@ -1,5 +1,6 @@
 import json
 import logging
+import platform
 
 import pytest
 
@@ -81,6 +82,24 @@ def test_check_names_exhaustive_and_its_reason(tmp_path, capsys, caplog):
         assert run_cli("-v", "check", f, "--input-depth", "2") == 0
     assert capsys.readouterr().out == "pass: 2 inputs checked (exhaustive)\n"
     assert "exhaustive verification: no inductive shape" in caplog.text
+
+
+def test_synth_without_decomposition_does_not_classify(tmp_path, caplog, monkeypatch):
+    import synrec.pipeline
+
+    def fail(*args):
+        raise AssertionError("classified with decomposition off")
+
+    monkeypatch.setattr(synrec.pipeline, "classify_transformer", fail)
+    with caplog.at_level(logging.INFO, logger="synrec"):
+        code = run_cli(
+            "-v", "synth", CORPUS / "elimBool.synrec", "--no-indecomp",
+            "-o", tmp_path / "out.synrec",
+        )
+    assert code == 0
+    assert "inductive shape: trans=elimBool" in caplog.text
+    assert "(not classified: decomposition is off)" in caplog.text
+    assert "exhaustive verification: decomposition is off" in caplog.text
 
 
 def test_check_mutant_prints_counterexample(tmp_path, capsys):
@@ -235,7 +254,7 @@ def test_bench_tiny_corpus(tmp_path, capsys):
         "int size2(L l) { switch (l) { case N: return ??; case C: return 1 + size2(l.t); } }\n"
         "harness void m(L l) { assert(size2(l) == size(l)); }\n"
     )
-    code = run_cli("bench", tmp_path)
+    code = run_cli("bench", tmp_path, "--json", tmp_path / "bench.json")
     assert code == 0
     out = capsys.readouterr().out
     lines = out.strip().splitlines()
@@ -247,6 +266,26 @@ def test_bench_tiny_corpus(tmp_path, capsys):
     assert row[:2] == ["toy", "yes"] and len(row) == 10
     # the first candidate passes: every evaluation is the check's
     assert int(row[4]) == 0 < int(row[3])
+    # golden schema of the trajectory file
+    data = json.loads((tmp_path / "bench.json").read_text())
+    assert set(data) == {"nproc", "python", "rows"}
+    assert data["nproc"] >= 1 and data["python"] == platform.python_version()
+    [entry] = data["rows"]
+    assert set(entry) == {"benchmark", "expected_ok", "opt", "noopt"}
+    assert (entry["benchmark"], entry["expected_ok"]) == ("toy", "-")
+    for mode in ("opt", "noopt"):
+        run = entry[mode]
+        assert set(run) == {
+            "status", "iterations", "search_evaluations", "verify_evaluations",
+            "wall_ms", "phases_ms",
+        }
+        assert run["status"] == "solved" and run["iterations"] == 1
+        assert run["search_evaluations"] == 0 < run["verify_evaluations"]
+        assert list(run["phases_ms"]) == [
+            "parse", "expand", "decompose", "compile", "search", "verify", "concretize",
+        ]
+    assert entry["opt"]["verify_evaluations"] == int(row[3])
+    assert entry["noopt"]["verify_evaluations"] == int(row[6])
 
 
 def test_bench_reports_expected_check_timeout(tmp_path, capsys):

@@ -48,7 +48,7 @@ LIMITS = EvalLimits(max_depth=MAX_DEPTH)
 
 def outcomes_for(exp, phi, decomp, sigmas_ref, sigmas_native, harness):
     prog = compile_concrete(exp.program, shape=decomp, max_depth=MAX_DEPTH)
-    read = total_assignment(exp.control_space, phi).__getitem__
+    read = total_assignment(exp, phi).__getitem__
     runner = prog.func(harness.name)
     got = []
     for args in sigmas_native:
@@ -70,7 +70,7 @@ def outcomes_for(exp, phi, decomp, sigmas_ref, sigmas_native, harness):
 
 
 def sample_phis(exp, rng, n):
-    phis = [total_assignment(exp.control_space, {})]
+    phis = [total_assignment(exp, {})]
     for _ in range(n):
         phis.append(
             {p.id: rng.randint(p.lo, p.hi) for p in exp.control_space}

@@ -12,7 +12,6 @@ from synrec.indecomp import (
     TRANSFORMER,
     apply_inductive_decomposition,
     classify_transformer,
-    count_self_calls,
     detect_spec_shape,
 )
 from synrec.parser import parse_program
@@ -20,7 +19,7 @@ from synrec.pipeline import load_with_library
 from synrec.scaling import scaling_benchmark
 
 import toys
-from conftest import corpus_text
+from conftest import corpus_text, count_self_calls
 
 LIMITS = EvalLimits(max_depth=30)
 
