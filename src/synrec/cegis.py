@@ -26,6 +26,12 @@ solutions bind a common point, or their merge fails a counterexample, the
 run falls back to the joint search, preserving completeness.  An arm with
 no solution needs no fallback: the search is complete, and every joint
 assignment must pass that arm's counterexamples too.
+
+A run counts straight into the `SynthesisStats` it returns.  Its
+`per_arm` holds one `ArmStatus` per arm, which is all the per-arm state:
+the arm's search, how many of the arm's counterexamples that search
+passes, its time, and whether it is solved.  A fallback only stops the
+per-arm search, so each arm keeps the verdict of its last search.
 """
 
 from __future__ import annotations
@@ -100,14 +106,14 @@ class SynthesisConfig:
     indecomp: bool = True
 
     def __post_init__(self):
-        if self.input_depth <= 0 or self.inline_bound <= 0:
-            raise ValueError("bounds must be positive")
-        if self.unroll_depth is not None and self.unroll_depth <= 0:
-            raise ValueError("bounds must be positive")
+        for name in ("input_depth", "inline_bound", "unroll_depth"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise SynrecError(f"{name.replace('_', ' ')} must be positive, got {value}")
         if not self.int_domain:
-            raise ValueError("int domain must be non-empty")
+            raise SynrecError("int domain is empty")
         if self.hole_hi < self.hole_lo:
-            raise ValueError("hole domain must be non-empty")
+            raise SynrecError(f"hole domain {self.hole_lo}..{self.hole_hi} is empty")
 
     @property
     def effective_unroll(self) -> int:
@@ -336,14 +342,7 @@ def total_assignment(expanded: ExpandedProgram, partial: dict[int, int]) -> dict
     return phi
 
 
-@dataclass
-class _Stats:
-    # harness runs of the inductive search, and of the bounded checks
-    search_evaluations: int = 0
-    verify_evaluations: int = 0
-
-
-def _passes(compiled: CompiledProgram, run, cexs: list[tuple], stats: _Stats) -> bool:
+def _passes(compiled: CompiledProgram, run, cexs: list[tuple], stats: SynthesisStats) -> bool:
     """Run `run`, the compiled harness, on each counterexample in turn,
     counting every run; False at the first failure.
 
@@ -365,7 +364,7 @@ def _search(
     compiled: CompiledProgram,
     cexs: list[tuple],
     deadline: float | None,
-    stats: _Stats,
+    stats: SynthesisStats,
     binder: LazyBinder | None = None,
     passed: int = 0,
 ) -> tuple[LazyBinder, bool]:
@@ -402,12 +401,12 @@ def synthesize_inductive(
     compiled: CompiledProgram,
     cexs: list[tuple],
     deadline: float | None = None,
-    stats: _Stats | None = None,
+    stats: SynthesisStats | None = None,
 ) -> dict[int, int] | None:
     """Find a total control assignment under which the compiled program
     (`expanded`, or its decomposition) passes every counterexample (native
     harness arguments), or None when the (finite) space has no solution."""
-    stats = stats if stats is not None else _Stats()
+    stats = stats if stats is not None else SynthesisStats()
     binder, found = _search(expanded, compiled, cexs, deadline, stats)
     if not found:
         return None
@@ -684,23 +683,14 @@ def concretize(expanded: ExpandedProgram, phi: dict[int, int]) -> SurfaceProgram
 
 @dataclass
 class ArmStatus:
+    """One switch arm of a decomposed morphism in the per-arm search."""
+
     variant: str
-    solved: bool
+    solved: bool = False
     ms: float = 0.0
-
-
-@dataclass
-class CegisState:
-    # native harness arguments, and their renderings in the same order
-    counterexamples: list[tuple] = field(default_factory=list)
-    cex_keys: list[str] = field(default_factory=list)
-    iterations: int = 0
-    # per arm: its search, whose bindings pass the arm's first
-    # `arm_cex_count` counterexamples
-    arm_search: dict[str, LazyBinder] = field(default_factory=dict)
-    arm_cex_count: dict[str, int] = field(default_factory=dict)
-    arm_ms: dict[str, float] = field(default_factory=dict)
-    arm_solved: dict[str, bool] = field(default_factory=dict)
+    # the arm's search, whose bindings pass its first `passed` counterexamples
+    binder: LazyBinder | None = field(default=None, repr=False, compare=False)
+    passed: int = 0
 
 
 # The layers of one synthesis, in pipeline order, as `phases_ms` names them.
@@ -774,52 +764,43 @@ def _solve_per_arm(
     expanded: ExpandedProgram,
     compiled: CompiledProgram,
     shape: SpecShape,
-    state: CegisState,
+    cexs: list[tuple],
     deadline: float | None,
-    stats: _Stats,
+    stats: SynthesisStats,
 ) -> dict[int, int] | None | str:
-    """Per-arm inductive step; returns phi, None (unsat), or "fallback"."""
-    adt = expanded.program.adt(shape.source_adt)
+    """Per-arm inductive step over the arms in `stats.per_arm`; returns phi,
+    None (unsat), or "fallback"."""
     harness = expanded.program.harnesses[0]
     root = [n for n, _ in harness.params].index(shape.ast_param)
     groups: dict[str, list[tuple]] = {}
-    for args in state.counterexamples:
+    for args in cexs:
         groups.setdefault(args[root][0], []).append(args)
-    for variant in (v.name for v in adt.variants):
-        cexs = groups.get(variant, [])
-        if not cexs:
-            continue
+    for arm in stats.per_arm:
+        arm_cexs = groups.get(arm.variant, [])
         # the arm's counterexamples only ever grow at the end
-        passed = state.arm_cex_count.get(variant, 0)
-        if passed == len(cexs):
+        if arm.passed == len(arm_cexs):
             continue
         start = time.monotonic()
         try:
             binder, found = _search(
-                expanded, compiled, cexs, deadline, stats,
-                state.arm_search.get(variant), passed,
+                expanded, compiled, arm_cexs, deadline, stats, arm.binder, arm.passed
             )
         finally:
-            state.arm_ms[variant] = state.arm_ms.get(variant, 0.0) + (
-                (time.monotonic() - start) * 1000
-            )
-        state.arm_cex_count[variant] = len(cexs)
+            arm.ms += (time.monotonic() - start) * 1000
+        arm.binder, arm.passed, arm.solved = binder, len(arm_cexs), found
         if not found:
             # every joint assignment must pass this arm's counterexamples
-            state.arm_solved[variant] = False
             return None
-        state.arm_search[variant] = binder
-        state.arm_solved[variant] = True
     # the arm solutions must bind disjoint control points
     merged: dict[int, int] = {}
-    for binder in state.arm_search.values():
-        frag = binder.bound
+    for arm in stats.per_arm:
+        frag = arm.binder.bound if arm.binder is not None else {}
         if merged.keys() & frag.keys():
             return "fallback"
         merged.update(frag)
     phi = total_assignment(expanded, merged)
     compiled.bind_controls(phi.__getitem__)
-    if not _passes(compiled, compiled.func(harness.name), state.counterexamples, stats):
+    if not _passes(compiled, compiled.func(harness.name), cexs, stats):
         return "fallback"
     return phi
 
@@ -887,80 +868,60 @@ def run_cegis(
     """
     start = time.monotonic()
     deadline = start + cfg.timeout_secs
-    stats = _Stats()
-    state = CegisState()
-    harness = expanded.program.harnesses[0] if expanded.program.harnesses else None
-    if harness is None:
+    if not expanded.program.harnesses:
         raise SynrecError("program has no harness")
+    harness = expanded.program.harnesses[0]
+    stats = SynthesisStats()
+    if phases is not None:
+        stats.phases = phases
+    # native harness arguments of the counterexamples, in the order of
+    # their renderings in `stats.counterexamples`
+    cexs: list[tuple] = []
 
-    if phases is None:
-        phases = dict.fromkeys(PHASES, 0.0)
-    compiled, decomp, classes = compile_run(expanded, cfg, shape, report, phases)
-    morphism = decomp is not None and report.is_morphism
-    per_arm = morphism
+    compiled, decomp, classes = compile_run(expanded, cfg, shape, report, stats.phases)
+    per_arm = decomp is not None and report.is_morphism
+    if per_arm:
+        adt = expanded.program.adt(shape.source_adt)
+        stats.per_arm = [ArmStatus(v.name) for v in adt.variants]
 
-    def finish(status, assignment, solution) -> SynthesisResult:
-        s = SynthesisStats(
-            iterations=state.iterations,
-            search_evaluations=stats.search_evaluations,
-            verify_evaluations=stats.verify_evaluations,
-            counterexamples=list(state.cex_keys),
-            wall_ms=int((time.monotonic() - start) * 1000),
-            phases=phases,
-        )
-        if morphism:
+    def finish(status, assignment=None, solution=None) -> SynthesisResult:
+        stats.wall_ms = int((time.monotonic() - start) * 1000)
+        if status == SOLVED:
             # an arm is solved when its search found an assignment, or
             # when the whole run is
-            adt = expanded.program.adt(shape.source_adt)
-            s.per_arm = [
-                ArmStatus(
-                    v.name,
-                    status == SOLVED or state.arm_solved.get(v.name, False),
-                    state.arm_ms.get(v.name, 0.0),
-                )
-                for v in adt.variants
-            ]
-        return SynthesisResult(status, assignment, solution, s)
-
-    def drop_arm_searches():
-        nonlocal per_arm
-        per_arm = False
-        state.arm_search.clear()
-        state.arm_cex_count.clear()
+            for arm in stats.per_arm:
+                arm.solved = True
+        return SynthesisResult(status, assignment, solution, stats)
 
     def drop_decomposition():
-        nonlocal decomp, classes
-        drop_arm_searches()
+        nonlocal decomp, classes, per_arm
         decomp = classes = None
+        per_arm = False
         compiled.bind_boxes(False)
 
     try:
         while True:
-            state.iterations += 1
+            stats.iterations += 1
             lap, phase = time.perf_counter(), "search"
             if decomp is not None:
                 compiled.bind_boxes(True)
             if per_arm:
-                got = _solve_per_arm(expanded, compiled, shape, state, deadline, stats)
+                got = _solve_per_arm(expanded, compiled, shape, cexs, deadline, stats)
                 if got == "fallback":
                     log.warning("per-arm decoupling failed; falling back to joint solve")
-                    drop_arm_searches()
+                    per_arm = False
             if not per_arm:
-                got = synthesize_inductive(
-                    expanded, compiled, state.counterexamples, deadline, stats
-                )
+                got = synthesize_inductive(expanded, compiled, cexs, deadline, stats)
             if got is None and decomp is not None:
                 # Near the resource limits the decomposed and plain semantics
                 # can diverge; an unsat claim must come from the semantics the
                 # verifier uses.
                 log.warning("decomposed search exhausted; re-running plain search")
                 drop_decomposition()
-                got = synthesize_inductive(
-                    expanded, compiled, state.counterexamples, deadline, stats
-                )
-            lap, phase = add_phase(phases, "search", lap), "verify"
+                got = synthesize_inductive(expanded, compiled, cexs, deadline, stats)
+            lap, phase = add_phase(stats.phases, "search", lap), "verify"
             if got is None:
-                return finish(UNSAT, None, None)
+                return finish(UNSAT)
             phi = got
             # Verification always checks the plain program: the deferred
             # placeholders exist to speed up the inductive step, and the
@@ -973,23 +934,23 @@ def run_cegis(
             vr = verify(expanded, phi, cfg, classes, deadline, compiled)
             stats.verify_evaluations += vr.evaluations
             if vr.passed:
-                lap = add_phase(phases, "verify", lap)
+                lap = add_phase(stats.phases, "verify", lap)
                 solution = concretize(expanded, phi)
-                add_phase(phases, "concretize", lap)
+                add_phase(stats.phases, "concretize", lap)
                 return finish(SOLVED, phi, solution)
             # the runtime differential check of the compiled executor
             check = evaluate_harness(
                 expanded.program, phi, vr.counterexample, cfg.eval_limits(),
                 harness=harness,
             )
-            add_phase(phases, "verify", lap)
+            add_phase(stats.phases, "verify", lap)
             if check.passed:
                 raise InternalError(
                     "compiled verifier and reference evaluator disagree on a "
                     "counterexample"
                 )
             key = _sigma_key(vr.counterexample)
-            if key in state.cex_keys:
+            if key in stats.counterexamples:
                 if decomp is not None:
                     # The candidate passes this input under decomposition but
                     # fails it plainly (a depth-limit artifact): continue
@@ -1001,11 +962,9 @@ def run_cegis(
                     drop_decomposition()
                     continue
                 raise InternalError(f"counterexample repeated: {key}")
-            state.cex_keys.append(key)
-            state.counterexamples.append(vr.args)
-            log.info(
-                "iteration %d: counterexample %s", state.iterations, key
-            )
+            stats.counterexamples.append(key)
+            cexs.append(vr.args)
+            log.info("iteration %d: counterexample %s", stats.iterations, key)
     except SynthesisTimeout:
-        add_phase(phases, phase, lap)
-        return finish(TIMEOUT, None, None)
+        add_phase(stats.phases, phase, lap)
+        return finish(TIMEOUT)

@@ -25,10 +25,11 @@ from .errors import SynrecError
 from .evaluator import format_value
 from .expand import expand_program
 from .pipeline import (
+    SETTINGS,
     check_concrete,
     config_for,
     load_with_library,
-    parse_range,
+    setting,
     synthesize,
 )
 from .printer import pretty_print_program
@@ -44,12 +45,7 @@ EXIT_TIMEOUT = 3
 
 # Configuration flags; each subcommand takes only the ones it reads.
 _FLAGS = {
-    "--input-depth": {"type": int, "metavar": "N"},
-    "--int-domain": {"metavar": "LO..HI"},
-    "--hole-domain": {"metavar": "LO..HI"},
-    "--inline-bound": {"type": int, "metavar": "N"},
-    "--unroll": {"type": int, "metavar": "N"},
-    "--timeout-secs": {"type": float, "metavar": "N"},
+    **{f"--{key}": {"metavar": form} for key, (form, _) in SETTINGS.items()},
     "--no-indecomp": {"action": "store_true", "help": "disable inductive decomposition"},
     "--lib": {"metavar": "PATH", "help": "template library override"},
 }
@@ -65,19 +61,13 @@ def _add_config_flags(p: argparse.ArgumentParser, flags=tuple(_FLAGS)) -> None:
 
 
 def _cli_overrides(args) -> dict:
+    """The `SynthesisConfig` fields that the given flags set."""
     given = vars(args)
-    overrides: dict = {
-        "input_depth": given.get("input_depth"),
-        "inline_bound": given.get("inline_bound"),
-        "unroll_depth": given.get("unroll"),
-        "timeout_secs": given.get("timeout_secs"),
-    }
-    if given.get("int_domain") is not None:
-        lo, hi = parse_range(given["int_domain"])
-        overrides["int_domain"] = tuple(range(lo, hi + 1))
-    if given.get("hole_domain") is not None:
-        lo, hi = parse_range(given["hole_domain"])
-        overrides["hole_lo"], overrides["hole_hi"] = lo, hi
+    overrides: dict = {}
+    for key in SETTINGS:
+        text = given.get(key.replace("-", "_"))
+        if text is not None:
+            overrides.update(setting(key, text))
     if given.get("no_indecomp"):
         overrides["indecomp"] = False
     return overrides

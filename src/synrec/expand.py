@@ -118,9 +118,11 @@ class ControlPoint:
 
 @dataclass(frozen=True)
 class ExpansionContext:
-    inline_bound: int = 3
-    hole_lo: int = 0
-    hole_hi: int = 3
+    """The expansion bounds of a `SynthesisConfig`, which holds their defaults."""
+
+    inline_bound: int
+    hole_lo: int
+    hole_hi: int
 
 
 @dataclass

@@ -2,8 +2,9 @@
 shape detection -> decomposition -> CEGIS -> concrete solution.
 
 Also handles the per-file configuration pragma: a leading comment line of
-the form ``//! key=value key=value`` (keys mirror the CLI flags) supplies
-benchmark-specific bounds; explicit CLI flags win over pragmas.
+the form ``//! key=value key=value`` (keys mirror the CLI flags, and
+`SETTINGS` converts both) supplies benchmark-specific bounds; explicit CLI
+flags win over pragmas.
 """
 
 from __future__ import annotations
@@ -31,21 +32,44 @@ from .prelude import PRELUDE, prelude_text
 
 log = logging.getLogger("synrec")
 
-_PRAGMA_KEYS = {
-    "input-depth": ("input_depth", int),
-    "int-domain": ("int_domain", "range"),
-    "hole-domain": ("hole_domain", "range"),
-    "inline-bound": ("inline_bound", int),
-    "unroll": ("unroll_depth", int),
-    "timeout-secs": ("timeout_secs", float),
+def _domain(text: str) -> tuple[int, int]:
+    """The bounds of an inclusive range `LO..HI`."""
+    lo, sep, hi = text.partition("..")
+    if not sep:
+        raise ValueError(text)
+    return int(lo), int(hi)
+
+
+def _int_domain(text: str) -> dict:
+    lo, hi = _domain(text)
+    return {"int_domain": tuple(range(lo, hi + 1))}
+
+
+def _hole_domain(text: str) -> dict:
+    lo, hi = _domain(text)
+    return {"hole_lo": lo, "hole_hi": hi}
+
+
+# The configuration settings by pragma key, which is also the CLI flag
+# without its `--`: the form of the value, and the converter of its text
+# to `SynthesisConfig` fields.
+SETTINGS = {
+    "input-depth": ("N", lambda text: {"input_depth": int(text)}),
+    "int-domain": ("LO..HI", _int_domain),
+    "hole-domain": ("LO..HI", _hole_domain),
+    "inline-bound": ("N", lambda text: {"inline_bound": int(text)}),
+    "unroll": ("N", lambda text: {"unroll_depth": int(text)}),
+    "timeout-secs": ("N", lambda text: {"timeout_secs": float(text)}),
 }
 
 
-def parse_range(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        raise SynrecError(f"expected LO..HI, got {text!r}")
-    return int(lo), int(hi)
+def setting(key: str, text: str) -> dict:
+    """The `SynthesisConfig` fields that setting `key` sets to `text`."""
+    form, convert = SETTINGS[key]
+    try:
+        return convert(text)
+    except ValueError:
+        raise SynrecError(f"invalid value {text!r} for {key} (expected {form})") from None
 
 
 def parse_pragmas(text: str) -> dict:
@@ -59,25 +83,16 @@ def parse_pragmas(text: str) -> dict:
             break
         for item in stripped[3:].split():
             key, sep, value = item.partition("=")
-            if not sep or key not in _PRAGMA_KEYS:
+            if not sep or key not in SETTINGS:
                 raise SynrecError(f"unknown pragma {item!r}")
-            field_name, conv = _PRAGMA_KEYS[key]
-            if conv == "range":
-                lo, hi = parse_range(value)
-                if field_name == "int_domain":
-                    overrides["int_domain"] = tuple(range(lo, hi + 1))
-                else:
-                    overrides["hole_lo"], overrides["hole_hi"] = lo, hi
-            else:
-                overrides[field_name] = conv(value)
+            overrides.update(setting(key, value))
     return overrides
 
 
-def config_for(text: str, cli_overrides: dict | None = None) -> SynthesisConfig:
-    values = parse_pragmas(text)
-    if cli_overrides:
-        values.update({k: v for k, v in cli_overrides.items() if v is not None})
-    return SynthesisConfig(**values)
+def config_for(text: str, overrides: dict | None = None) -> SynthesisConfig:
+    """The configuration of a run on `text`: its pragmas, with the fields
+    in `overrides` taking precedence."""
+    return SynthesisConfig(**parse_pragmas(text) | (overrides or {}))
 
 
 def load_with_library(

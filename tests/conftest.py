@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from synrec import cegis
 from synrec.ast import Call, FuncDecl, walk
 from synrec.cegis import (
     LazyBinder,
@@ -26,6 +27,20 @@ logging.getLogger("synrec").setLevel(logging.WARNING)
 
 def corpus_text(name: str) -> str:
     return (CORPUS / f"{name}.synrec").read_text()
+
+
+def time_out_at_verify(monkeypatch, k):
+    """Make the k-th call of `cegis.verify` in this test time out."""
+    calls = []
+    real = cegis.verify
+
+    def verify_or_time_out(*args):
+        calls.append(args)
+        if len(calls) == k:
+            raise SynthesisTimeout
+        return real(*args)
+
+    monkeypatch.setattr(cegis, "verify", verify_or_time_out)
 
 
 def count_self_calls(fn: FuncDecl) -> int:

@@ -22,7 +22,7 @@ from synrec.cegis import (
     verify,
 )
 from synrec.evaluator import EvalLimits, evaluate_harness, format_value
-from synrec.expand import ExpansionContext, Expander, _Path, expand_program
+from synrec.expand import Expander, _Path, expand_program
 from synrec.indecomp import (
     MORPHISM,
     apply_inductive_decomposition,
@@ -144,7 +144,7 @@ def test_criterion_3_corpus_well_typedness():
     sources += [scaling_benchmark(n) for n in range(3, 9)]
     for text in sources:
         program = load_with_library(text)
-        expanded = expand_program(program, ExpansionContext())
+        expanded = expand_program(program, SynthesisConfig().expansion_context())
         for f in expanded.program.functions:
             env = TypeEnv(expanded.program)
             for pname, pty in f.params:
@@ -175,7 +175,9 @@ def _sigma_space(exp, depth):
 @pytest.mark.parametrize("toy_name", ["PARITY", "SHIFT"])
 def test_criterion_4_decomposition_theorem(toy_name):
     limits = EvalLimits(max_depth=30)
-    exp = expand_program(parse_program(getattr(toys, toy_name)), ExpansionContext())
+    exp = expand_program(
+        parse_program(getattr(toys, toy_name)), SynthesisConfig().expansion_context()
+    )
     space = 1
     for p in exp.control_space:
         space *= p.arity
@@ -330,7 +332,7 @@ def test_criterion_7_scaling_trend():
 def test_criterion_8_cegis_properties():
     limits = EvalLimits(max_depth=12)
     cfg = SynthesisConfig(timeout_secs=60)
-    exp = expand_program(parse_program(toys.SHIFT), ExpansionContext())
+    exp = expand_program(parse_program(toys.SHIFT), SynthesisConfig().expansion_context())
     harness = exp.program.harnesses[0]
     cexs = []
     seen = set()
@@ -356,7 +358,7 @@ def test_criterion_8_cegis_properties():
     assert verify(exp, phi, cfg).passed
 
     # inductive-step completeness vs. exhaustive enumeration
-    par = expand_program(parse_program(toys.PARITY), ExpansionContext())
+    par = expand_program(parse_program(toys.PARITY), SynthesisConfig().expansion_context())
     z = ("Z",)
     s = lambda x: ("S1", x)
     cexs = [(z,), (s(z),), (s(s(z)),)]
@@ -373,7 +375,7 @@ def test_criterion_8_cegis_properties():
             "adt U { MkU {} } int f(int x) { return ??; } "
             "harness void m(int x) { assert(f(x) == 9); }"
         ),
-        ExpansionContext(),
+        SynthesisConfig().expansion_context(),
     )
     assert synthesize_inductive(unsat, search_program(unsat, cfg), [(0,)]) is None
     report(

@@ -7,6 +7,7 @@ from synrec import cegis
 from synrec.ast import BIT, AdtType, Choice, Hole, walk
 from synrec.cegis import (
     SOLVED,
+    TIMEOUT,
     UNSAT,
     SynthesisConfig,
     _to_reference,
@@ -17,20 +18,20 @@ from synrec.cegis import (
     verify,
 )
 from synrec.evaluator import EvalLimits, VRecord, evaluate_harness, format_value
-from synrec.expand import ExpansionContext, expand_program
+from synrec.expand import expand_program
 from synrec.parser import parse_program
 from synrec.pipeline import check_concrete, load_with_library, prepare, synthesize
 from synrec.printer import pretty_print_program
 from synrec.scaling import scaling_benchmark
 
 import toys
-from conftest import corpus_text, reference_verify, search_program
+from conftest import corpus_text, reference_verify, search_program, time_out_at_verify
 
 LIMITS = EvalLimits(max_depth=12)
 
 
 def expand_text(text, **kw):
-    return expand_program(parse_program(text), ExpansionContext(**kw))
+    return expand_program(parse_program(text), SynthesisConfig(**kw).expansion_context())
 
 
 # -- enumerate_values ------------------------------------------------------------
@@ -212,7 +213,7 @@ def test_verify_short_circuit_agrees_with_reference():
 
 def test_verify_tautology_with_empty_space():
     p = parse_program("adt L { N {} } harness void m(L l) { assert(1); }")
-    exp = expand_program(p, ExpansionContext())
+    exp = expand_program(p, SynthesisConfig().expansion_context())
     vr = verify(exp, {}, SynthesisConfig(input_depth=2))
     assert vr.passed and vr.evaluations == 1
 
@@ -233,7 +234,7 @@ def test_cegis_solves_parity_and_respects_progress():
 
 def test_cegis_unsat_on_inconsistent_harness():
     p = parse_program("adt L { N {} } harness void m(L l) { assert(1 == 2); }")
-    exp = expand_program(p, ExpansionContext())
+    exp = expand_program(p, SynthesisConfig().expansion_context())
     res = run_cegis(exp, SynthesisConfig(timeout_secs=10))
     assert res.status == "unsat"
     assert res.stats.iterations <= 2
@@ -317,6 +318,37 @@ def test_per_arm_solutions_sharing_a_hole_fall_back_to_joint_search(caplog):
     solution = pretty_print_program(res.solution)
     assert "int off() {\n  return 2;\n}" in solution
     assert check_concrete(SHARED_HOLE_SHIFT, cfg, solution_text=solution).passed
+
+
+def test_per_arm_solved_on_timeout(lang_program, monkeypatch):
+    """A run cut short reports as solved the arms whose search found an
+    assignment, and no others."""
+    cfg = SynthesisConfig(input_depth=2, timeout_secs=120)
+    prep = prepare(lang_program, cfg)
+    time_out_at_verify(monkeypatch, 3)
+    res = run_cegis(prep.expanded, cfg, prep.shape, prep.report)
+    assert (res.status, res.stats.iterations) == (TIMEOUT, 3)
+    assert [(a.variant, a.solved) for a in res.stats.per_arm] == [
+        ("NumS", True),
+        ("TrueS", True),
+        ("FalseS", False),
+        ("BinaryS", False),
+        ("BetweenS", False),
+    ]
+
+
+def test_per_arm_solved_on_unsat():
+    """An unsat decomposed run keeps the verdict of each arm it searched;
+    the plain search that settles the verdict changes none of them."""
+    (n, depth, unroll), _, status, _, _ = FALLBACKS["exhausted"]
+    cfg = SynthesisConfig(input_depth=depth, unroll_depth=unroll, timeout_secs=60)
+    res = synthesize(scaling_benchmark(n), cfg)
+    assert res.status == status == UNSAT
+    assert [(a.variant, a.solved) for a in res.stats.per_arm] == [
+        ("Lit", True),
+        ("Inc", False),
+        ("Dbl", False),
+    ]
 
 
 # Scaling programs at bounds where the decomposed and plain semantics part

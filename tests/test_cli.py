@@ -8,7 +8,7 @@ from synrec.cli import main
 from synrec.parser import parse_program
 
 import toys
-from conftest import CORPUS
+from conftest import CORPUS, time_out_at_verify
 
 
 def run_cli(*argv):
@@ -181,6 +181,12 @@ def test_timeout_exits_3(tmp_path, capsys):
     assert len(arms) == 5 and not any(a["solved"] for a in arms)
 
 
+def test_timeout_names_the_arms_solved_so_far(capsys, monkeypatch):
+    time_out_at_verify(monkeypatch, 3)
+    assert run_cli("synth", CORPUS / "lang.synrec", "--input-depth", "2") == 3
+    assert capsys.readouterr().err == "timeout; arms solved so far: NumS, TrueS\n"
+
+
 def test_expand_dump_format(tmp_path, capsys):
     code = run_cli("expand", CORPUS / "lang.synrec", "--inline-bound", "2")
     assert code == 0
@@ -225,6 +231,27 @@ def test_pragma_sets_defaults(tmp_path):
     assert cfg.input_depth == 1 and cfg.timeout_secs == 9.0
     cfg = config_for(f.read_text(), {"input_depth": 2})
     assert cfg.input_depth == 2
+
+
+# Malformed and out-of-range settings, by pragma key, with their message.
+BAD_SETTINGS = {
+    ("int-domain", "a..b"): "invalid value 'a..b' for int-domain (expected LO..HI)",
+    ("input-depth", "0"): "input depth must be positive, got 0",
+    ("input-depth", "x"): "invalid value 'x' for input-depth (expected N)",
+    ("hole-domain", "3..1"): "hole domain 3..1 is empty",
+}
+
+
+@pytest.mark.parametrize("key,value", BAD_SETTINGS)
+def test_bad_setting_prints_one_error_as_flag_and_as_pragma(tmp_path, capsys, key, value):
+    # `check` takes no --hole-domain, and `synth` takes every flag
+    command, name = ("synth", "lang") if key == "hole-domain" else ("check", "lang.expected")
+    program = CORPUS / f"{name}.synrec"
+    pragma = tmp_path / "pragma.synrec"
+    pragma.write_text(f"//! {key}={value}\n" + program.read_text())
+    for argv in ((program, f"--{key}", value), (pragma,)):
+        assert run_cli(command, *argv) == 1
+        assert capsys.readouterr().err == f"error: {BAD_SETTINGS[key, value]}\n"
 
 
 def test_check_timeout_exits_3(capsys):

@@ -8,9 +8,9 @@ from synrec.ast import Ctor, Let, walk
 from synrec.cegis import (
     _FAILURES,
     SynthesisConfig,
+    SynthesisStats,
     _failure,
     _search,
-    _Stats,
     compile_run,
     iter_inputs,
     run_cegis,
@@ -20,7 +20,7 @@ from synrec.cegis import (
 from synrec import compiled
 from synrec.compiled import CAssertFail, CExhausted, CInfeasible, compile_concrete
 from synrec.evaluator import EvalLimits, evaluate_harness, format_value
-from synrec.expand import ExpansionContext, expand_program
+from synrec.expand import expand_program
 from synrec.indecomp import (
     OTHER,
     ClassificationReport,
@@ -90,7 +90,7 @@ def _toy_or_scaling(source):
 @pytest.mark.parametrize("source", ["PARITY", "SHIFT", "GAMMA", "scaling3", "scaling8"])
 @pytest.mark.parametrize("decompose", [False, True])
 def test_compiled_matches_reference(source, decompose):
-    exp = expand_program(_toy_or_scaling(source), ExpansionContext())
+    exp = expand_program(_toy_or_scaling(source), SynthesisConfig().expansion_context())
     decomp = None
     if decompose:
         shape = detect_spec_shape(exp.program, exp.program.harnesses[0])
@@ -110,7 +110,7 @@ def test_compiled_matches_reference(source, decompose):
 
 
 def test_compiled_matches_reference_on_lang_solution(lang_expected_text):
-    exp = expand_program(parse_program(lang_expected_text), ExpansionContext())
+    exp = expand_program(parse_program(lang_expected_text), SynthesisConfig().expansion_context())
     cfg = SynthesisConfig(input_depth=2)
     harness = exp.program.harnesses[0]
     sigmas_native = list(iter_inputs(exp.program, harness, cfg))
@@ -124,7 +124,7 @@ def test_memoized_scan_matches_reference(lang_expected_text):
     """Memo entries outlive the input that made them, as in `verify`, and
     every outcome still is the reference evaluator's, also at depth limits
     that some inputs reach."""
-    exp = expand_program(parse_program(lang_expected_text), ExpansionContext())
+    exp = expand_program(parse_program(lang_expected_text), SynthesisConfig().expansion_context())
     cfg = SynthesisConfig(input_depth=2)
     harness = exp.program.harnesses[0]
     inputs = list(iter_inputs(exp.program, harness, cfg))
@@ -156,7 +156,7 @@ def test_depth_limit_matches_reference():
     int depth(N x) { switch (x) { case Z: return 0; case S: return 1 + depth(x.p); } }
     harness void m(N x) { assert(depth(x) >= 0); }
     """
-    exp = expand_program(parse_program(text), ExpansionContext())
+    exp = expand_program(parse_program(text), SynthesisConfig().expansion_context())
     harness = exp.program.harnesses[0]
     deep = ("Z",)
     for _ in range(6):
@@ -186,7 +186,7 @@ def test_depth_limit_matches_reference():
 def test_memoized_scan_matches_reference_at_depth_limit(lang_expected_text, cfg):
     """A memoized result is reused only at the nesting it was computed at:
     deeper down, the reference evaluator may run out of depth instead."""
-    exp = expand_program(parse_program(lang_expected_text), ExpansionContext())
+    exp = expand_program(parse_program(lang_expected_text), SynthesisConfig().expansion_context())
     memoized = verify(exp, {}, cfg)
     reference = reference_verify(exp, {}, cfg)
     assert not reference.passed
@@ -278,7 +278,9 @@ def test_scaling8_unary_arms_share_one_chunk(monkeypatch):
     seven unary arms differ only in control ids and names, so their chunk
     is compiled once, and the literal arm, which also reads `e.v`, has its
     own.  Each instance runs the same bytecode with its own control ids."""
-    exp = expand_program(load_with_library(scaling_benchmark(8)), ExpansionContext())
+    exp = expand_program(
+        load_with_library(scaling_benchmark(8)), SynthesisConfig().expansion_context()
+    )
     sources = []
 
     def counting_compile(source, *args):
@@ -405,7 +407,7 @@ def test_compiled_search_takes_reference_path(name, decompose):
     for _ in range(6):
         cexs = rng.sample(inputs, rng.randint(1, min(4, len(inputs))))
         sigmas = [reference_sigma(exp.program, harness, args) for args in cexs]
-        got, want = _Stats(), _Stats()
+        got, want = SynthesisStats(), SynthesisStats()
         binder, found = _search(exp, compiled, cexs, None, got)
         ref, ref_found = reference_search(exp, sigmas, cfg, shape, None, want, harness)
         assert found == ref_found
@@ -425,10 +427,10 @@ def test_resumed_search_ends_where_a_fresh_one_does(name, decompose):
     rng = random.Random(f"{name}-{decompose}")
     for _ in range(6):
         cexs = rng.sample(inputs, rng.randint(1, min(4, len(inputs))))
-        fresh = _Stats()
+        fresh = SynthesisStats()
         want, want_found = _search(exp, compiled, cexs, None, fresh)
         for k in range(1, len(cexs)):
-            first, resumed = _Stats(), _Stats()
+            first, resumed = SynthesisStats(), SynthesisStats()
             binder, found = _search(exp, compiled, cexs[:k], None, first)
             if found:
                 binder, found = _search(exp, compiled, cexs, None, resumed, binder, k)
@@ -495,9 +497,11 @@ def test_memo_table_over_a_constructed_adt_is_cleared():
 
 
 def test_spill_keeps_the_first_read_first():
-    exp = expand_program(parse_program(SPILL), ExpansionContext())
+    exp = expand_program(parse_program(SPILL), SynthesisConfig().expansion_context())
     body = list(walk(exp.program.function("main").body))
     (ctor,) = [n for n in body if isinstance(n, Ctor)]
     (let,) = [n for n in body if isinstance(n, Let)]
-    binder, _ = _search(exp, search_program(exp, SynthesisConfig()), [(("Z",),)], None, _Stats())
+    binder, _ = _search(
+        exp, search_program(exp, SynthesisConfig()), [(("Z",),)], None, SynthesisStats()
+    )
     assert binder.trail == [dict(ctor.fields)["a"].cp, let.value.cp]

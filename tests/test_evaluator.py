@@ -15,7 +15,7 @@ from synrec.evaluator import (
     format_value,
     values_equal,
 )
-from synrec.expand import ExpansionContext, expand_program
+from synrec.expand import expand_program
 from synrec.indecomp import (
     apply_inductive_decomposition,
     classify_transformer,
@@ -50,7 +50,7 @@ def solution():
     from conftest import corpus_text
 
     p = parse_program(corpus_text("lang.expected"))
-    return expand_program(p, ExpansionContext()).program
+    return expand_program(p, SynthesisConfig().expansion_context()).program
 
 
 def test_solution_passes_on_samples(solution):
@@ -70,7 +70,7 @@ def test_mutant_fails_on_trues(solution):
     text = corpus_text("lang.expected").replace(
         "case TrueS: return new BoolD(v = 1);", "case TrueS: return new BoolD(v = 0);"
     )
-    prog = expand_program(parse_program(text), ExpansionContext()).program
+    prog = expand_program(parse_program(text), SynthesisConfig().expansion_context()).program
     out = evaluate_harness(prog, {}, {"exp": TRUE_S}, LIMITS)
     assert out.kind == "assert_failed"
 
@@ -163,7 +163,7 @@ def decomposed_lang():
     from conftest import corpus_text
 
     program = load_with_library(corpus_text("lang"))
-    exp = expand_program(program, ExpansionContext())
+    exp = expand_program(program, SynthesisConfig().expansion_context())
     shape = detect_spec_shape(exp.program, exp.program.harnesses[0])
     report = classify_transformer(exp.program.function("desugar"), shape.source_adt)
     return apply_inductive_decomposition(exp, shape, report), shape

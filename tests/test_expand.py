@@ -22,8 +22,9 @@ from synrec.ast import (
     contains_psc,
     walk,
 )
+from synrec.cegis import SynthesisConfig
 from synrec.errors import ExpandError
-from synrec.expand import ExpansionContext, Expander, _Path, expand_program
+from synrec.expand import Expander, _Path, expand_program
 from synrec.parser import parse_program
 from synrec.pipeline import load_with_library
 from synrec.prelude import prelude_text
@@ -42,7 +43,7 @@ def lang():
 
 
 def make_expander(program, **kw):
-    return Expander(program, ExpansionContext(**kw))
+    return Expander(program, SynthesisConfig(**kw).expansion_context())
 
 
 def fresh_path():
@@ -212,7 +213,7 @@ def test_single_survivor_collapses(lang):
 
 
 def test_expand_running_example(lang):
-    exp = expand_program(lang, ExpansionContext())
+    exp = expand_program(lang, SynthesisConfig().expansion_context())
     desugar = exp.program.function("desugar")
     assert isinstance(desugar.body, Switch)
     assert [a.variant for a in desugar.body.arms] == [
@@ -228,7 +229,7 @@ def test_expand_running_example(lang):
 
 
 def test_expansion_well_typed(lang):
-    exp = expand_program(lang, ExpansionContext())
+    exp = expand_program(lang, SynthesisConfig().expansion_context())
     for f in exp.program.functions:
         env = TypeEnv(exp.program)
         for n, t in f.params:
@@ -237,7 +238,7 @@ def test_expansion_well_typed(lang):
 
 
 def test_expansion_psc_free_and_fresh_ids(lang):
-    exp = expand_program(lang, ExpansionContext())
+    exp = expand_program(lang, SynthesisConfig().expansion_context())
     seen = set()
     for f in exp.program.functions:
         for node in walk(f.body):
@@ -251,28 +252,28 @@ def test_expansion_psc_free_and_fresh_ids(lang):
 
 
 def test_expansion_deterministic(lang):
-    a = expand_program(lang, ExpansionContext())
-    b = expand_program(lang, ExpansionContext())
+    a = expand_program(lang, SynthesisConfig().expansion_context())
+    b = expand_program(lang, SynthesisConfig().expansion_context())
     assert a.program == b.program
     assert a.control_space == b.control_space
 
 
 def test_identity_on_concrete_program(lang_expected_text):
     p = parse_program(lang_expected_text)
-    exp = expand_program(p, ExpansionContext())
+    exp = expand_program(p, SynthesisConfig().expansion_context())
     assert exp.control_space == ()
     assert exp.program == p
 
 
 def test_prelude_only_expansion_is_vacuous():
     p = parse_program(prelude_text())
-    exp = expand_program(p, ExpansionContext())
+    exp = expand_program(p, SynthesisConfig().expansion_context())
     assert exp.program.functions == ()
     assert exp.control_space == ()
 
 
 def test_inline_bound_produces_always_fail(lang):
-    exp = expand_program(lang, ExpansionContext(inline_bound=1))
+    exp = expand_program(lang, SynthesisConfig(inline_bound=1).expansion_context())
     fails = [
         n
         for f in exp.program.functions
@@ -291,7 +292,7 @@ def test_sibling_calls_have_independent_budgets():
         int f(P x) { return g() + g(); }
         """
     )
-    exp = expand_program(p, ExpansionContext(inline_bound=1))
+    exp = expand_program(p, SynthesisConfig(inline_bound=1).expansion_context())
     body = exp.program.function("f").body
     assert not any(isinstance(n, AlwaysFail) for n in walk(body))
     holes = [n for n in walk(body) if isinstance(n, Hole)]
@@ -305,11 +306,11 @@ def test_field_of_field_errors(lang):
     """
     p = load_with_library(text)
     with pytest.raises(ExpandError):
-        expand_program(p, ExpansionContext())
+        expand_program(p, SynthesisConfig().expansion_context())
 
 
 def test_arm_order_follows_declarations(lang):
-    exp = expand_program(lang, ExpansionContext())
+    exp = expand_program(lang, SynthesisConfig().expansion_context())
     desugar = exp.program.function("desugar")
     for arm in desugar.body.arms:
         chooses = [n for n in walk(arm.body) if isinstance(n, Choice)]
@@ -329,5 +330,5 @@ def test_validation_retypes_an_equality_operand_without_false_duplicates():
     adt N { Z {} }
     harness void main(N n) { bit b = 1; assert(b == choose(1, ??)); }
     """
-    out = expand_program(parse_program(src), ExpansionContext())
+    out = expand_program(parse_program(src), SynthesisConfig().expansion_context())
     assert [p.kind for p in out.control_space] == ["hole", "choice"]

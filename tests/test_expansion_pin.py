@@ -13,7 +13,8 @@ import hashlib
 import pytest
 
 from synrec.ast import walk
-from synrec.expand import ExpansionContext, expand_program
+from synrec.cegis import SynthesisConfig
+from synrec.expand import expand_program
 from synrec.pipeline import load_with_library
 from synrec.scaling import scaling_benchmark
 
@@ -55,10 +56,10 @@ harness void main(nat n) {
 """
 
 CONTEXTS = {
-    "default": ExpansionContext(),
-    "inline1": ExpansionContext(inline_bound=1),
-    "inline4": ExpansionContext(inline_bound=4),
-    "holes0..1": ExpansionContext(hole_lo=0, hole_hi=1),
+    "default": SynthesisConfig().expansion_context(),
+    "inline1": SynthesisConfig(inline_bound=1).expansion_context(),
+    "inline4": SynthesisConfig(inline_bound=4).expansion_context(),
+    "holes0..1": SynthesisConfig(hole_lo=0, hole_hi=1).expansion_context(),
 }
 
 # (source, context) -> digest of the expansion

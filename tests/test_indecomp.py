@@ -5,7 +5,7 @@ import pytest
 from synrec.ast import BoxMake, Call, children, rebuild, walk
 from synrec.cegis import SynthesisConfig, enumerate_values
 from synrec.evaluator import EvalLimits, evaluate_harness
-from synrec.expand import ExpansionContext, expand_program
+from synrec.expand import expand_program
 from synrec.indecomp import (
     MORPHISM,
     OTHER,
@@ -25,14 +25,14 @@ LIMITS = EvalLimits(max_depth=30)
 
 
 def expand_text(text):
-    return expand_program(parse_program(text), ExpansionContext())
+    return expand_program(parse_program(text), SynthesisConfig().expansion_context())
 
 
 # -- detection ----------------------------------------------------------------
 
 
 def test_detects_running_example_shape(lang_program):
-    exp = expand_program(lang_program, ExpansionContext())
+    exp = expand_program(lang_program, SynthesisConfig().expansion_context())
     shape = detect_spec_shape(exp.program, exp.program.harnesses[0])
     assert shape is not None
     assert shape.trans == "desugar"
@@ -47,7 +47,7 @@ def test_detection_handles_swapped_equality(lang_text):
         "assert(srcInterpret(exp) == dstInterpret(desugar(exp)));",
         "assert(dstInterpret(desugar(exp)) == srcInterpret(exp));",
     )
-    exp = expand_program(load_with_library(text), ExpansionContext())
+    exp = expand_program(load_with_library(text), SynthesisConfig().expansion_context())
     shape = detect_spec_shape(exp.program, exp.program.harnesses[0])
     assert shape is not None and shape.trans == "desugar"
 
@@ -69,7 +69,7 @@ def test_no_shape_with_extra_asserts(lang_text):
         "assert(srcInterpret(exp) == dstInterpret(desugar(exp)));",
         "assert(1); assert(srcInterpret(exp) == dstInterpret(desugar(exp)));",
     )
-    exp = expand_program(load_with_library(text), ExpansionContext())
+    exp = expand_program(load_with_library(text), SynthesisConfig().expansion_context())
     assert detect_spec_shape(exp.program, exp.program.harnesses[0]) is None
 
 
@@ -93,7 +93,7 @@ def test_gamma_without_annotation_is_not_detected():
 
 
 def test_expanded_desugar_is_morphism(lang_program):
-    exp = expand_program(lang_program, ExpansionContext())
+    exp = expand_program(lang_program, SynthesisConfig().expansion_context())
     report = classify_transformer(exp.program.function("desugar"), "srcAST")
     assert report.verdict == MORPHISM
     details = {d.variant: d.recursed_fields for d in report.details}
@@ -103,7 +103,7 @@ def test_expanded_desugar_is_morphism(lang_program):
 
 
 def test_interpreter_is_transformer_not_morphism(lang_program):
-    exp = expand_program(lang_program, ExpansionContext())
+    exp = expand_program(lang_program, SynthesisConfig().expansion_context())
     report = classify_transformer(exp.program.function("srcInterpret"), "srcAST")
     assert report.verdict == TRANSFORMER
 
@@ -153,7 +153,7 @@ def test_reading_recursive_result_blocks_morphism():
 
 
 def test_decomposition_eliminates_self_calls(lang_program):
-    exp = expand_program(lang_program, ExpansionContext())
+    exp = expand_program(lang_program, SynthesisConfig().expansion_context())
     shape = detect_spec_shape(exp.program, exp.program.harnesses[0])
     report = classify_transformer(exp.program.function("desugar"), "srcAST")
     dec = apply_inductive_decomposition(exp, shape, report)
@@ -173,7 +173,7 @@ def _rebuilt_everywhere(e, trans, ret):
 @pytest.mark.parametrize("name", ["lang", "elimBool", "scaling8"])
 def test_decomposition_rebuilds_only_the_paths_to_self_calls(name):
     text = scaling_benchmark(8) if name == "scaling8" else corpus_text(name)
-    exp = expand_program(load_with_library(text), ExpansionContext())
+    exp = expand_program(load_with_library(text), SynthesisConfig().expansion_context())
     shape = detect_spec_shape(exp.program, exp.program.harnesses[0])
     report = classify_transformer(exp.program.function(shape.trans), shape.source_adt)
     dec = apply_inductive_decomposition(exp, shape, report)
@@ -189,7 +189,7 @@ def test_decomposition_rebuilds_only_the_paths_to_self_calls(name):
 
 
 def test_other_classification_refuses(lang_program):
-    exp = expand_program(lang_program, ExpansionContext())
+    exp = expand_program(lang_program, SynthesisConfig().expansion_context())
     shape = detect_spec_shape(exp.program, exp.program.harnesses[0])
     from synrec.indecomp import ClassificationReport
 

@@ -24,7 +24,8 @@ from synrec.ast import (
     UnOp,
     Var,
 )
-from synrec.expand import ExpandedProgram, ExpansionContext, expand_program
+from synrec.cegis import SynthesisConfig
+from synrec.expand import ExpandedProgram, expand_program
 from synrec.indecomp import (
     MORPHISM,
     OTHER,
@@ -51,9 +52,8 @@ SOURCES = {
 @pytest.mark.parametrize("inline_bound", [1, 2, 3, 4])
 @pytest.mark.parametrize("name", sorted(SOURCES))
 def test_one_pass_matches_three_walks(name, inline_bound):
-    exp = expand_program(
-        load_with_library(SOURCES[name]), ExpansionContext(inline_bound=inline_bound)
-    )
+    ctx = SynthesisConfig(inline_bound=inline_bound).expansion_context()
+    exp = expand_program(load_with_library(SOURCES[name]), ctx)
     program = exp.program
     # every function against the ADT of its first parameter
     for fn in program.functions:
@@ -79,7 +79,7 @@ def test_every_source_expands_and_decomposes():
     decompositions both with and without a value-class blocker."""
     verdicts, blockers = set(), set()
     for text in SOURCES.values():
-        exp = expand_program(load_with_library(text), ExpansionContext())
+        exp = expand_program(load_with_library(text), SynthesisConfig().expansion_context())
         shape = detect_spec_shape(exp.program, exp.program.harnesses[0])
         if shape is not None:
             report = classify_transformer(exp.program.function(shape.trans), shape.source_adt)
