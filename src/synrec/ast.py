@@ -362,6 +362,8 @@ class AdtDecl:
     name: str
     variants: tuple[VariantDecl, ...]
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
+    # the input the declaration was parsed from, for diagnostics
+    source: Optional[str] = field(default=None, compare=False, repr=False)
 
     def variant(self, name: str) -> Optional[VariantDecl]:
         for v in self.variants:
@@ -393,6 +395,7 @@ class FuncDecl:
     is_harness: bool = False
     annotations: tuple[Annotation, ...] = ()
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
+    source: Optional[str] = field(default=None, compare=False, repr=False)  # as in AdtDecl
 
     def param_type(self, name: str) -> Optional[TypeExpr]:
         for p, t in self.params:

@@ -79,6 +79,7 @@ from .evaluator import (
     format_value,
 )
 from .expand import ControlPoint, ExpandedProgram, ExpansionContext
+from .instances import _Use, instance_counts
 from .indecomp import (
     ClassificationReport,
     SpecShape,
@@ -660,6 +661,8 @@ def concretize(expanded: ExpandedProgram, phi: dict[int, int]) -> SurfaceProgram
             return IntLit(phi[e.cp], span=e.span)
         if isinstance(e, Choice):
             return go(e.arms[phi[e.cp]])
+        if isinstance(e, _Use):
+            return go(e.unfold())
         return rebuild(e, [go(c) for c in children(e)])
 
     funcs = tuple(replace(f, body=simplify_expr(go(f.body))) for f in expanded.functions)
@@ -718,10 +721,27 @@ class SynthesisStats:
     per_arm: list[ArmStatus] = field(default_factory=list)
     # seconds spent in each of `PHASES`, parse and expand included
     phases: dict[str, float] = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
+    # how the last check ran, and why not by value classes
+    verify_strategy: str = EXHAUSTIVE
+    verify_reason: str | None = None
+    # the run's expansion, and how many of its instances were compiled,
+    # for `arm_instances`
+    run: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def candidate_evaluations(self) -> int:
         return self.search_evaluations + self.verify_evaluations
+
+    @property
+    def arm_instances(self) -> dict[str, int]:
+        """The template instances that stay `_Use`s in choice arms: how
+        many the expansion holds, counted as if it were forced in full, and
+        how many of them have been unfolded and compiled so far."""
+        if self.run is None:
+            return {"total": 0, "unfolded": 0, "compiled": 0}
+        expanded, compiled = self.run
+        total, unfolded = instance_counts(expanded)
+        return {"total": total, "unfolded": unfolded, "compiled": compiled}
 
     def to_json(self) -> dict:
         return {
@@ -736,6 +756,9 @@ class SynthesisStats:
                 for a in self.per_arm
             ],
             "phases_ms": {k: round(v * 1000, 3) for k, v in self.phases.items()},
+            "verify_strategy": self.verify_strategy,
+            "verify_reason": self.verify_reason,
+            "arm_instances": self.arm_instances,
         }
 
 
@@ -810,7 +833,7 @@ def compile_run(
     cfg: SynthesisConfig,
     shape: SpecShape | None,
     report: ClassificationReport | None,
-    phases: dict | None = None,
+    stats: SynthesisStats | None = None,
 ) -> tuple[CompiledProgram, SpecShape | None, SpecShape | None]:
     """Compile the one program that a run (`run_cegis`, or
     `pipeline.check_concrete`) executes.
@@ -820,8 +843,10 @@ def compile_run(
     when its candidates can be verified by value classes (`verify`'s
     `value_classes`), else None.  Choices only drop nodes, so what holds
     for the expanded program holds for every candidate.  The time spent
-    is added to the `decompose` and `compile` entries of `phases`.
+    is added to the `decompose` and `compile` entries of `stats.phases`,
+    and the verification strategy is recorded there.
     """
+    phases = None if stats is None else stats.phases
     start = time.perf_counter()
     program, decomp, blocker = expanded.program, None, None
     if not cfg.indecomp:
@@ -840,6 +865,9 @@ def compile_run(
         log.info("verification by value classes")
     else:
         log.info("exhaustive verification: %s", blocker)
+    if stats is not None:
+        stats.verify_strategy = EXHAUSTIVE if blocker else VALUE_CLASS
+        stats.verify_reason = blocker
     start = add_phase(phases, "decompose", start)
     compiled = compile_concrete(program, decomp, cfg.effective_unroll)
     if decomp is not None:
@@ -878,7 +906,7 @@ def run_cegis(
     # their renderings in `stats.counterexamples`
     cexs: list[tuple] = []
 
-    compiled, decomp, classes = compile_run(expanded, cfg, shape, report, stats.phases)
+    compiled, decomp, classes = compile_run(expanded, cfg, shape, report, stats)
     per_arm = decomp is not None and report.is_morphism
     if per_arm:
         adt = expanded.program.adt(shape.source_adt)
@@ -886,6 +914,11 @@ def run_cegis(
 
     def finish(status, assignment=None, solution=None) -> SynthesisResult:
         stats.wall_ms = int((time.monotonic() - start) * 1000)
+        stats.run = expanded, compiled.compiler.compiled
+        # The compiled functions and their namespace refer to each other:
+        # clearing it frees them now, not at the collector's next run,
+        # which would fall in whatever the caller does next.
+        compiled.namespace.clear()
         if status == SOLVED:
             # an arm is solved when its search found an assignment, or
             # when the whole run is
@@ -893,11 +926,12 @@ def run_cegis(
                 arm.solved = True
         return SynthesisResult(status, assignment, solution, stats)
 
-    def drop_decomposition():
+    def drop_decomposition(reason):
         nonlocal decomp, classes, per_arm
         decomp = classes = None
         per_arm = False
         compiled.bind_boxes(False)
+        stats.verify_strategy, stats.verify_reason = EXHAUSTIVE, reason
 
     try:
         while True:
@@ -917,7 +951,7 @@ def run_cegis(
                 # can diverge; an unsat claim must come from the semantics the
                 # verifier uses.
                 log.warning("decomposed search exhausted; re-running plain search")
-                drop_decomposition()
+                drop_decomposition("the decomposed search found no candidate")
                 got = synthesize_inductive(expanded, compiled, cexs, deadline, stats)
             lap, phase = add_phase(stats.phases, "search", lap), "verify"
             if got is None:
@@ -959,7 +993,7 @@ def run_cegis(
                         "decomposed/plain divergence on %s; disabling decomposition",
                         key,
                     )
-                    drop_decomposition()
+                    drop_decomposition("a decomposed candidate failed plainly on a counterexample")
                     continue
                 raise InternalError(f"counterexample repeated: {key}")
             stats.counterexamples.append(key)

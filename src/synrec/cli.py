@@ -24,6 +24,7 @@ from .cegis import SOLVED, TIMEOUT, UNSAT, VALUE_CLASS, SynthesisTimeout
 from .errors import SynrecError
 from .evaluator import format_value
 from .expand import expand_program
+from .instances import force_expansion
 from .pipeline import (
     SETTINGS,
     check_concrete,
@@ -127,7 +128,7 @@ def cmd_expand(args) -> int:
     text = _read_input(args.input)
     cfg = config_for(text, _cli_overrides(args))
     program = load_with_library(text, source=args.input, **_library(args))
-    expanded = expand_program(program, cfg.expansion_context())
+    expanded = force_expansion(expand_program(program, cfg.expansion_context()))
     holes = sum(1 for p in expanded.control_space if p.kind == "hole")
     choices = len(expanded.control_space) - holes
     lines = [
@@ -194,6 +195,7 @@ def cmd_bench(args) -> int:
 # what `bench --json` keeps of each run's stats
 _BENCH_JSON_KEYS = (
     "iterations", "search_evaluations", "verify_evaluations", "wall_ms", "phases_ms",
+    "verify_strategy", "verify_reason", "arm_instances",
 )
 
 

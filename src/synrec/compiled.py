@@ -16,13 +16,17 @@ the translation by ``CompiledProgram.bind_boxes(False)``, it makes the
 call right there and runs as the plain program: the check.  So a
 decomposed run compiles one program for both.
 
-Long expressions are outlined into functions of their own (chunks).  The
-outlined expressions of a large program are mostly instances of one
-generator template, which differ only in control ids and names: they
-share one chunk, compiled once, and each instance runs a copy of its code
-object with its own control ids as constants (see `_Compiler.chunk`).
-An expression whose first operand is `unreachable` compiles to the
-failure alone.
+What the expansion holds outside choice arms is compiled up front, in one
+piece.  A template instance that stays a `_Use` in a choice arm (see
+`expand`) compiles only when it first runs: its call goes to a stub that
+compiles the instance into the namespace in its place (`_Compiler.stub`),
+so an arm that no candidate selects is never compiled.  Long expressions
+and such instances are outlined into functions of their own (chunks).
+Instances of one generator template differ only in control ids and
+names: they share one chunk, compiled once, and each instance runs a copy
+of its code object with its own control ids as constants (see
+`_Compiler.chunk`).  An expression whose first operand is `unreachable`
+compiles to the failure alone.
 
 Semantics mirror the reference evaluator (same decomposition rewrite,
 per-function recursion-depth limits, assert ids, out-of-bounds behavior,
@@ -56,7 +60,7 @@ periodically to bound memory.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import CodeType, FunctionType
 
 from .ast import (
@@ -79,14 +83,17 @@ from .ast import (
     Let,
     PrimType,
     RecordType,
+    STANDARD,
     SurfaceProgram,
     Switch,
     UnitLit,
     UnOp,
     Var,
+    walk,
 )
 from .errors import InternalError, TypeCheckError
 from .evaluator import wrap64
+from .instances import _Template, _Use
 from .typesys import TypeEnv, type_of
 
 
@@ -125,6 +132,9 @@ class CompiledProgram:
     candidate_memos: list[dict]
     # the decomposition's translation, if compiled with a shape
     trans: str | None = None
+    # its compiler, which compiles instances left in choice arms on their
+    # first run (see `_Compiler.stub`)
+    compiler: "_Compiler | None" = field(default=None, repr=False)
 
     def func(self, name: str):
         return self.namespace[f"f_{name}"]
@@ -173,11 +183,19 @@ class _FnCompiler:
     """Compiles one function's body, collecting its callees, the variants
     it constructs and whether it reads the candidate (a control point, or
     a box it makes or forces); `compile` adds the depth and memo
-    bookkeeping once the whole call graph is known."""
+    bookkeeping once the whole call graph is known.
 
-    def __init__(self, comp: "_Compiler", fn: FuncDecl):
+    For an instance that stays a `_Use` (see `_Compiler.arm`), `fn` is its
+    template's tree over the variables of the template's key, and its
+    control ids count from `base`.  An instance inside it stays a call of
+    its own when it lies in a choice arm, and is compiled in place
+    otherwise."""
+
+    def __init__(self, comp: "_Compiler", fn: FuncDecl, base: int = 0):
         self.comp = comp
         self.fn = fn
+        self.base = base
+        self.choices = 0  # how many choices the current node lies in
         self.lines: list[str] = []
         self.tmp = 0
         self.scope: dict[str, str] = {}
@@ -199,6 +217,7 @@ class _FnCompiler:
         self.result = self.expr(fn.body, env, 1)
 
     def fresh(self, base: str) -> str:
+        base = base.replace("#", "L").replace(".", "_")  # a template's label
         name = f"v_{base}"
         while name in self.used:
             self.tmp += 1
@@ -296,18 +315,39 @@ class _FnCompiler:
             return self.branches(cond, (e.then, e.els), env, indent)
         if t is Hole:
             self.reads_candidate = True
-            return f"_rd({e.cp})"
+            return f"_rd({e.cp + self.base})"
         if t is Choice:
             self.reads_candidate = True
-            return self.branches(None, e.arms, env, indent, e.cp)
+            self.choices += 1
+            value = self.branches(None, e.arms, env, indent, e.cp + self.base)
+            self.choices -= 1
+            return value
         if t is AlwaysFail:
             return _FAIL
+        if t is _Use:
+            return self.use(e, env, indent)
         if t is BoxMake:
             self.reads_candidate = True
             self.callees.add(e.trans)
             parts = (e.term,) if e.gamma is None else (e.term, e.gamma)
             return f"_box({', '.join(self.operands(parts, env, indent))})"
         raise InternalError(f"compile: unsupported node {t.__name__}")
+
+    def use(self, e: _Use, env: TypeEnv, indent: int) -> str:
+        """Call an instance that stays a `_Use` in a choice arm, compiled on
+        its first run (`_Compiler.stub`).  It takes the variables of its
+        template's key, and can call and build what its template can."""
+        tpl = e.template
+        if not (self.choices and tpl.lazy):
+            self.base += e.offset
+            value = self.expr(tpl.tree, env, indent)
+            self.base -= e.offset
+            return value
+        callees, variants = _template_facts(tpl)
+        self.callees |= callees
+        self.variants |= variants
+        args = [self.scope[e.names.get(n, n)] for n in tpl.env]
+        return f"{self.comp.stub(tpl, self.base + e.offset)}({', '.join(args)})"
 
     def branches(self, test, arms, env: TypeEnv, indent: int, cp=None) -> str:
         """Run one arm: arm 0 or 1 by the truth expression `test`, or,
@@ -352,7 +392,8 @@ class _FnCompiler:
         they share one chunk (see `_Compiler.chunk`)."""
         if len(value) <= _OUTLINE_CHARS:
             return value
-        return self.comp.chunk(value)
+        name, params = self.comp.chunk(f"    return {value}")
+        return f"{name}({', '.join(params)})"
 
     def binop_value(self, e: BinOp, env: TypeEnv, indent: int) -> str:
         op = e.op
@@ -493,11 +534,12 @@ _FAIL = "_fail()"  # `unreachable`
 
 
 # The tokens in which two instances of one chunk differ, each split into
-# a kind and a value: a control read `_rd(N)`, a temporary `_tN`, a chunk
-# call `_xN` and a variable `v_NAME`.  A token never starts inside a word
+# a kind and a value: a control read `_rd(N)`, a temporary `_tN`, a call
+# of a chunk `_xN` or of an instance `_uN` (see `_Compiler.stub`) and a
+# variable `v_NAME`.  A token never starts inside a word
 # or right after a quote, so the quoted variant names are left alone.
 _CHUNK_TOKENS = re.compile(
-    r"[_v](?:(?<=_)(?<![\w']_)(?:(rd\()(\d+)\)|(t)(\d+)\b|(x)(\d+)\b)|(?<=v)(?<![\w']v)(_)(\w+))"
+    r"[_v](?:(?<=_)(?<![\w']_)(?:(rd\()(\d+)\)|(t)(\d+)\b|([xu])(\d+)\b)|(?<=v)(?<![\w']v)(_)(\w+))"
 )
 _GROUPS = 9  # `split` gives the text before each token, then its 8 groups
 
@@ -513,29 +555,71 @@ class _Compiler:
         self.instances: list[tuple[str, int, list[int], list[str]]] = []
         self.recursive: set[str] = set()
         self.reach: dict[str, set[str]] = {}
+        self.namespace: dict = {
+            "Box": Box,
+            "_box": Box,
+            "CAssertFail": CAssertFail,
+            "CInfeasible": CInfeasible,
+            "CExhausted": CExhausted,
+            "InternalError": InternalError,
+            "_wrap64": wrap64,
+        }
+        self.stubs = 0
+        self.compiled = 0  # how many stubs have run
+        self.codes: list[CodeType] = []  # the compiled `sources`
+        self.made = 0  # how many of `instances` are in the namespace
+        self.ready = False  # whether the program's code is in the namespace
 
-    def chunk(self, value: str) -> str:
-        """Outline `value` as an instance of a shared chunk, and return the
-        call of the instance.
+    def stub(self, tpl: _Template, base: int) -> str:
+        """Name the instance of `tpl` at control id `base`, bound to a stub
+        that compiles it on its first call and then calls it."""
+        name = f"_u{self.stubs}"
+        self.stubs += 1
 
-        The chunk's shape is `value` cut at its tokens, the kind of each
-        token, and which tokens name the same variable or chunk.  Its
-        source is written once per shape: it takes the variables and
-        temporaries as parameters, reads the k-th control point as the
-        float constant `k.5` and calls chunks by the global names `n0, n1,
-        ...`.  Each instance gets its own copy of the chunk's code object,
-        with its control ids and chunk names in those places (see
-        `_instance`), so it runs the same bytecode as if it had been
-        compiled on its own."""
-        parts = _CHUNK_TOKENS.split(value)
+        def first(*args):
+            return self.arm(name, tpl, base)(*args)
+
+        self.namespace[name] = first
+        return name
+
+    def arm(self, name: str, tpl: _Template, base: int):
+        """Compile an instance that stayed a `_Use`, and put it in the
+        namespace in place of its stub.  It becomes a chunk instance taking
+        the variables of its template's key: instances of one template
+        differ only in control ids and the stubs they call, so they share
+        one chunk (see `chunk`)."""
+        self.compiled += 1
+        fn = FuncDecl(STANDARD, name, (), tuple(tpl.env.items()), tpl.required, tpl.tree)
+        fc = _FnCompiler(self, fn, base)
+        xname, _ = self.chunk("\n".join(fc.lines + [f"    return {fc.result}"]), fc.params)
+        fn = self.namespace[name] = self.namespace[xname]
+        return fn
+
+    def chunk(self, body: str, params: list | None = None) -> tuple[str, list[str]]:
+        """Outline the function body `body` as an instance of a shared
+        chunk, put it in the namespace once the namespace is complete (see
+        `flush`), and return the instance's name and parameters: `params`,
+        or the variables and temporaries of `body` in order of appearance.
+        The other variables and temporaries are the chunk's locals.
+
+        The chunk's shape is `body` cut at its tokens, the kind of each
+        token, and which tokens name the same parameter or chunk.  Its
+        source is written once per shape: it takes the parameters as `p0,
+        p1, ...`, reads the k-th control point as the float constant `k.5`
+        and calls chunks by the global names `n0, n1, ...`.  Each instance
+        gets its own copy of the chunk's code object, with its control ids
+        and chunk names in those places (see `_instance`), so it runs the
+        same bytecode as if it had been compiled on its own."""
+        parts = _CHUNK_TOKENS.split(body)
         cps = [int(c) for c in parts[2::_GROUPS] if c]
         used = [
             f"_t{t}" if t else f"v_{v}"
             for t, v in zip(parts[4::_GROUPS], parts[8::_GROUPS])
             if t or v
         ]
-        calls = [f"_x{x}" for x in parts[6::_GROUPS] if x]
-        params = list(dict.fromkeys(used))
+        calls = [f"_{k}{x}" for k, x in zip(parts[5::_GROUPS], parts[6::_GROUPS]) if x]
+        if params is None:
+            params = list(dict.fromkeys(used))
         nested = list(dict.fromkeys(calls))
         index = {n: i for i, n in enumerate(params)}
         index.update((n, i) for i, n in enumerate(nested))
@@ -543,8 +627,9 @@ class _Compiler:
             tuple(parts[0::_GROUPS]),
             tuple(parts[1::_GROUPS]),
             tuple(parts[3::_GROUPS]),
-            tuple(map(index.__getitem__, used)),
+            tuple([index.get(n, n) for n in used]),
             tuple(map(index.__getitem__, calls)),
+            len(params),
         )
         chunk = self.chunks.get(shape)
         if chunk is None:
@@ -552,7 +637,20 @@ class _Compiler:
             self.sources.append(_chunk_source(parts, index, len(params)))
         name = f"_x{len(self.instances)}"
         self.instances.append((name, chunk, cps, nested))
-        return f"{name}({', '.join(params)})"
+        if self.ready:  # an instance's first run
+            self.flush()
+        return name, params
+
+    def flush(self) -> None:
+        """Compile the chunk sources not compiled yet, and put the chunk
+        instances not made yet in the namespace."""
+        for text in self.sources[len(self.codes):]:
+            _exec(text, self.namespace)
+            self.codes.append(self.namespace.pop("chunk").__code__)
+        for name, chunk, cps, nested in self.instances[self.made:]:
+            self.namespace[name] = _instance(self.codes[chunk], cps, nested, self.namespace, name)
+        self.made = len(self.instances)
+        self.ready = True
 
 
 def _chunk_source(parts: list, index: dict, n_params: int) -> str:
@@ -560,17 +658,18 @@ def _chunk_source(parts: list, index: dict, n_params: int) -> str:
     body = [parts[0]]
     reads = 0
     for i in range(1, len(parts), _GROUPS):
-        _, cp, _, temp, _, sub, _, var = parts[i:i + _GROUPS - 1]
+        _, cp, _, temp, kind, sub, _, var = parts[i:i + _GROUPS - 1]
         if cp:
             body.append(f"_rd({reads}.5)")
             reads += 1
         elif sub:
-            body.append(f"n{index['_x' + sub]}")
+            body.append(f"n{index[f'_{kind}{sub}']}")
         else:
-            body.append(f"p{index['_t' + temp if temp else 'v_' + var]}")
+            used = f"_t{temp}" if temp else f"v_{var}"
+            body.append(f"p{index[used]}" if used in index else used)
         body.append(parts[i + _GROUPS - 1])
     params = ", ".join(f"p{i}" for i in range(n_params))
-    return f"def chunk({params}):\n    return {''.join(body)}"
+    return f"def chunk({params}):\n{''.join(body)}"
 
 
 def _instance(code: CodeType, cps: list[int], nested: list[str], namespace: dict, name: str):
@@ -584,6 +683,26 @@ def _instance(code: CodeType, cps: list[int], nested: list[str], namespace: dict
         co_names=tuple(calls.get(n, n) for n in code.co_names),
     )
     return FunctionType(code, namespace, name)
+
+
+def _template_facts(tpl: _Template) -> tuple[frozenset, frozenset]:
+    """The functions that an instance of `tpl` can call and the variants
+    it can construct, in any of its arms; found once per template."""
+    if tpl.facts is None:
+        callees: set[str] = set()
+        variants: set[str] = set()
+        for e in walk(tpl.tree):
+            t = type(e)
+            if t is Call:
+                callees.add(e.callee)
+            elif t is Ctor:
+                variants.add(e.variant)
+            elif t is _Use:
+                more_callees, more_variants = _template_facts(e.template)
+                callees |= more_callees
+                variants |= more_variants
+        tpl.facts = frozenset(callees), frozenset(variants)
+    return tpl.facts
 
 
 def _recursive_functions(calls: dict[str, set[str]], shape):
@@ -668,6 +787,7 @@ def compile_concrete(
     is the per-function recursion limit.
     """
     comp = _Compiler(program, shape, max_depth)
+    namespace = comp.namespace
     fns = [_FnCompiler(comp, f) for f in program.functions]
     comp.recursive, comp.reach, reachable = _recursive_functions(
         {fc.fn.name: fc.callees for fc in fns}, shape
@@ -677,15 +797,6 @@ def compile_concrete(
     built = {program.variant_owner(v).name for fc in fns for v in fc.variants}
     pieces = []
     depth_vars = []
-    namespace = {
-        "Box": Box,
-        "_box": Box,
-        "CAssertFail": CAssertFail,
-        "CInfeasible": CInfeasible,
-        "CExhausted": CExhausted,
-        "InternalError": InternalError,
-        "_wrap64": wrap64,
-    }
     memos: list[dict] = []
     candidate_memos: list[dict] = []
     for fc in fns:
@@ -710,12 +821,7 @@ def compile_concrete(
         pieces.append("def _reset_depths():\n    pass")
     exec(_PRELUDE_CODE, namespace)
     _exec("\n".join(pieces), namespace)
-    chunks = []
-    for text in comp.sources:
-        _exec(text, namespace)
-        chunks.append(namespace.pop("chunk").__code__)
-    for name, chunk, cps, nested in comp.instances:
-        namespace[name] = _instance(chunks[chunk], cps, nested, namespace, name)
+    comp.flush()
     if shape is not None:
 
         def _force_fn(b, _ns=namespace, _trans=shape.trans):
@@ -728,5 +834,5 @@ def compile_concrete(
     else:
         namespace["_FORCE_FN"] = None
     trans = None if shape is None else shape.trans
-    return CompiledProgram(namespace, program, memos, candidate_memos, trans)
+    return CompiledProgram(namespace, program, memos, candidate_memos, trans, comp)
 

@@ -23,6 +23,13 @@ class SynrecError(Exception):
         self.source = source
         super().__init__(self.render())
 
+    def located(self, source: str | None) -> "SynrecError":
+        """Name `source` as the input of the span, unless one is named."""
+        if self.source is None and source is not None:
+            self.source = source
+            self.args = (self.render(),)
+        return self
+
     def render(self) -> str:
         where = [self.source] if self.source else []
         if self.span is not NO_SPAN and self.span.line:

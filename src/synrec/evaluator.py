@@ -332,6 +332,8 @@ def eval_expr_ctx(ctx: _Ctx, env: dict, e: Expr):
         return None
     if t is FuncRef:
         raise InternalError("function reference evaluated as a value")
+    if hasattr(e, "unfold"):  # a template instance that has not run yet
+        return eval_expr_ctx(ctx, env, e.unfold())
     raise InternalError(f"evaluator met unexpected node {t.__name__}")
 
 

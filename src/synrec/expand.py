@@ -18,9 +18,9 @@ Every call with the key, the first one included, instantiates the
 template at the next control id, and makes its fresh names in the order
 the expansion made them; a failed expansion adds its control points and
 fails again.  So the program, its control space and its read order are
-those of inlining every call afresh.  Inside a template, an instance
-stays a `_Use` reference, so each node is copied once, when the outermost
-template is instantiated in the program.
+those of inlining every call afresh.  The program holds instances inside
+choice arms as references, copied on demand, and the expansion is
+validated once per template (see `instances`).
 
 One expansion runs sequentially (control-point ids come from a local
 counter) and is deterministic: the same program and context give a
@@ -34,6 +34,7 @@ import logging
 import re
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
+from typing import NamedTuple
 
 from .ast import (
     BIT,
@@ -81,14 +82,14 @@ from .ast import (
     rebuild,
     walk,
 )
-from .errors import ExpandError, InternalError, UnifyError
+from .errors import ExpandError, InternalError, TypeCheckError, UnifyError
+from .instances import _NAME_FIELDS, _Template, _Use, _materialize, validate_expansion
 from .typesys import (
     ARITH_OPS,
     BOOL_OPS,
     EQ_OPS,
     REL_OPS,
     Substitution,
-    Typer,
     TypeEnv,
     apply_subst,
     is_concrete,
@@ -100,8 +101,7 @@ from .typesys import (
 log = logging.getLogger("synrec")
 
 
-@dataclass(frozen=True)
-class ControlPoint:
+class ControlPoint(NamedTuple):
     """One enumerated decision: an integer/bit hole or an n-way choice."""
 
     id: int
@@ -127,7 +127,8 @@ class ExpansionContext:
 
 @dataclass
 class ExpandedProgram:
-    """PSC-free, generator-free program plus its control space."""
+    """PSC-free, generator-free program plus its control space.  Its
+    choice arms may hold instances as `_Use`s (see `force_expansion`)."""
 
     program: SurfaceProgram
     control_space: tuple[ControlPoint, ...]
@@ -168,125 +169,6 @@ _TRIVIAL_ARG = (Var, IntLit, FuncRef, GenLambda)
 # is the k-th fresh name of template frame <frame>.  No source name has a
 # `#`, so a label never meets a real name.
 _LABEL = re.compile(r"#\d+\.\d+")
-
-
-class _Template:
-    """One generator call expanded once, for every call with the same key.
-
-    `tree` (None when the expansion failed with `error`) names control
-    points by ids relative to the template's first point, and fresh names
-    by the labels in `labels`, one for each entry of `bases`, the base
-    names of the `fresh` calls in the order they were made.  `points`
-    lists the template's own control points (relative ids and origin
-    trails) and the `_Use` of every template it used, in creation order;
-    `size` counts them all.  `dynamic` holds the ids of the tree's nodes
-    that an instance must copy: those with a control point, a label or a
-    `_Use` below them.
-    """
-
-    __slots__ = ("tree", "error", "points", "size", "bases", "labels", "dynamic")
-
-    def __init__(self, tree, error, points, size, bases, labels):
-        self.tree = tree
-        self.error = error
-        self.points = points
-        self.size = size
-        self.bases = bases
-        self.labels = labels
-        self.dynamic: set[int] = set()
-        if tree is not None:
-            _mark_dynamic(tree, self.dynamic)
-
-
-class _Use(Expr):
-    """A template instantiated inside another template's frame.
-
-    Its control ids start at `offset` in the enclosing frame, `names` are
-    the enclosing frame's names for the template's labels, and `trail` is
-    the call site's trail there.  It stands in the enclosing template's
-    tree as the instance itself, so an instance is copied only once, when
-    the outermost template is instantiated in the program.
-    """
-
-    __slots__ = ("template", "offset", "names", "trail")
-
-    def __init__(self, template: _Template, offset: int, names: list, trail: tuple):
-        self.template = template
-        self.offset = offset
-        self.names = names
-        self.trail = trail
-
-
-# the field of a node that holds a name a label can stand for
-_NAME_FIELDS = {Var: "name", Let: "name", Call: "callee", Switch: "scrutinee", FlexSwitch: "scrutinee"}
-
-
-def _mark_dynamic(e: Expr, dynamic: set[int]) -> bool:
-    t = type(e)
-    found = t is Hole or t is Choice or t is _Use
-    name = _NAME_FIELDS.get(t)
-    if name is not None and getattr(e, name).startswith("#"):
-        found = True
-    if t is not _Use:
-        for c in children(e):
-            if _mark_dynamic(c, dynamic):
-                found = True
-    if found:
-        dynamic.add(id(e))
-    return found
-
-
-def _materialize(e: Expr, base: int, names: dict, dynamic: set[int]) -> Expr:
-    """Copy a template tree with control ids shifted by `base` and labels
-    renamed by `names`, instantiating every `_Use` in it.  Subtrees that
-    hold none of these are shared with the template."""
-    if id(e) not in dynamic:
-        return e
-    t = type(e)
-    if t is _Use:
-        tpl = e.template
-        inner = dict(names)
-        inner.update(zip(tpl.labels, [names.get(n, n) for n in e.names]))
-        return _materialize(tpl.tree, base + e.offset, inner, tpl.dynamic)
-    if t is Choice:
-        return Choice(
-            tuple([_materialize(a, base, names, dynamic) for a in e.arms]),
-            e.cp + base,
-            span=e.span,
-        )
-    if t is Ctor:
-        return Ctor(
-            e.variant,
-            tuple([(l, _materialize(v, base, names, dynamic)) for l, v in e.fields]),
-            span=e.span,
-        )
-    if t is Hole:
-        return Hole(e.cp + base, e.ty, span=e.span)
-    if t is Var:
-        return Var(names.get(e.name, e.name), span=e.span)
-    if t is Let:
-        return Let(
-            names.get(e.name, e.name),
-            e.ty,
-            _materialize(e.value, base, names, dynamic),
-            _materialize(e.body, base, names, dynamic),
-            span=e.span,
-        )
-    if t is Call:
-        return Call(
-            names.get(e.callee, e.callee),
-            tuple([_materialize(a, base, names, dynamic) for a in e.args]),
-            span=e.span,
-        )
-    if t is Switch:
-        return Switch(
-            names.get(e.scrutinee, e.scrutinee),
-            tuple(
-                [SwitchArm(a.variant, _materialize(a.body, base, names, dynamic)) for a in e.arms]
-            ),
-            span=e.span,
-        )
-    return rebuild(e, [_materialize(c, base, names, dynamic) for c in children(e)])
 
 
 def _flatten(points: list, base: int, trail: tuple, out: list) -> None:
@@ -564,8 +446,6 @@ class Expander:
     def _try_type(self, env: TypeEnv, e: Expr) -> TypeExpr | None:
         if contains_psc(e) or any(isinstance(n, (Hole, Choice)) for n in walk(e)):
             return None
-        from .errors import TypeCheckError
-
         try:
             return type_of(env, e)
         except TypeCheckError:
@@ -739,7 +619,7 @@ class Expander:
         elem_ty = f.params[0][1]
         arr = self.expand(env, arr_arg, ArrayType(elem_ty), path)
         if type(arr) is _Use:
-            arr = _materialize(arr, 0, {}, {id(arr)})
+            arr = _materialize(arr, 0, {}, {id(arr)}, None)
         if not isinstance(arr, ArrayLit):
             raise ExpandError("map needs a statically known array argument", e.span)
         items = tuple(Call(fn_arg.name, (item,), span=e.span) for item in arr.items)
@@ -759,14 +639,18 @@ class Expander:
             names: list[str] = []
             memo = self._shapes[id(e)] = (e, _shape(e, names), tuple(dict.fromkeys(names)))
         _, shape, names = memo
-        key = (shape, tuple([env.lookup(n) for n in names]), required, path.counters)
+        types = tuple([env.lookup(n) for n in names])
+        key = (shape, types, required, path.counters)
         template = self._templates.get(key)
         if template is None:
-            template = self._templates[key] = self._build(env, e, f, required, path)
+            variables = {n: t for n, t in zip(names, types) if t is not None}
+            template = self._build(env, e, f, required, path, variables)
+            self._templates[key] = template
         return self._instantiate(template, path)
 
     def _build(
-        self, env: TypeEnv, e: Call, f: FuncDecl, required: TypeExpr, path: _Path
+        self, env: TypeEnv, e: Call, f: FuncDecl, required: TypeExpr, path: _Path,
+        variables: dict,
     ) -> _Template:
         """Expand the call in a frame of its own: control ids from 0,
         origin trails from the call site, and labels for fresh names."""
@@ -782,29 +666,29 @@ class Expander:
             points, size, bases, frame = self.points, self.size, self.bases, self.frame
             self.points, self.size, self.bases, self.frame = saved
         labels = [f"#{frame}.{k}" for k in range(len(bases))]
-        return _Template(tree, error, points, size, bases, labels)
+        return _Template(tree, error, points, size, bases, labels, required, variables)
 
     def _instantiate(self, template: _Template, path: _Path) -> Expr:
         """The template at the next control id: make its fresh names in
         the order it made them, add its control points, then give its tree
         or raise its error.  In the program's frame the instance is copied
-        out; in a template's frame it stays a `_Use` unless it is trivial."""
-        names = [self.fresh(b) for b in template.bases]
-        renames = dict(zip(template.labels, names))
+        out down to its choices (see `_materialize`); in a template's frame
+        it stays a `_Use` unless it is trivial."""
+        renames = dict(zip(template.labels, [self.fresh(b) for b in template.bases]))
         offset = self.size
         if self.bases is None:
             _flatten(template.points, offset, path.trail, self.points)
             self.size = len(self.points)
         else:
-            use = _Use(template, offset, names, path.trail)
+            use = _Use(template, offset, renames, path.trail)
             self.points.append(use)
             self.size += template.size
         if template.error is not None:
             err = template.error
             message = _LABEL.sub(lambda m: renames.get(m.group(0), m.group(0)), err.message)
-            raise ExpandError(message, err.span)
+            raise ExpandError(message, err.span, err.source)
         if self.bases is None or isinstance(template.tree, _TRIVIAL_ARG):
-            return _materialize(template.tree, offset, renames, template.dynamic)
+            return _materialize(template.tree, offset, renames, template.dynamic, False)
         return use
 
     def _inline(
@@ -865,8 +749,13 @@ class Expander:
             raise ExpandError(
                 f"cannot determine the concrete result type of {f.name!r}", e.span
             )
-        body = self._instantiate_body(f.body, mapping, subst)
-        result = self.expand(inner_env, body, required, path.enter(f.name))
+        try:
+            body = self._instantiate_body(f.body, mapping, subst)
+            result = self.expand(inner_env, body, required, path.enter(f.name))
+        except ExpandError as err:
+            # the generator's source, unless an inner one named its own
+            # (an argument passed as a `fun` counts as the generator's)
+            raise err.located(f.source)
         for name, ty, value in reversed(let_bindings):
             result = Let(name, ty, value, result, span=e.span)
         return result
@@ -956,88 +845,20 @@ def expand_program(program: SurfaceProgram, ctx: ExpansionContext) -> ExpandedPr
                 raise ExpandError(
                     f"parameter {pname!r} of {f.name!r} must have a concrete type",
                     f.span,
+                    f.source,
                 )
         if not (is_concrete(f.ret) or isinstance(f.ret, UnitType)):
-            raise ExpandError(f"{f.name!r} must have a concrete return type", f.span)
+            raise ExpandError(f"{f.name!r} must have a concrete return type", f.span, f.source)
         env = TypeEnv(program)
         for pname, pty in f.params:
             env = env.bind(pname, pty)
-        body = expander.expand(env, f.body, f.ret, _Path())
+        try:
+            body = expander.expand(env, f.body, f.ret, _Path())
+        except ExpandError as err:
+            raise err.located(f.source)
         funcs.append(replace(f, body=body))
     out = ExpandedProgram(
         SurfaceProgram(program.adts, tuple(funcs)), tuple(expander.points)
     )
     validate_expansion(out)
     return out
-
-
-class _Postconditions(Typer):
-    """The expander's postconditions, checked in the typing pass that
-    re-types the expansion: no synthesis construct and no call of a
-    generator survives, and every control node has an id of the control
-    space that no other node has."""
-
-    def __init__(self, expanded: ExpandedProgram):
-        self.standard = {f.name for f in expanded.functions}
-        self.size = len(expanded.control_space)
-        self.seen: set[int] = set()
-        self.order: list[int] = []  # `seen`, in the order the pass met them
-        self.fn = ""
-
-    def control(self, e: Expr) -> None:
-        if e.cp is None:
-            raise InternalError("control node without an id")
-        if e.cp in self.seen:
-            raise InternalError(f"duplicate control point id {e.cp}")
-        if not 0 <= e.cp < self.size:
-            raise InternalError("control nodes reference unknown points")
-        self.seen.add(e.cp)
-        self.order.append(e.cp)
-
-    def try_type(self, env, e: Expr) -> TypeExpr | None:
-        # An equality types an operand bottom up first, and checks it
-        # again if that fails; the second visit must not meet the ids of
-        # the first.
-        mark = len(self.order)
-        found = super().try_type(env, e)
-        if found is None:
-            self.seen.difference_update(self.order[mark:])
-            del self.order[mark:]
-        return found
-
-    def type_hole(self, env, e: Hole) -> TypeExpr:
-        self.control(e)
-        return super().type_hole(env, e)
-
-    def type_choice(self, env, e: Choice) -> TypeExpr:
-        self.control(e)
-        return super().type_choice(env, e)
-
-    def check_choice(self, env, e: Choice, expected) -> None:
-        self.control(e)
-        super().check_choice(env, e, expected)
-
-    def type_call(self, env, e: Call) -> TypeExpr:
-        if e.callee not in self.standard:
-            raise InternalError(
-                f"call to non-standard function {e.callee!r} survived expansion"
-            )
-        return super().type_call(env, e)
-
-    def type_psc(self, env, e: Expr) -> TypeExpr:
-        raise InternalError(f"PSC survived expansion in {self.fn!r}")
-
-
-def validate_expansion(expanded: ExpandedProgram) -> None:
-    """Assert the expander's postconditions, and that the expansion
-    type-checks; violations are internal bugs."""
-    ids = [p.id for p in expanded.control_space]
-    if ids != list(range(len(ids))):
-        raise InternalError("control point ids are not dense")
-    check = _Postconditions(expanded)
-    for f in expanded.functions:
-        check.fn = f.name
-        env = TypeEnv(expanded.program)
-        for pname, pty in f.params:
-            env = env.bind(pname, pty)
-        check.check(env, f.body, f.ret)

@@ -51,9 +51,9 @@ from .ast import (
     Var,
     children,
     rebuild,
-    walk,
 )
 from .expand import ExpandedProgram
+from .instances import _Use, force
 
 log = logging.getLogger("synrec")
 
@@ -99,7 +99,7 @@ class ClassificationReport:
 
 
 def _collect_asserts(e: Expr) -> list[Assert]:
-    return [n for n in walk(e) if isinstance(n, Assert)]
+    return [n for n, _ in _with_parents(e) if isinstance(n, Assert)]
 
 
 def _as_var_names(args) -> list[str] | None:
@@ -251,6 +251,9 @@ def classify_transformer(fn: FuncDecl, adt_name: str) -> ClassificationReport:
     uses: list[tuple[str, str]] = []
     recursed: list[str] = []
     inspected = False  # a self-call result reaches an inspecting position
+    # (template, its tainted variables) -> what a visit of its tree found
+    seen: dict[tuple, tuple] = {}
+    frames = 0  # how many template trees the visit is in
 
     def look(flags: int) -> int:
         nonlocal inspected
@@ -258,16 +261,47 @@ def classify_transformer(fn: FuncDecl, adt_name: str) -> ClassificationReport:
             inspected = True
         return flags & _CALL
 
+    def visit_use(e: _Use) -> int:
+        """An instance that stays a `_Use`: its template's tree is visited
+        once for each set of tainted variables of its key, in terms of its
+        own names (a label is never `p` or `fn.name`), and the finds are
+        replayed for every further instance."""
+        nonlocal tainted, inspected, frames
+        tpl = e.template
+        inner = frozenset([n for n in tpl.env if e.names.get(n, n) in tainted])
+        found = seen.get((tpl, inner))
+        if found is None:
+            saved = tainted, inspected, len(uses), len(recursed)
+            tainted, inspected = set(inner), False
+            frames += 1
+            try:
+                flags = visit(tpl.tree)
+            finally:
+                frames -= 1
+                tainted = saved[0]
+            found = seen[tpl, inner] = (
+                flags, inspected, tuple(uses[saved[2]:]), tuple(recursed[saved[3]:])
+            )
+            inspected = saved[1]
+            del uses[saved[2]:], recursed[saved[3]:]
+        flags, was_inspected, more_uses, more_recursed = found
+        inspected = inspected or was_inspected
+        uses.extend(more_uses)
+        recursed.extend(more_recursed)
+        return flags
+
     def visit(e: Expr) -> int:
         t = type(e)
-        if t is Var:
+        if t is _Use:
+            flags = visit_use(e)
+        elif t is Var:
             if e.name == p:
                 uses.append((_WHOLE, ""))
             return _TAINT if e.name in tainted else 0
-        if t is FieldAccess and type(e.base) is Var and e.base.name == p:
+        elif t is FieldAccess and type(e.base) is Var and e.base.name == p:
             uses.append((_FIELD, e.label))
             return look(_TAINT if p in tainted else 0)
-        if t is Call and e.callee == fn.name:
+        elif t is Call and e.callee == fn.name:
             arg = e.args[0] if e.args else None
             if not (type(arg) is FieldAccess and type(arg.base) is Var and arg.base.name == p):
                 raise _NotTransformer
@@ -301,7 +335,7 @@ def classify_transformer(fn: FuncDecl, adt_name: str) -> ClassificationReport:
                 look(flags)  # a field base, another call's argument, an operand
             if not (t is ArrayLit or t is Choice):
                 flags &= _CALL  # e.g. a constructor's tree is opaque
-        if flags & _CALL:
+        if flags & _CALL and not frames:
             on_path.add(id(e))
         return flags
 
@@ -363,15 +397,17 @@ def _decompose(
         raise ValueError(f"the report does not classify this program's {shape.trans}")
     ret, on_path, boxed = trans.ret, facts.on_path, 0
 
-    def rewrite(e: Expr) -> Expr:
+    def rewrite(e: Expr, inside: bool = False) -> Expr:
         nonlocal boxed
         if type(e) is Call and e.callee == shape.trans:
             boxed += 1
             gamma = e.args[1] if len(e.args) > 1 else None
             return BoxMake(shape.trans, e.args[0], gamma, ret, span=e.span)
-        if id(e) not in on_path:
+        if not inside and id(e) not in on_path:
             return e
-        return rebuild(e, [rewrite(c) for c in children(e)])
+        if type(e) is _Use:  # an instance with a self-call: copied out in full
+            return rewrite(force(e), True)
+        return rebuild(e, [rewrite(c, inside) for c in children(e)])
 
     new_trans = replace(trans, body=rewrite(trans.body))
     if boxed != sum(len(d.recursed_fields) for d in report.details):
@@ -451,21 +487,22 @@ def value_class_blocker(
 
 
 def _with_parents(e: Expr):
-    """Yield `e` and every descendant, each with its parent node."""
+    """Yield `e` and every descendant, each with its parent node; an
+    instance that stays a `_Use` is seen as its tree (`_Use.unfold`)."""
     stack = [(e, None)]
     while stack:
         node, parent = stack.pop()
+        if type(node) is _Use:
+            node = node.unfold()
         yield node, parent
         stack.extend((c, node) for c in children(node))
 
 
 def _sole_arg(parent: Expr | None, e: Expr, *callees: str) -> bool:
-    return (
-        isinstance(parent, Call)
-        and parent.callee in callees
-        and len(parent.args) == 1
-        and parent.args[0] is e
-    )
+    if not (isinstance(parent, Call) and parent.callee in callees and len(parent.args) == 1):
+        return False
+    arg = parent.args[0]
+    return arg is e or (type(arg) is _Use and arg.unfold() is e)
 
 
 def _reaches(program: SurfaceProgram, ty: TypeExpr, name: str) -> bool:
@@ -495,6 +532,8 @@ def _param_uses(fn: FuncDecl) -> list[tuple[str, str]]:
     uses: list[tuple[str, str]] = []
 
     def visit(e: Expr, sole: bool = False) -> None:
+        if type(e) is _Use:
+            return visit(e.unfold(), sole)
         if type(e) is FieldAccess and type(e.base) is Var and e.base.name == p:
             if not sole:
                 uses.append((_FIELD, e.label))

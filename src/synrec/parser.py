@@ -168,8 +168,9 @@ def tokenize(text: str) -> list[Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[Token], source: str | None = None):
         self.toks = tokens
+        self.source = source
         self.i = 0
         self.assert_counter = 0
 
@@ -224,7 +225,7 @@ class _Parser:
         self.expect("}")
         if not variants:
             raise ParseError(f"ADT {name!r} declares no variants", span)
-        return AdtDecl(name, tuple(variants), span=span)
+        return AdtDecl(name, tuple(variants), span=span, source=self.source)
 
     def parse_variant(self) -> VariantDecl:
         name_tok = self.expect_ident("variant name")
@@ -304,6 +305,7 @@ class _Parser:
             is_harness=is_harness,
             annotations=tuple(annotations),
             span=span,
+            source=self.source,
         )
 
     # -- types ---------------------------------------------------------------
@@ -669,21 +671,26 @@ def _validate(program: SurfaceProgram) -> None:
     seen_variants: set[str] = set()
     for adt in program.adts:
         if adt.name in seen_adts:
-            raise ResolveError(f"duplicate ADT declaration {adt.name!r}", adt.span)
+            raise ResolveError(f"duplicate ADT declaration {adt.name!r}", adt.span, adt.source)
         seen_adts.add(adt.name)
         for v in adt.variants:
             if v.name in seen_variants:
-                raise ResolveError(f"duplicate variant name {v.name!r}", v.span)
+                raise ResolveError(f"duplicate variant name {v.name!r}", v.span, adt.source)
             seen_variants.add(v.name)
             labels = [l for l, _ in v.fields]
             if len(labels) != len(set(labels)):
-                raise ResolveError(f"duplicate field label in variant {v.name!r}", v.span)
+                raise ResolveError(
+                    f"duplicate field label in variant {v.name!r}", v.span, adt.source
+                )
             for _, t in v.fields:
-                _resolve_type(t, program, (), v.span)
+                try:
+                    _resolve_type(t, program, (), v.span)
+                except ResolveError as err:
+                    raise err.located(adt.source)
     seen_funcs: set[str] = set()
     for f in program.functions:
         if f.name in seen_funcs:
-            raise ResolveError(f"duplicate function declaration {f.name!r}", f.span)
+            raise ResolveError(f"duplicate function declaration {f.name!r}", f.span, f.source)
         seen_funcs.add(f.name)
 
 
@@ -720,9 +727,13 @@ def resolve(program: SurfaceProgram) -> SurfaceProgram:
     call target a function, a `fun` in scope or a built-in.
     """
     _validate(program)
-    return SurfaceProgram(
-        program.adts, tuple(_resolve_func(f, program) for f in program.functions)
-    )
+    funcs = []
+    for f in program.functions:
+        try:
+            funcs.append(_resolve_func(f, program))
+        except ResolveError as err:
+            raise err.located(f.source)
+    return SurfaceProgram(program.adts, tuple(funcs))
 
 
 # ---------------------------------------------------------------------------
@@ -733,11 +744,9 @@ def parse(text: str, source: str | None = None) -> SurfaceProgram:
     """Parse a source without resolving it; raises ParseError with spans,
     naming `source` (a path or `<prelude>`) when it is given."""
     try:
-        return _Parser(tokenize(text)).parse_program()
+        return _Parser(tokenize(text), source).parse_program()
     except ParseError as err:
-        if source is None:
-            raise
-        raise ParseError(err.message, err.span, source) from None
+        raise err.located(source)
 
 
 def parse_program(text: str) -> SurfaceProgram:
@@ -764,6 +773,7 @@ def merge_programs(
                 raise ResolveError(
                     f"ADT {a.name!r} conflicts with its declaration in the {lib_name}",
                     mine.span,
+                    mine.source,
                 )
         else:
             adts.append(a)

@@ -380,6 +380,8 @@ class Typer:
             return e.ty
         if t in _PSC:
             return self.type_psc(env, e)
+        if hasattr(e, "unfold"):
+            return self.type_deferred(env, e)
         raise TypeCheckError(f"cannot type node {t.__name__}", getattr(e, "span", None))
 
     def _type_binop(self, env: TypeEnv, e: BinOp) -> TypeExpr:
@@ -452,6 +454,12 @@ class Typer:
         for arm in e.arms[1:]:
             self.check(env, arm, t0)
         return t0
+
+    def type_deferred(self, env: TypeEnv, e: Expr) -> TypeExpr:
+        """A node that stands for a tree its `unfold` makes on demand (a
+        template instance, see `expand`): it has the type it was expanded
+        at, and its tree is checked when the expansion is validated."""
+        return e.ty
 
     def type_psc(self, env: TypeEnv, e: Expr) -> TypeExpr:
         raise TypeCheckError(

@@ -41,9 +41,18 @@ def test_synth_elimbool(tmp_path, capsys):
         "wall_ms",
         "per_arm",
         "phases_ms",
+        "verify_strategy",
+        "verify_reason",
+        "arm_instances",
         "status",
     }
     assert data["status"] == "solved"
+    # elimBool's translation is a morphism over a stateless shape
+    assert (data["verify_strategy"], data["verify_reason"]) == ("value-class", None)
+    instances = data["arm_instances"]
+    assert set(instances) == {"total", "unfolded", "compiled"}
+    assert 0 < instances["unfolded"] < instances["total"]
+    assert 0 < instances["compiled"] < instances["total"]
     assert data["search_evaluations"] > 0 and data["verify_evaluations"] > 0
     assert data["candidate_evaluations"] == (
         data["search_evaluations"] + data["verify_evaluations"]
@@ -304,8 +313,10 @@ def test_bench_tiny_corpus(tmp_path, capsys):
         run = entry[mode]
         assert set(run) == {
             "status", "iterations", "search_evaluations", "verify_evaluations",
-            "wall_ms", "phases_ms",
+            "wall_ms", "phases_ms", "verify_strategy", "verify_reason", "arm_instances",
         }
+        assert run["verify_strategy"] == "exhaustive"
+        assert run["arm_instances"] == {"total": 0, "unfolded": 0, "compiled": 0}
         assert run["status"] == "solved" and run["iterations"] == 1
         assert run["search_evaluations"] == 0 < run["verify_evaluations"]
         assert list(run["phases_ms"]) == [
@@ -370,3 +381,60 @@ def test_syntax_error_names_the_lib_file(tmp_path, capsys):
     lib.write_text("generator int two() { return 2 }\n")
     assert run_cli("synth", CORPUS / "lIns.synrec", "--lib", lib) == 1
     assert capsys.readouterr().err == f"error: {lib}:1:32: expected ';', found '}}'\n"
+
+
+# Errors found after the sources are merged name the file of the
+# declaration they are in: a call of an unknown function at 2:21, and a
+# field of an unknown type at 1:9.
+UNKNOWN_CALL = """adt E { A {} }
+int f(E e) { return g(e); }
+harness void main(E e) { assert(f(e) == 0); }
+"""
+UNKNOWN_TYPE = """adt E { A { bool v; } }
+harness void main(E e) { assert(1 == 1); }
+"""
+
+
+@pytest.mark.parametrize("command", ["synth", "check"])
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        (UNKNOWN_CALL, "2:21: call to unknown function 'g' in 'f'"),
+        (UNKNOWN_TYPE, "1:9: unknown type 'bool'"),
+    ],
+)
+def test_resolve_error_names_the_program_file(tmp_path, capsys, command, text, error):
+    bad = tmp_path / "bad.synrec"
+    bad.write_text(text)
+    assert run_cli(command, bad) == 1
+    assert capsys.readouterr().err == f"error: {bad}:{error}\n"
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        (
+            "dstAST desugar(srcAST src) { return g(src); }\n",
+            "1:37: call to unknown function 'g' in 'desugar'",
+        ),
+        (
+            "dstAST desugar(srcAST src) { return src; }\n",
+            "1:37: 'src' has type srcAST, required dstAST",
+        ),
+    ],
+)
+def test_resolve_and_expand_errors_name_the_solution_file(tmp_path, capsys, text, error):
+    bad = tmp_path / "bad.synrec"
+    bad.write_text(text)
+    assert run_cli("check", CORPUS / "lang.synrec", bad, "--input-depth", "1") == 1
+    assert capsys.readouterr().err == f"error: {bad}:{error}\n"
+
+
+def test_expand_error_in_a_template_names_the_library(tmp_path, capsys):
+    lib = tmp_path / "lib.synrec"
+    lib.write_text("generator int two(int x) { return choose(x.v, x.w); }\n")
+    f = tmp_path / "uses.synrec"
+    f.write_text("adt L { N {} } int f(L l) { return two(1); } harness void m(L l) { assert(f(l) == 2); }")
+    assert run_cli("synth", f, "--lib", lib) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {lib}:1:35: no alternative of this choice fits the required type int\n"

@@ -274,10 +274,13 @@ def test_decomposed_program_with_translation_bound_checks_as_plain(source, depth
 
 
 def test_scaling8_unary_arms_share_one_chunk(monkeypatch):
-    """Each arm of `lower` is one outlined instance of the template; the
-    seven unary arms differ only in control ids and names, so their chunk
-    is compiled once, and the literal arm, which also reads `e.v`, has its
-    own.  Each instance runs the same bytecode with its own control ids."""
+    """The program compiles in one piece, and each instance that stays a
+    `_Use` in a choice arm compiles on its first run.  Selecting `cons?`
+    and `AddD` in each unary arm of `lower` runs the two instances that
+    build its fields (the literal arm builds `LitD` from `e.v`).  The
+    fourteen instances differ only in control ids and names, so their chunk
+    is compiled once, and each runs the same bytecode with its own control
+    ids."""
     exp = expand_program(
         load_with_library(scaling_benchmark(8)), SynthesisConfig().expansion_context()
     )
@@ -288,12 +291,27 @@ def test_scaling8_unary_arms_share_one_chunk(monkeypatch):
         return compile(source, *args)
 
     monkeypatch.setattr(compiled, "compile", counting_compile, raising=False)
-    ns = compile_concrete(exp.program).namespace
-    assert len(sources) == 3  # the program's functions, and two chunks
-    chunks = [ns[f"_x{i}"].__code__ for i in range(8)]
-    assert "_x8" not in ns
-    assert len({c.co_code for c in chunks[1:]}) == 1
-    assert len({c.co_consts for c in chunks}) == 8
+    prog = compile_concrete(exp.program)
+    assert len(sources) == 1  # the program's functions
+    phi = dict(exp.defaults)
+    arms = exp.program.function("lower").body.arms
+    for arm in arms:
+        top = arm.body.body  # `let a = ...; return choose(..., cons?)`
+        phi[top.cp] = 1
+        if arm.variant != "Lit":
+            phi[top.arms[1].cp] = 1  # `AddD`
+    for arm in arms[1:]:
+        prog.bind_controls(phi.__getitem__)
+        try:
+            prog.func("main")((arm.variant, ("Lit", 0)))
+        except CAssertFail:
+            pass
+    assert len(sources) == 2  # and one chunk
+    made = [f.__code__ for name, f in prog.namespace.items() if name.startswith("_u")]
+    made = [c for c in made if c.co_name == "chunk"]
+    assert len(made) == 14
+    assert len({c.co_code for c in made}) == 1
+    assert len({c.co_consts for c in made}) == 14
 
 
 # The constructor's first field reads a hole, and its second holds the

@@ -25,6 +25,7 @@ from synrec.ast import (
 from synrec.cegis import SynthesisConfig
 from synrec.errors import ExpandError
 from synrec.expand import Expander, _Path, expand_program
+from synrec.instances import force_expansion
 from synrec.parser import parse_program
 from synrec.pipeline import load_with_library
 from synrec.prelude import prelude_text
@@ -238,7 +239,7 @@ def test_expansion_well_typed(lang):
 
 
 def test_expansion_psc_free_and_fresh_ids(lang):
-    exp = expand_program(lang, SynthesisConfig().expansion_context())
+    exp = force_expansion(expand_program(lang, SynthesisConfig().expansion_context()))
     seen = set()
     for f in exp.program.functions:
         for node in walk(f.body):

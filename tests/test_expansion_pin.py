@@ -1,4 +1,5 @@
-"""Expansion parity pin: what `expand_program` produces, spans included.
+"""Expansion parity pin: what `expand_program` produces, forced in full
+(`force_expansion`), spans included.
 
 Each source is loaded with `load_with_library`, expanded under one of four
 contexts, and pinned by the first 16 hex digits of the sha256 of
@@ -15,6 +16,7 @@ import pytest
 from synrec.ast import walk
 from synrec.cegis import SynthesisConfig
 from synrec.expand import expand_program
+from synrec.instances import force_expansion
 from synrec.pipeline import load_with_library
 from synrec.scaling import scaling_benchmark
 
@@ -146,5 +148,5 @@ def test_every_corpus_program_is_pinned():
 
 @pytest.mark.parametrize("source,context", sorted(EXPANSIONS))
 def test_expansion_is_pinned(source, context):
-    expanded = expand_program(_load(source), CONTEXTS[context])
+    expanded = force_expansion(expand_program(_load(source), CONTEXTS[context]))
     assert _fingerprint(expanded) == EXPANSIONS[source, context]

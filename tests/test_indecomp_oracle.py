@@ -26,6 +26,7 @@ from synrec.ast import (
 )
 from synrec.cegis import SynthesisConfig
 from synrec.expand import ExpandedProgram, expand_program
+from synrec.instances import force_expansion
 from synrec.indecomp import (
     MORPHISM,
     OTHER,
@@ -45,23 +46,29 @@ from conftest import corpus_text
 SOURCES = {
     **{name: corpus_text(name) for name in ("elimBool", "lIns", "lang", "lang.expected", "tIns")},
     **{f"scaling{n}": scaling_benchmark(n) for n in range(3, 9)},
-    **{name: getattr(toys, name) for name in ("PARITY", "SHIFT", "GAMMA", "SHORT_CIRCUIT")},
+    **{
+        name: getattr(toys, name)
+        for name in ("PARITY", "SHIFT", "GAMMA", "SHORT_CIRCUIT", "LAZY_SELF_CALL")
+    },
 }
 
 
 @pytest.mark.parametrize("inline_bound", [1, 2, 3, 4])
 @pytest.mark.parametrize("name", sorted(SOURCES))
 def test_one_pass_matches_three_walks(name, inline_bound):
+    """The one-pass analysis runs on the expansion, whose instances in
+    choice arms stay `_Use`s, and the three walks on it forced in full."""
     ctx = SynthesisConfig(inline_bound=inline_bound).expansion_context()
     exp = expand_program(load_with_library(SOURCES[name]), ctx)
-    program = exp.program
+    program, forced = exp.program, force_expansion(exp).program
     # every function against the ADT of its first parameter
-    for fn in program.functions:
+    for fn, full in zip(program.functions, forced.functions):
         if fn.params and isinstance(fn.params[0][1], AdtType):
             adt = fn.params[0][1].name
-            new, old = classify_transformer(fn, adt), oracle.classify_transformer(fn, adt)
+            new, old = classify_transformer(fn, adt), oracle.classify_transformer(full, adt)
             assert (new.verdict, new.details) == (old.verdict, old.details), fn.name
     shape = detect_spec_shape(program, program.harnesses[0])
+    assert shape == detect_spec_shape(forced, forced.harnesses[0])
     if shape is None:
         return
     report = classify_transformer(program.function(shape.trans), shape.source_adt)
@@ -69,9 +76,11 @@ def test_one_pass_matches_three_walks(name, inline_bound):
     if report.verdict == OTHER:
         assert dec.program is program and not dec.decomposed
         return
-    old_program = oracle.decompose(program, shape, report)
-    assert dec.program == old_program
-    assert dec.blocker == oracle.value_class_blocker(old_program, shape, report)
+    full_report = classify_transformer(forced.function(shape.trans), shape.source_adt)
+    assert report.facts.param_uses == full_report.facts.param_uses
+    old_program = oracle.decompose(forced, shape, full_report)
+    assert force_expansion(dec).program == old_program
+    assert dec.blocker == oracle.value_class_blocker(old_program, shape, full_report)
 
 
 def test_every_source_expands_and_decomposes():

@@ -113,3 +113,40 @@ adt e { Z {} S { e p; } }
 generator int isZ(e x) { switch (x) { case Z: assert(0 == 1); return 1; case S: return 0; } }
 harness void main(e x) { assert(1 == 1 || isZ(x) == 1); }
 """
+
+# The self-call of `copy` lies in an instance of `maybe` that stays a `_Use`
+# in a choice arm of `pick`, so classification sees it through the
+# template, and decomposition copies that instance out to box it.
+LAZY_SELF_CALL = """
+adt slist { SNil {} SCons { int h; slist t; } }
+adt dlist { DNil {} DCons { int h; dlist t; } }
+
+int slen(slist x) {
+  switch (x) {
+    case SNil: return 0;
+    case SCons: return 1 + slen(x.t);
+  }
+}
+
+int dlen(dlist x) {
+  switch (x) {
+    case DNil: return 0;
+    case DCons: return 1 + dlen(x.t);
+  }
+}
+
+generator dlist maybe(fun e) { return choose(new DNil(), e()); }
+
+generator dlist pick(fun e) { return choose(new DNil(), maybe(e)); }
+
+dlist copy(slist x) {
+  switch (x) {
+    case SNil: return new DNil();
+    case SCons: return new DCons(h = x.h, t = pick(copy(x.t)));
+  }
+}
+
+harness void main(slist x) {
+  assert(slen(x) == dlen(copy(x)));
+}
+"""
