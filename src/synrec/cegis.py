@@ -5,7 +5,8 @@ Both halves run one executor: the expanded program compiled once per run
 deterministic, complete backtracking search with lazy binding: control
 points are bound to their first domain value when evaluation first reads
 them, and backtracking advances the most recently bound point that still
-has untried values.  Verification is bounded checking of the plain
+has untried values, skipping the values that fail at the point's own read
+(see `LazyBinder`).  Verification is bounded checking of the plain
 program under the candidate's total assignment over depth-major
 enumerated native inputs, so the first counterexample found is
 depth-minimal.  It has two strategies with the same verdict and
@@ -312,26 +313,38 @@ class _Bindings(dict):
 
 class LazyBinder:
     """Binds control points in first-read order; `advance` flips the most
-    recent point with untried values and discards later bindings."""
+    recent point with untried values and discards later bindings.
 
-    __slots__ = ("space", "bound", "trail")
+    `dead_from` maps a point to the least value from which every value
+    fails at the point's own read (`CompiledProgram.dead_from`).  Such a
+    value makes a candidate that fails where the one just tried failed, so
+    `advance` never flips a point to it, and counts the values it leaves
+    untried in `skipped`.  The first binding stays the domain's first
+    value, so the read order and every other candidate stay as they are."""
 
-    def __init__(self, space: tuple[ControlPoint, ...]):
+    __slots__ = ("space", "bound", "trail", "dead_from", "skipped")
+
+    def __init__(self, space: tuple[ControlPoint, ...], dead_from: dict[int, int] | None = None):
         self.space = space
         self.trail: list[int] = []
         self.bound = _Bindings(space, self.trail)
+        self.dead_from = {} if dead_from is None else dead_from
+        self.skipped = 0
 
     def read(self, cp: int) -> int:
         return self.bound[cp]
 
     def advance(self) -> bool:
-        while self.trail:
-            cp = self.trail[-1]
-            if self.bound[cp] < self.space[cp].hi:
-                self.bound[cp] += 1
+        bound, trail = self.bound, self.trail
+        while trail:
+            cp = trail[-1]
+            value, hi = bound[cp] + 1, self.space[cp].hi
+            if value <= hi and value < self.dead_from.get(cp, value + 1):
+                bound[cp] = value
                 return True
-            self.trail.pop()
-            del self.bound[cp]
+            self.skipped += hi + 1 - value
+            trail.pop()
+            del bound[cp]
         return False
 
 
@@ -381,7 +394,7 @@ def _search(
     the same binder, and the two together make the fresh search's runs.
     """
     if binder is None:
-        binder = LazyBinder(expanded.control_space)
+        binder = LazyBinder(expanded.control_space, compiled.dead_from)
     if not cexs:
         return binder, True
     compiled.bind_controls(binder.bound.__getitem__)
@@ -392,7 +405,10 @@ def _search(
             raise SynthesisTimeout
         if _passes(compiled, run, todo, stats):
             return binder, True
-        if not binder.advance():
+        skipped = binder.skipped
+        more = binder.advance()
+        stats.skipped_candidates += binder.skipped - skipped
+        if not more:
             return binder, False
         todo = cexs
 
@@ -715,6 +731,9 @@ class SynthesisStats:
     # harness runs of the inductive search, and of the bounded checks
     search_evaluations: int = 0
     verify_evaluations: int = 0
+    # candidates the search never ran, since they fail at a read where the
+    # candidate before them failed (see `LazyBinder`)
+    skipped_candidates: int = 0
     counterexamples: list[str] = field(default_factory=list)
     # from the entry of `run_cegis`: parse and expand are not in it
     wall_ms: int = 0
@@ -749,6 +768,7 @@ class SynthesisStats:
             "candidate_evaluations": self.candidate_evaluations,
             "search_evaluations": self.search_evaluations,
             "verify_evaluations": self.verify_evaluations,
+            "skipped_candidates": self.skipped_candidates,
             "counterexamples": list(self.counterexamples),
             "wall_ms": self.wall_ms,
             "per_arm": [

@@ -194,8 +194,8 @@ def cmd_bench(args) -> int:
 
 # what `bench --json` keeps of each run's stats
 _BENCH_JSON_KEYS = (
-    "iterations", "search_evaluations", "verify_evaluations", "wall_ms", "phases_ms",
-    "verify_strategy", "verify_reason", "arm_instances",
+    "iterations", "search_evaluations", "verify_evaluations", "skipped_candidates", "wall_ms",
+    "phases_ms", "verify_strategy", "verify_reason", "arm_instances",
 )
 
 

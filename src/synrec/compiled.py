@@ -28,6 +28,18 @@ of its code object with its own control ids as constants (see
 `_Compiler.chunk`).  An expression whose first operand is `unreachable`
 compiles to the failure alone.
 
+Some control values fail right at their point's read, whatever the other
+points hold, and the compiler records them as it compiles each site
+(`CompiledProgram.dead_from`, the least such value of each point): a hole
+that indexes an array of static length n, a literal or a name `let`-bound
+to one, fails from n on (from 0 on it compiles to the read and the
+failure), and a choice fails from one past its last arm that does not
+fail at once.  An arm fails at once when its value raises as soon as it
+runs, after its reads: `unreachable`, such an index, a choice whose arms
+all do, or a constructor, array, or `let` body whose value is one.  An
+instance compiled on its first run records its points then, before any
+of them is read.  The lazy search never flips a point to a dead value.
+
 Semantics mirror the reference evaluator (same decomposition rewrite,
 per-function recursion-depth limits, assert ids, out-of-bounds behavior,
 64-bit wrapping arithmetic), and so does the order of control reads:
@@ -135,6 +147,9 @@ class CompiledProgram:
     # its compiler, which compiles instances left in choice arms on their
     # first run (see `_Compiler.stub`)
     compiler: "_Compiler | None" = field(default=None, repr=False)
+    # control point -> the least value from which every value fails at the
+    # point's read; an arm compiled on its first run adds its points then
+    dead_from: dict[int, int] = field(default_factory=dict)
 
     def func(self, name: str):
         return self.namespace[f"f_{name}"]
@@ -189,9 +204,10 @@ class _FnCompiler:
     template's tree over the variables of the template's key, and its
     control ids count from `base`.  An instance inside it stays a call of
     its own when it lies in a choice arm, and is compiled in place
-    otherwise."""
+    otherwise.  `lengths` gives the static lengths of the array parameters
+    that have one, by position."""
 
-    def __init__(self, comp: "_Compiler", fn: FuncDecl, base: int = 0):
+    def __init__(self, comp: "_Compiler", fn: FuncDecl, base: int = 0, lengths=None):
         self.comp = comp
         self.fn = fn
         self.base = base
@@ -205,11 +221,14 @@ class _FnCompiler:
         # the destination interpreter's rewrite forces boxes
         shape = comp.shape
         self.reads_candidate = shape is not None and fn.name == shape.interp_d
-        # Python expressions that raise CInfeasible, after their reads, as
-        # soon as they run: a constructor or array whose first operand is
-        # one fails the same way, so it compiles to that operand alone.
+        # Python expressions that raise, after their reads, as soon as they
+        # run, or whose statements have already raised when they run (see
+        # the module docstring): a constructor or array whose first operand
+        # is one fails the same way, so it compiles to that operand alone.
         self.failing = {_FAIL}
         self.params = [self.fresh(n) for n, _ in fn.params]
+        # the static length of each array variable bound to a literal
+        self.lengths = {self.params[i]: n for i, n in (lengths or {}).items()}
         env = TypeEnv(comp.program)
         for (n, t), py in zip(fn.params, self.params):
             self.scope[n] = py
@@ -249,6 +268,9 @@ class _FnCompiler:
                     if not (prev.isidentifier() or prev.lstrip("-").isdigit()):
                         out[i] = self.temp()
                         spills.append("    " * indent + f"{out[i]} = {prev}")
+                        if prev in self.failing:
+                            # the spill fails before the temporary is read
+                            self.failing.add(out[i])
                 self.lines[mark:mark] = spills
             out.append(py)
         return out
@@ -267,6 +289,8 @@ class _FnCompiler:
             py = self.fresh(e.name)
             self.emit(indent, f"{py} = {val}")
             self.scope[e.name] = py
+            if type(e.value) is ArrayLit:
+                self.lengths[py] = len(e.value.items)
             result = self.expr(e.body, env.bind(e.name, e.ty), indent)
             if outer is None:
                 del self.scope[e.name]
@@ -301,7 +325,16 @@ class _FnCompiler:
             idx = e.index
             if isinstance(idx, IntLit) and idx.value >= 0:
                 return f"{self.expr(e.base, env, indent)}[{idx.value}]"
-            return f"_idx({', '.join(self.operands((e.base, idx), env, indent))})"
+            base, index = self.operands((e.base, idx), env, indent)
+            n = self.length(e.base) if type(idx) is Hole else None
+            if n is not None:
+                # every index from the array's length on fails at this read
+                self.comp.dead_from[idx.cp + self.base] = n
+                if n == 0:
+                    failed = f"_fail({index})"
+                    self.failing.add(failed)
+                    return failed
+            return f"_idx({base}, {index})"
         if t is Assert:
             cond = self.cond(e.cond, env, indent)
             self.emit(indent, f"if not ({cond}): raise CAssertFail({e.aid})")
@@ -347,7 +380,15 @@ class _FnCompiler:
         self.callees |= callees
         self.variants |= variants
         args = [self.scope[e.names.get(n, n)] for n in tpl.env]
-        return f"{self.comp.stub(tpl, self.base + e.offset)}({', '.join(args)})"
+        lengths = {i: self.lengths[a] for i, a in enumerate(args) if a in self.lengths}
+        return f"{self.comp.stub(tpl, self.base + e.offset, lengths)}({', '.join(args)})"
+
+    def length(self, e: Expr) -> int | None:
+        """The static length of an array expression: a literal, or a
+        variable bound to one; None when unknown."""
+        if type(e) is Var:
+            return self.lengths.get(self.scope[e.name])
+        return len(e.items) if type(e) is ArrayLit else None
 
     def branches(self, test, arms, env: TypeEnv, indent: int, cp=None) -> str:
         """Run one arm: arm 0 or 1 by the truth expression `test`, or,
@@ -356,33 +397,38 @@ class _FnCompiler:
         if/elif block."""
         mark = len(self.lines)
         values = [self.expr(a, env, indent) for a in arms]
+        live = [i for i, v in enumerate(values) if v not in self.failing]
+        if cp is not None and (not live or live[-1] + 1 < len(values)):
+            # every value after the last arm that does not fail at once
+            self.comp.dead_from[cp] = live[-1] + 1 if live else 1
         if len(self.lines) == mark:
-            if cp is not None and all(v == _FAIL for v in values):
-                # every arm fails at once: read the point, then fail
-                failed = f"_fail(_rd({cp}))"
-                self.failing.add(failed)
-                return failed
             if cp is None:
                 return self.outline(f"(({values[0]}) if ({test}) else ({values[1]}))")
-            # Expansion leaves no choice with fewer than two arms.  All tests
-            # of the chain run before any arm does, so every chain can keep
-            # its read in the same local `_s`.
-            reads = [f"(_s := _rd({cp}))"] + ["_s"] * len(values)
-            tests = [f"{v} if {r} == {i} else " for i, (v, r) in enumerate(zip(values, reads))]
-            return self.outline(f"({''.join(tests[:-1])}{values[-1]})")
-        # an arm needed statements: re-emit as an if/elif block
-        del self.lines[mark:]
-        out = self.temp()
-        if cp is None:
-            tests = [f"if {test}:"]
+            if all(v == _FAIL for v in values):
+                value = f"_fail(_rd({cp}))"  # read the point, then fail
+            else:
+                # Expansion leaves no choice with fewer than two arms.  All
+                # tests of the chain run before any arm does, so every chain
+                # can keep its read in the same local `_s`.
+                reads = [f"(_s := _rd({cp}))"] + ["_s"] * len(values)
+                tests = [f"{v} if {r} == {i} else " for i, (v, r) in enumerate(zip(values, reads))]
+                value = self.outline(f"({''.join(tests[:-1])}{values[-1]})")
         else:
-            k = self.temp()
-            self.emit(indent, f"{k} = _rd({cp})")
-            tests = [f"{'el' if i else ''}if {k} == {i}:" for i in range(len(arms) - 1)]
-        for line, arm in zip(tests + ["else:"], arms):
-            self.emit(indent, line)
-            self.emit(indent + 1, f"{out} = {self.expr(arm, env, indent + 1)}")
-        return out
+            # an arm needed statements: re-emit as an if/elif block
+            del self.lines[mark:]
+            value = self.temp()
+            if cp is None:
+                tests = [f"if {test}:"]
+            else:
+                k = self.temp()
+                self.emit(indent, f"{k} = _rd({cp})")
+                tests = [f"{'el' if i else ''}if {k} == {i}:" for i in range(len(arms) - 1)]
+            for line, arm in zip(tests + ["else:"], arms):
+                self.emit(indent, line)
+                self.emit(indent + 1, f"{value} = {self.expr(arm, env, indent + 1)}")
+        if cp is not None and not live:
+            self.failing.add(value)  # every arm fails at once
+        return value
 
     def outline(self, value: str) -> str:
         """Move a long expression into a function compiled on its own:
@@ -569,20 +615,23 @@ class _Compiler:
         self.codes: list[CodeType] = []  # the compiled `sources`
         self.made = 0  # how many of `instances` are in the namespace
         self.ready = False  # whether the program's code is in the namespace
+        self.dead_from: dict[int, int] = {}  # see `CompiledProgram.dead_from`
 
-    def stub(self, tpl: _Template, base: int) -> str:
+    def stub(self, tpl: _Template, base: int, lengths: dict) -> str:
         """Name the instance of `tpl` at control id `base`, bound to a stub
-        that compiles it on its first call and then calls it."""
+        that compiles it on its first call and then calls it.  Compiling it
+        records its points' dead values before any of them is read.
+        `lengths`: see `_FnCompiler`."""
         name = f"_u{self.stubs}"
         self.stubs += 1
 
         def first(*args):
-            return self.arm(name, tpl, base)(*args)
+            return self.arm(name, tpl, base, lengths)(*args)
 
         self.namespace[name] = first
         return name
 
-    def arm(self, name: str, tpl: _Template, base: int):
+    def arm(self, name: str, tpl: _Template, base: int, lengths: dict):
         """Compile an instance that stayed a `_Use`, and put it in the
         namespace in place of its stub.  It becomes a chunk instance taking
         the variables of its template's key: instances of one template
@@ -590,7 +639,7 @@ class _Compiler:
         one chunk (see `chunk`)."""
         self.compiled += 1
         fn = FuncDecl(STANDARD, name, (), tuple(tpl.env.items()), tpl.required, tpl.tree)
-        fc = _FnCompiler(self, fn, base)
+        fc = _FnCompiler(self, fn, base, lengths)
         xname, _ = self.chunk("\n".join(fc.lines + [f"    return {fc.result}"]), fc.params)
         fn = self.namespace[name] = self.namespace[xname]
         return fn
@@ -834,5 +883,5 @@ def compile_concrete(
     else:
         namespace["_FORCE_FN"] = None
     trans = None if shape is None else shape.trans
-    return CompiledProgram(namespace, program, memos, candidate_memos, trans, comp)
+    return CompiledProgram(namespace, program, memos, candidate_memos, trans, comp, comp.dead_from)
 

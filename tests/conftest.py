@@ -5,7 +5,20 @@ from pathlib import Path
 import pytest
 
 from synrec import cegis
-from synrec.ast import Call, FuncDecl, walk
+from synrec.ast import (
+    AlwaysFail,
+    ArrayLit,
+    Call,
+    Choice,
+    Ctor,
+    FuncDecl,
+    Hole,
+    Index,
+    Let,
+    Var,
+    children,
+    walk,
+)
 from synrec.cegis import (
     LazyBinder,
     SynthesisConfig,
@@ -17,6 +30,7 @@ from synrec.cegis import (
 )
 from synrec.compiled import compile_concrete
 from synrec.evaluator import evaluate_harness
+from synrec.instances import force_expansion
 from synrec.pipeline import load_with_library
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -102,13 +116,56 @@ def _reference_passes(program, controls, cexs, limits, decomp, stats, harness) -
     return True
 
 
+def reference_dead_from(expanded) -> dict[int, int]:
+    """For each control point, the least value from which every value fails
+    at the point's own read, found on the tree of the expansion forced in
+    full: the oracle for `CompiledProgram.dead_from`.
+
+    A hole that indexes an array of static length n (a literal, or a name
+    `let`-bound to one) fails from n on.  A choice fails from one past its
+    last arm that does not fail at once, and at once means: `unreachable`,
+    an index into an empty array, a choice whose arms all fail at once, a
+    constructor or array literal whose first operand does, or a `let`
+    whose body does."""
+    dead: dict[int, int] = {}
+
+    def fails(e, lengths: dict) -> bool:
+        t = type(e)
+        if t is Let:
+            fails(e.value, lengths)
+            n = len(e.value.items) if type(e.value) is ArrayLit else None
+            return fails(e.body, {**lengths, e.name: n})
+        parts = [fails(c, lengths) for c in children(e)]
+        if t is AlwaysFail:
+            return True
+        if t is Index and type(e.index) is Hole:
+            base = e.base
+            n = len(base.items) if type(base) is ArrayLit else None
+            if type(base) is Var:
+                n = lengths.get(base.name)
+            if n is not None:
+                dead[e.index.cp] = n
+            return n == 0
+        if t is Choice:
+            live = [i for i, failed in enumerate(parts) if not failed]
+            if not live or live[-1] + 1 < len(parts):
+                dead[e.cp] = live[-1] + 1 if live else 1
+            return not live
+        return t in (Ctor, ArrayLit) and bool(parts) and parts[0]
+
+    for f in force_expansion(expanded).functions:
+        fails(f.body, {})
+    return dead
+
+
 def reference_search(expanded, cexs, cfg, decomp, deadline, stats, harness):
     """The inductive search by the reference tree-walking evaluator over
-    reference input bindings: the oracle for the compiled search.
+    reference input bindings: the oracle for the compiled search.  Like
+    it, it never tries a dead value (`reference_dead_from`).
 
     Returns the binder and whether its bindings pass every counterexample.
     """
-    binder = LazyBinder(expanded.control_space)
+    binder = LazyBinder(expanded.control_space, reference_dead_from(expanded))
     limits = cfg.eval_limits()
     if not cexs:
         return binder, True

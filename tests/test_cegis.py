@@ -355,9 +355,9 @@ def test_per_arm_solved_on_unsat():
 # at the depth limit: (variants, input depth, unroll depth), the warning
 # of the decomposed run, and its status, iterations and evaluations.
 FALLBACKS = {
-    "divergence": ((4, 2, 2), "decomposed/plain divergence", SOLVED, 10, 3360),
-    "exhausted": ((3, 2, 1), "decomposed search exhausted", UNSAT, 3, 480),
-    "late-divergence": ((5, 3, 3), "decomposed/plain divergence", SOLVED, 13, 40732),
+    "divergence": ((4, 2, 2), "decomposed/plain divergence", SOLVED, 10, 676),
+    "exhausted": ((3, 2, 1), "decomposed search exhausted", UNSAT, 3, 79),
+    "late-divergence": ((5, 3, 3), "decomposed/plain divergence", SOLVED, 13, 6041),
 }
 
 

@@ -37,6 +37,7 @@ def test_synth_elimbool(tmp_path, capsys):
         "candidate_evaluations",
         "search_evaluations",
         "verify_evaluations",
+        "skipped_candidates",
         "counterexamples",
         "wall_ms",
         "per_arm",
@@ -313,7 +314,8 @@ def test_bench_tiny_corpus(tmp_path, capsys):
         run = entry[mode]
         assert set(run) == {
             "status", "iterations", "search_evaluations", "verify_evaluations",
-            "wall_ms", "phases_ms", "verify_strategy", "verify_reason", "arm_instances",
+            "skipped_candidates", "wall_ms", "phases_ms", "verify_strategy", "verify_reason",
+            "arm_instances",
         }
         assert run["verify_strategy"] == "exhaustive"
         assert run["arm_instances"] == {"total": 0, "unfolded": 0, "compiled": 0}

@@ -21,27 +21,27 @@ from conftest import corpus_text
 
 # run -> (status, iterations, candidate_evaluations, counterexamples, solution)
 PARITY = {
-    "scaling3-opt": ("solved", 6, 200, "cdea1ec1471c5ffd", "497366f843c53d2a"),
-    "scaling3-noopt": ("solved", 6, 425, "cdea1ec1471c5ffd", "497366f843c53d2a"),
-    "scaling4-opt": ("solved", 8, 419, "645af9b24b0b1085", "513770c9f61580e1"),
-    "scaling4-noopt": ("solved", 8, 1574, "645af9b24b0b1085", "513770c9f61580e1"),
-    "scaling5-opt": ("solved", 10, 557, "7ca88bfbb0304de4", "c01c680976f2a007"),
-    "scaling5-noopt": ("solved", 10, 3754, "7ca88bfbb0304de4", "c01c680976f2a007"),
-    "scaling6-opt": ("solved", 12, 1011, "a0fb33e4ab125a09", "200be58d872aa9bd"),
-    "scaling6-noopt": ("solved", 12, 9736, "a0fb33e4ab125a09", "200be58d872aa9bd"),
-    "scaling7-opt": ("solved", 14, 1647, "160a7cb2853e9e73", "e836a93d59966147"),
-    "scaling7-noopt": ("solved", 14, 28885, "160a7cb2853e9e73", "e836a93d59966147"),
-    "scaling8-opt": ("solved", 15, 1742, "318006d488083676", "b2c50de672a6da18"),
-    "scaling8-noopt": ("solved", 15, 39720, "318006d488083676", "b2c50de672a6da18"),
-    "elimBool-opt": ("solved", 11, 499, "44c90d903363255e", "11e9f2ea1c0fe040"),
-    "elimBool-noopt": ("solved", 11, 4655, "44c90d903363255e", "11e9f2ea1c0fe040"),
+    "scaling3-opt": ("solved", 6, 163, "cdea1ec1471c5ffd", "497366f843c53d2a"),
+    "scaling3-noopt": ("solved", 6, 170, "cdea1ec1471c5ffd", "497366f843c53d2a"),
+    "scaling4-opt": ("solved", 8, 282, "645af9b24b0b1085", "513770c9f61580e1"),
+    "scaling4-noopt": ("solved", 8, 485, "645af9b24b0b1085", "513770c9f61580e1"),
+    "scaling5-opt": ("solved", 10, 400, "7ca88bfbb0304de4", "c01c680976f2a007"),
+    "scaling5-noopt": ("solved", 10, 1051, "7ca88bfbb0304de4", "c01c680976f2a007"),
+    "scaling6-opt": ("solved", 12, 574, "a0fb33e4ab125a09", "200be58d872aa9bd"),
+    "scaling6-noopt": ("solved", 12, 2339, "a0fb33e4ab125a09", "200be58d872aa9bd"),
+    "scaling7-opt": ("solved", 14, 770, "160a7cb2853e9e73", "e836a93d59966147"),
+    "scaling7-noopt": ("solved", 14, 5554, "160a7cb2853e9e73", "e836a93d59966147"),
+    "scaling8-opt": ("solved", 15, 855, "318006d488083676", "b2c50de672a6da18"),
+    "scaling8-noopt": ("solved", 15, 7322, "318006d488083676", "b2c50de672a6da18"),
+    "elimBool-opt": ("solved", 11, 329, "44c90d903363255e", "11e9f2ea1c0fe040"),
+    "elimBool-noopt": ("solved", 11, 1269, "44c90d903363255e", "11e9f2ea1c0fe040"),
     "lIns-opt": ("solved", 3, 52, "344d0b01a944ff75", "46a4253efd955dfe"),
     "lIns-noopt": ("solved", 3, 52, "344d0b01a944ff75", "46a4253efd955dfe"),
     "tIns-opt": ("solved", 4, 180, "8021b4d21c5199e3", "139eb5858607d289"),
     "tIns-noopt": ("solved", 4, 180, "8021b4d21c5199e3", "139eb5858607d289"),
-    "lang-d2-opt": ("solved", 11, 5572, "47b1598b17ed8dff", "1211d830f2ae2107"),
-    "lang-d2-noopt": ("solved", 11, 36640, "47b1598b17ed8dff", "1211d830f2ae2107"),
-    "lang-d3-opt": ("solved", 11, 6359, "47b1598b17ed8dff", "1211d830f2ae2107"),
+    "lang-d2-opt": ("solved", 11, 2275, "47b1598b17ed8dff", "1211d830f2ae2107"),
+    "lang-d2-noopt": ("solved", 11, 10730, "47b1598b17ed8dff", "1211d830f2ae2107"),
+    "lang-d3-opt": ("solved", 11, 3062, "47b1598b17ed8dff", "1211d830f2ae2107"),
 }
 
 
