@@ -318,11 +318,13 @@ class GenLambda(Expr):
 
     Created when an expression is passed where a `fun` parameter is
     expected; re-expanded at every invocation site so each call can make
-    independent synthesis choices.  Internal to expansion.
+    independent synthesis choices.  Internal to expansion.  `source` is
+    the file of the expression, which its expansion errors name.
     """
 
     body: Expr
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
+    source: str | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(eq=True, slots=True)
@@ -486,7 +488,7 @@ _REBUILD = {
     FieldsOf: lambda e, it: FieldsOf(next(it), span=e.span),
     FlexSwitch: lambda e, it: FlexSwitch(e.scrutinee, next(it), span=e.span),
     UnknownCtor: lambda e, it: UnknownCtor(tuple(it), span=e.span),
-    GenLambda: lambda e, it: GenLambda(next(it), span=e.span),
+    GenLambda: lambda e, it: GenLambda(next(it), span=e.span, source=e.source),
     BoxMake: lambda e, it: BoxMake(
         e.trans, next(it), None if e.gamma is None else next(it), e.ty, span=e.span
     ),

@@ -20,13 +20,13 @@ What the expansion holds outside choice arms is compiled up front, in one
 piece.  A template instance that stays a `_Use` in a choice arm (see
 `expand`) compiles only when it first runs: its call goes to a stub that
 compiles the instance into the namespace in its place (`_Compiler.stub`),
-so an arm that no candidate selects is never compiled.  Long expressions
-and such instances are outlined into functions of their own (chunks).
-Instances of one generator template differ only in control ids and
-names: they share one chunk, compiled once, and each instance runs a copy
-of its code object with its own control ids as constants (see
-`_Compiler.chunk`).  An expression whose first operand is `unreachable`
-compiles to the failure alone.
+so an arm that no candidate selects is never compiled.  Such an instance
+is compiled straight to its shared form, a chunk: its locals are named by
+position, its control reads and its calls of other instances are
+numbered placeholders, and equal texts compile once.  Each instance runs
+a copy of the chunk's code object with its own control ids and callees
+in the placeholders' places (see `_Compiler.arm`).  An expression whose
+first operand is `unreachable` compiles to the failure alone.
 
 Some control values fail right at their point's read, whatever the other
 points hold, and the compiler records them as it compiles each site
@@ -71,7 +71,6 @@ periodically to bound memory.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from types import CodeType, FunctionType
 
@@ -205,17 +204,22 @@ class _FnCompiler:
     control ids count from `base`.  An instance inside it stays a call of
     its own when it lies in a choice arm, and is compiled in place
     otherwise.  `lengths` gives the static lengths of the array parameters
-    that have one, by position."""
+    that have one, by position.  Such an instance compiles as a `chunk`:
+    its k-th control read is the placeholder `_rd(k.5)` and its j-th call
+    of an instance `nj`, numbered in emission order (those of arms that
+    `branches` re-emits included), and `reads` and `calls` hold the real
+    control ids and stub names."""
 
-    def __init__(self, comp: "_Compiler", fn: FuncDecl, base: int = 0, lengths=None):
+    def __init__(self, comp: "_Compiler", fn: FuncDecl, base=0, lengths=None, chunk=False):
         self.comp = comp
         self.fn = fn
         self.base = base
+        self.reads: list[int] | None = [] if chunk else None
+        self.calls: list[str] = []
         self.choices = 0  # how many choices the current node lies in
         self.lines: list[str] = []
         self.tmp = 0
         self.scope: dict[str, str] = {}
-        self.used: set[str] = set()
         self.callees: set[str] = set()
         self.variants: set[str] = set()
         # the destination interpreter's rewrite forces boxes
@@ -226,7 +230,7 @@ class _FnCompiler:
         # the module docstring): a constructor or array whose first operand
         # is one fails the same way, so it compiles to that operand alone.
         self.failing = {_FAIL}
-        self.params = [self.fresh(n) for n, _ in fn.params]
+        self.params = [self.temp() for _ in fn.params]
         # the static length of each array variable bound to a literal
         self.lengths = {self.params[i]: n for i, n in (lengths or {}).items()}
         env = TypeEnv(comp.program)
@@ -235,18 +239,18 @@ class _FnCompiler:
             env = env.bind(n, t)
         self.result = self.expr(fn.body, env, 1)
 
-    def fresh(self, base: str) -> str:
-        base = base.replace("#", "L").replace(".", "_")  # a template's label
-        name = f"v_{base}"
-        while name in self.used:
-            self.tmp += 1
-            name = f"v_{base}_{self.tmp}"
-        self.used.add(name)
-        return name
-
     def temp(self) -> str:
+        """A new local, named by position so that equal instances compile
+        to equal text."""
         self.tmp += 1
         return f"_t{self.tmp}"
+
+    def read(self, cp: int) -> str:
+        """Read control point `cp`, in a chunk through a placeholder."""
+        if self.reads is None:
+            return f"_rd({cp})"
+        self.reads.append(cp)
+        return f"_rd({len(self.reads) - 1}.5)"
 
     def emit(self, indent: int, text: str) -> None:
         self.lines.append("    " * indent + text)
@@ -286,7 +290,7 @@ class _FnCompiler:
         if t is Let:
             val = self.expr(e.value, env, indent)
             outer = self.scope.get(e.name)
-            py = self.fresh(e.name)
+            py = self.temp()
             self.emit(indent, f"{py} = {val}")
             self.scope[e.name] = py
             if type(e.value) is ArrayLit:
@@ -348,7 +352,7 @@ class _FnCompiler:
             return self.branches(cond, (e.then, e.els), env, indent)
         if t is Hole:
             self.reads_candidate = True
-            return f"_rd({e.cp + self.base})"
+            return self.read(e.cp + self.base)
         if t is Choice:
             self.reads_candidate = True
             self.choices += 1
@@ -381,7 +385,11 @@ class _FnCompiler:
         self.variants |= variants
         args = [self.scope[e.names.get(n, n)] for n in tpl.env]
         lengths = {i: self.lengths[a] for i, a in enumerate(args) if a in self.lengths}
-        return f"{self.comp.stub(tpl, self.base + e.offset, lengths)}({', '.join(args)})"
+        name = self.comp.stub(tpl, self.base + e.offset, lengths)
+        if self.reads is not None:
+            self.calls.append(name)
+            name = f"n{len(self.calls) - 1}"
+        return f"{name}({', '.join(args)})"
 
     def length(self, e: Expr) -> int | None:
         """The static length of an array expression: a literal, or a
@@ -403,16 +411,16 @@ class _FnCompiler:
             self.comp.dead_from[cp] = live[-1] + 1 if live else 1
         if len(self.lines) == mark:
             if cp is None:
-                return self.outline(f"(({values[0]}) if ({test}) else ({values[1]}))")
+                return f"(({values[0]}) if ({test}) else ({values[1]}))"
             if all(v == _FAIL for v in values):
-                value = f"_fail(_rd({cp}))"  # read the point, then fail
+                value = f"_fail({self.read(cp)})"  # read the point, then fail
             else:
                 # Expansion leaves no choice with fewer than two arms.  All
                 # tests of the chain run before any arm does, so every chain
                 # can keep its read in the same local `_s`.
-                reads = [f"(_s := _rd({cp}))"] + ["_s"] * len(values)
+                reads = [f"(_s := {self.read(cp)})"] + ["_s"] * len(values)
                 tests = [f"{v} if {r} == {i} else " for i, (v, r) in enumerate(zip(values, reads))]
-                value = self.outline(f"({''.join(tests[:-1])}{values[-1]})")
+                value = f"({''.join(tests[:-1])}{values[-1]})"
         else:
             # an arm needed statements: re-emit as an if/elif block
             del self.lines[mark:]
@@ -421,7 +429,7 @@ class _FnCompiler:
                 tests = [f"if {test}:"]
             else:
                 k = self.temp()
-                self.emit(indent, f"{k} = _rd({cp})")
+                self.emit(indent, f"{k} = {self.read(cp)}")
                 tests = [f"{'el' if i else ''}if {k} == {i}:" for i in range(len(arms) - 1)]
             for line, arm in zip(tests + ["else:"], arms):
                 self.emit(indent, line)
@@ -429,17 +437,6 @@ class _FnCompiler:
         if cp is not None and not live:
             self.failing.add(value)  # every arm fails at once
         return value
-
-    def outline(self, value: str) -> str:
-        """Move a long expression into a function compiled on its own:
-        Python's parser needs memory in proportion to the code it compiles
-        at once, and the conditionals of a large expansion nest deeply.
-        Instances of one template differ only in names and control ids, so
-        they share one chunk (see `_Compiler.chunk`)."""
-        if len(value) <= _OUTLINE_CHARS:
-            return value
-        name, params = self.comp.chunk(f"    return {value}")
-        return f"{name}({', '.join(params)})"
 
     def binop_value(self, e: BinOp, env: TypeEnv, indent: int) -> str:
         op = e.op
@@ -500,7 +497,7 @@ class _FnCompiler:
         if shape is not None and st.name == shape.dest_adt:
             # the arms see the forced value; the variable keeps the box
             self.reads_candidate = True
-            boxed, scrut_py = scrut_py, self.fresh(e.scrutinee)
+            boxed, scrut_py = scrut_py, self.temp()
             self.emit(indent, f"{scrut_py} = _force({boxed}) if type({boxed}) is Box else {boxed}")
             self.scope[e.scrutinee] = scrut_py
         tag = self.temp()
@@ -572,22 +569,7 @@ class _FnCompiler:
         return len(fn.params) == 1 and isinstance(fn.params[0][1], AdtType)
 
 
-# See `_FnCompiler.outline`.  Outlined expressions are what instances
-# share; with `unreachable` folded, 1500 outlines the same expressions of
-# the corpus and the scaling family as 2000 did before the folding.
-_OUTLINE_CHARS = 1500
 _FAIL = "_fail()"  # `unreachable`
-
-
-# The tokens in which two instances of one chunk differ, each split into
-# a kind and a value: a control read `_rd(N)`, a temporary `_tN`, a call
-# of a chunk `_xN` or of an instance `_uN` (see `_Compiler.stub`) and a
-# variable `v_NAME`.  A token never starts inside a word
-# or right after a quote, so the quoted variant names are left alone.
-_CHUNK_TOKENS = re.compile(
-    r"[_v](?:(?<=_)(?<![\w']_)(?:(rd\()(\d+)\)|(t)(\d+)\b|([xu])(\d+)\b)|(?<=v)(?<![\w']v)(_)(\w+))"
-)
-_GROUPS = 9  # `split` gives the text before each token, then its 8 groups
 
 
 class _Compiler:
@@ -595,10 +577,6 @@ class _Compiler:
         self.program = program
         self.shape = shape
         self.max_depth = max_depth
-        self.chunks: dict[tuple, int] = {}  # chunk shape -> index in `sources`
-        self.sources: list[str] = []  # one function `chunk` per distinct shape
-        # each outlined expression: (name, chunk, control ids, chunks it calls)
-        self.instances: list[tuple[str, int, list[int], list[str]]] = []
         self.recursive: set[str] = set()
         self.reach: dict[str, set[str]] = {}
         self.namespace: dict = {
@@ -612,9 +590,7 @@ class _Compiler:
         }
         self.stubs = 0
         self.compiled = 0  # how many stubs have run
-        self.codes: list[CodeType] = []  # the compiled `sources`
-        self.made = 0  # how many of `instances` are in the namespace
-        self.ready = False  # whether the program's code is in the namespace
+        self.codes: dict[str, CodeType] = {}  # chunk text -> its code
         self.dead_from: dict[int, int] = {}  # see `CompiledProgram.dead_from`
 
     def stub(self, tpl: _Template, base: int, lengths: dict) -> str:
@@ -632,101 +608,29 @@ class _Compiler:
         return name
 
     def arm(self, name: str, tpl: _Template, base: int, lengths: dict):
-        """Compile an instance that stayed a `_Use`, and put it in the
-        namespace in place of its stub.  It becomes a chunk instance taking
-        the variables of its template's key: instances of one template
-        differ only in control ids and the stubs they call, so they share
-        one chunk (see `chunk`)."""
+        """Compile an instance that stayed a `_Use` as a chunk taking the
+        variables of its template's key, in place of its stub.  Instances
+        of equal text, of one template or of several, compile once, and
+        each runs its own copy of the code (see `_instance`)."""
         self.compiled += 1
         fn = FuncDecl(STANDARD, name, (), tuple(tpl.env.items()), tpl.required, tpl.tree)
-        fc = _FnCompiler(self, fn, base, lengths)
-        xname, _ = self.chunk("\n".join(fc.lines + [f"    return {fc.result}"]), fc.params)
-        fn = self.namespace[name] = self.namespace[xname]
+        fc = _FnCompiler(self, fn, base, lengths, chunk=True)
+        body = "\n".join(fc.lines + [f"    return {fc.result}"])
+        text = f"def chunk({', '.join(fc.params)}):\n{body}"
+        code = self.codes.get(text)
+        if code is None:
+            _exec(text, self.namespace)
+            code = self.codes[text] = self.namespace.pop("chunk").__code__
+        fn = self.namespace[name] = _instance(code, fc.reads, fc.calls, self.namespace, name)
         return fn
 
-    def chunk(self, body: str, params: list | None = None) -> tuple[str, list[str]]:
-        """Outline the function body `body` as an instance of a shared
-        chunk, put it in the namespace once the namespace is complete (see
-        `flush`), and return the instance's name and parameters: `params`,
-        or the variables and temporaries of `body` in order of appearance.
-        The other variables and temporaries are the chunk's locals.
 
-        The chunk's shape is `body` cut at its tokens, the kind of each
-        token, and which tokens name the same parameter or chunk.  Its
-        source is written once per shape: it takes the parameters as `p0,
-        p1, ...`, reads the k-th control point as the float constant `k.5`
-        and calls chunks by the global names `n0, n1, ...`.  Each instance
-        gets its own copy of the chunk's code object, with its control ids
-        and chunk names in those places (see `_instance`), so it runs the
-        same bytecode as if it had been compiled on its own."""
-        parts = _CHUNK_TOKENS.split(body)
-        cps = [int(c) for c in parts[2::_GROUPS] if c]
-        used = [
-            f"_t{t}" if t else f"v_{v}"
-            for t, v in zip(parts[4::_GROUPS], parts[8::_GROUPS])
-            if t or v
-        ]
-        calls = [f"_{k}{x}" for k, x in zip(parts[5::_GROUPS], parts[6::_GROUPS]) if x]
-        if params is None:
-            params = list(dict.fromkeys(used))
-        nested = list(dict.fromkeys(calls))
-        index = {n: i for i, n in enumerate(params)}
-        index.update((n, i) for i, n in enumerate(nested))
-        shape = (
-            tuple(parts[0::_GROUPS]),
-            tuple(parts[1::_GROUPS]),
-            tuple(parts[3::_GROUPS]),
-            tuple([index.get(n, n) for n in used]),
-            tuple(map(index.__getitem__, calls)),
-            len(params),
-        )
-        chunk = self.chunks.get(shape)
-        if chunk is None:
-            chunk = self.chunks[shape] = len(self.sources)
-            self.sources.append(_chunk_source(parts, index, len(params)))
-        name = f"_x{len(self.instances)}"
-        self.instances.append((name, chunk, cps, nested))
-        if self.ready:  # an instance's first run
-            self.flush()
-        return name, params
-
-    def flush(self) -> None:
-        """Compile the chunk sources not compiled yet, and put the chunk
-        instances not made yet in the namespace."""
-        for text in self.sources[len(self.codes):]:
-            _exec(text, self.namespace)
-            self.codes.append(self.namespace.pop("chunk").__code__)
-        for name, chunk, cps, nested in self.instances[self.made:]:
-            self.namespace[name] = _instance(self.codes[chunk], cps, nested, self.namespace, name)
-        self.made = len(self.instances)
-        self.ready = True
-
-
-def _chunk_source(parts: list, index: dict, n_params: int) -> str:
-    """The source of a chunk, from one instance's split value."""
-    body = [parts[0]]
-    reads = 0
-    for i in range(1, len(parts), _GROUPS):
-        _, cp, _, temp, kind, sub, _, var = parts[i:i + _GROUPS - 1]
-        if cp:
-            body.append(f"_rd({reads}.5)")
-            reads += 1
-        elif sub:
-            body.append(f"n{index[f'_{kind}{sub}']}")
-        else:
-            used = f"_t{temp}" if temp else f"v_{var}"
-            body.append(f"p{index[used]}" if used in index else used)
-        body.append(parts[i + _GROUPS - 1])
-    params = ", ".join(f"p{i}" for i in range(n_params))
-    return f"def chunk({params}):\n{''.join(body)}"
-
-
-def _instance(code: CodeType, cps: list[int], nested: list[str], namespace: dict, name: str):
+def _instance(code: CodeType, cps: list[int], stubs: list[str], namespace: dict, name: str):
     """An instance of a chunk: its code with the placeholder `k.5` replaced
     by the k-th control id (the only floats in compiled code) and `nk` by
-    the name of the k-th chunk it calls."""
+    the k-th stub it calls."""
     reads = {k + 0.5: cp for k, cp in enumerate(cps)}
-    calls = {f"n{k}": sub for k, sub in enumerate(nested)}
+    calls = {f"n{k}": sub for k, sub in enumerate(stubs)}
     code = code.replace(
         co_consts=tuple(reads[c] if type(c) is float else c for c in code.co_consts),
         co_names=tuple(calls.get(n, n) for n in code.co_names),
@@ -782,7 +686,6 @@ def _recursive_functions(calls: dict[str, set[str]], shape):
     recursive = {name for name, seen in reachable.items() if name in seen}
     reach = {name: (seen | {name}) & recursive for name, seen in reachable.items()}
     return recursive, reach, reachable
-
 
 
 _PRELUDE = '''
@@ -870,7 +773,6 @@ def compile_concrete(
         pieces.append("def _reset_depths():\n    pass")
     exec(_PRELUDE_CODE, namespace)
     _exec("\n".join(pieces), namespace)
-    comp.flush()
     if shape is not None:
 
         def _force_fn(b, _ns=namespace, _trans=shape.trans):

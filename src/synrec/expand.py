@@ -219,6 +219,8 @@ class Expander:
         self.bases: list[str] | None = None
         self.frame = 0
         self._frames = 0
+        self.source: str | None = None  # the file of the body being expanded
+        self._spliced: dict[int, GenLambda] = {}  # lambdas called, by body id
         self._templates: dict = {}
         self._shapes: dict = {}
         self._used_names: set[str] = set()
@@ -267,7 +269,22 @@ class Expander:
 
     # -- the expansion judgement ------------------------------------------------
 
+    def expand_in(self, source, env: TypeEnv, e: Expr, required: TypeExpr, path: _Path) -> Expr:
+        """Expand `e`, part of a body written in the file `source`: its
+        errors name that file, unless an inner body named its own."""
+        saved, self.source = self.source, source
+        try:
+            return self.expand(env, e, required, path)
+        except ExpandError as err:
+            raise err.located(source)
+        finally:
+            self.source = saved
+
     def expand(self, env: TypeEnv, e: Expr, required: TypeExpr, path: _Path) -> Expr:
+        lam = self._spliced.get(id(e))
+        if lam is not None and lam.source != self.source:
+            # a generator lambda's body, written in its caller's file
+            return self.expand_in(lam.source, env, e, required, path)
         t = type(e)
         if t is Var:
             vt = env.lookup(e.name)
@@ -727,7 +744,8 @@ class Expander:
                 if isinstance(arg, (FuncRef, GenLambda)):
                     mapping[pname] = arg
                 else:
-                    mapping[pname] = GenLambda(arg, span=getattr(arg, "span", None) or e.span)
+                    span = getattr(arg, "span", None) or e.span
+                    mapping[pname] = GenLambda(arg, span=span, source=self.source)
                 continue
             if not is_concrete(pt):
                 raise ExpandError(
@@ -751,11 +769,9 @@ class Expander:
             )
         try:
             body = self._instantiate_body(f.body, mapping, subst)
-            result = self.expand(inner_env, body, required, path.enter(f.name))
         except ExpandError as err:
-            # the generator's source, unless an inner one named its own
-            # (an argument passed as a `fun` counts as the generator's)
             raise err.located(f.source)
+        result = self.expand_in(f.source, inner_env, body, required, path.enter(f.name))
         for name, ty, value in reversed(let_bindings):
             result = Let(name, ty, value, result, span=e.span)
         return result
@@ -763,8 +779,9 @@ class Expander:
     def _instantiate_body(
         self, body: Expr, mapping: dict[str, Expr], subst: Substitution
     ) -> Expr:
-        """Alpha-rename lets, substitute parameters, and apply the type subst."""
-        renames: dict[str, str] = {}
+        """Alpha-rename lets, substitute parameters, and apply the type subst.
+        A generator lambda's call becomes its body, expanded as its caller's
+        (see `expand`)."""
 
         def go(node: Expr, scope: dict[str, Expr]) -> Expr:
             if isinstance(node, Var):
@@ -798,6 +815,7 @@ class Expander:
                             raise ExpandError(
                                 "generator lambdas take no arguments", node.span
                             )
+                        self._spliced[id(r.body)] = r
                         return r.body
                     if isinstance(r, Var):
                         return Call(r.name, args, span=node.span)
@@ -852,10 +870,7 @@ def expand_program(program: SurfaceProgram, ctx: ExpansionContext) -> ExpandedPr
         env = TypeEnv(program)
         for pname, pty in f.params:
             env = env.bind(pname, pty)
-        try:
-            body = expander.expand(env, f.body, f.ret, _Path())
-        except ExpandError as err:
-            raise err.located(f.source)
+        body = expander.expand_in(f.source, env, f.body, f.ret, _Path())
         funcs.append(replace(f, body=body))
     out = ExpandedProgram(
         SurfaceProgram(program.adts, tuple(funcs)), tuple(expander.points)

@@ -279,6 +279,17 @@ def test_criterion_6_acceleration_proxy(lang_opt, lang_unopt):
 # -- criterion 7: scaling trend ----------------------------------------------------------------
 
 
+def _fastest(run, *args):
+    """The result of `run(*args)` and the least wall time of three runs,
+    so that one stall of the host cannot decide a wall assertion."""
+    times = []
+    for _ in range(3):
+        t0 = time.monotonic()
+        result = run(*args)
+        times.append(time.monotonic() - t0)
+    return result, min(times)
+
+
 def test_criterion_7_scaling_trend():
     cfg = SynthesisConfig(timeout_secs=120)
     walls_unopt, evals_unopt, ratios_evals, ratios_wall = [], [], [], []
@@ -287,14 +298,14 @@ def test_criterion_7_scaling_trend():
         text = scaling_benchmark(n)
         program = load_with_library(text)
         prep = prepare(program, cfg)
-        t0 = time.monotonic()
-        opt = run_cegis(prep.expanded, cfg, prep.shape, prep.report)
-        t_opt = time.monotonic() - t0
-        t0 = time.monotonic()
-        unopt = run_cegis(
-            prep.expanded, dataclasses.replace(cfg, indecomp=False), prep.shape, prep.report
+        opt, t_opt = _fastest(run_cegis, prep.expanded, cfg, prep.shape, prep.report)
+        unopt, t_unopt = _fastest(
+            run_cegis,
+            prep.expanded,
+            dataclasses.replace(cfg, indecomp=False),
+            prep.shape,
+            prep.report,
         )
-        t_unopt = time.monotonic() - t0
         assert opt.solved
         solved_unopt.append(unopt.solved)
         walls_unopt.append(t_unopt)

@@ -440,3 +440,18 @@ def test_expand_error_in_a_template_names_the_library(tmp_path, capsys):
     assert run_cli("synth", f, "--lib", lib) == 1
     err = capsys.readouterr().err
     assert err == f"error: {lib}:1:35: no alternative of this choice fits the required type int\n"
+
+
+def test_expand_error_in_a_generator_lambda_names_its_caller(tmp_path, capsys):
+    """An expression passed as a `fun` is expanded inside the generator's
+    body, but its errors name the file it was written in."""
+    lib = tmp_path / "lib.synrec"
+    lib.write_text("\n\ngenerator T apply<T>(fun e) { return e(); }\n")
+    f = tmp_path / "genlam.synrec"
+    f.write_text(
+        "adt L { N {} }\n"
+        "bit f(L l) { return apply(5); }\n"
+        "harness void m(L l) { assert(f(l) == 1); }\n"
+    )
+    assert run_cli("synth", f, "--lib", lib) == 1
+    assert capsys.readouterr().err == f"error: {f}:2:27: literal 5 cannot have type bit\n"

@@ -280,7 +280,8 @@ def test_scaling8_unary_arms_share_one_chunk(monkeypatch):
     build its fields (the literal arm builds `LitD` from `e.v`).  The
     fourteen instances differ only in control ids and names, so their chunk
     is compiled once, and each runs the same bytecode with its own control
-    ids."""
+    ids.  They come from several templates: instances share a chunk by
+    their compiled text, not by their template."""
     exp = expand_program(
         load_with_library(scaling_benchmark(8)), SynthesisConfig().expansion_context()
     )
@@ -291,6 +292,14 @@ def test_scaling8_unary_arms_share_one_chunk(monkeypatch):
         return compile(source, *args)
 
     monkeypatch.setattr(compiled, "compile", counting_compile, raising=False)
+    templates = []
+    compile_arm = compiled._Compiler.arm
+
+    def recording_arm(self, name, tpl, *args):
+        templates.append(tpl)
+        return compile_arm(self, name, tpl, *args)
+
+    monkeypatch.setattr(compiled._Compiler, "arm", recording_arm)
     prog = compile_concrete(exp.program)
     assert len(sources) == 1  # the program's functions
     phi = dict(exp.defaults)
@@ -312,6 +321,7 @@ def test_scaling8_unary_arms_share_one_chunk(monkeypatch):
     assert len(made) == 14
     assert len({c.co_code for c in made}) == 1
     assert len({c.co_consts for c in made}) == 14
+    assert len(templates) == 14 and len(set(map(id, templates))) > 1
 
 
 # The constructor's first field reads a hole, and its second holds the

@@ -11,7 +11,9 @@ inline bounds 1 to 3, and decomposition on and off:
   would, the program compiled with its arms compiled on first run and the
   reference evaluator agree on every input up to depth 2, on the verdict
   and on the kind of failure; and its translation returns what the
-  expansion forced in full and compiled in one piece returns.
+  expansion forced in full and compiled in one piece returns;
+- forced in full at inline bound 4, the expansion holds an expression of
+  over ten thousand characters, and it still compiles in one piece.
 """
 
 import dataclasses
@@ -19,6 +21,8 @@ import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from synrec import compiled
 
 from synrec.ast import children, rebuild, walk
 from synrec.cegis import SynthesisConfig, compile_run, iter_inputs
@@ -95,3 +99,29 @@ def test_arms_compiled_on_first_run_match_the_evaluator(n, bound, decompose, see
             got = _run(compiled, harness.name, phi, args)
             assert (want, got) in (("pass", None), (want, want)), args
             assert _run(compiled, "lower", phi, args) == _run(whole, "lower", phi, args)
+
+
+def test_a_long_forced_expansion_compiles_in_one_piece(monkeypatch):
+    """Nothing is outlined: forced in full at inline bound 4, scaling n=8
+    holds an expression of over ten thousand characters, which compiles
+    in one piece and agrees with the program whose arms compile on first
+    run."""
+    cfg = SynthesisConfig(inline_bound=4, input_depth=2)
+    exp = expand_program(load_with_library(scaling_benchmark(8)), cfg.expansion_context())
+    sources = []
+
+    def recording_compile(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(compiled, "compile", recording_compile, raising=False)
+    whole = compile_concrete(force_expansion(exp).program, None, cfg.effective_unroll)
+    assert len(sources) == 1
+    assert max(map(len, sources[0].splitlines())) > 10_000
+    lazy = compile_concrete(exp.program, None, cfg.effective_unroll)
+    harness = exp.program.harnesses[0]
+    rng = random.Random(4)
+    for _ in range(5):
+        phi = {p.id: rng.randint(p.lo, p.hi) for p in exp.control_space}
+        for args in iter_inputs(exp.program, harness, cfg):
+            assert _run(lazy, "lower", phi, args) == _run(whole, "lower", phi, args)
