@@ -10,10 +10,13 @@ other arguments are forwarded, e.g.
 import sys
 from pathlib import Path
 
-from synrec.cli import main
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from synrec.cli import main  # noqa: E402
 
 if __name__ == "__main__":
     args = sys.argv[1:]
     if not args or args[0].startswith("-"):
-        args = [str(Path(__file__).resolve().parents[1] / "corpus"), *args]
+        args = [str(ROOT / "corpus"), *args]
     sys.exit(main(["bench", *args]))

@@ -14,10 +14,13 @@ import argparse
 import dataclasses
 import sys
 import time
+from pathlib import Path
 
-from synrec.cegis import SynthesisConfig
-from synrec.pipeline import synthesize
-from synrec.scaling import MAX_VARIANTS, scaling_benchmark
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from synrec.cegis import SynthesisConfig  # noqa: E402
+from synrec.pipeline import synthesize  # noqa: E402
+from synrec.scaling import MAX_VARIANTS, scaling_benchmark  # noqa: E402
 
 
 def run(n: int, timeout: float, indecomp: bool):

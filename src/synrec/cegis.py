@@ -6,15 +6,17 @@ deterministic, complete backtracking search with lazy binding: control
 points are bound to their first domain value when evaluation first reads
 them, and backtracking advances the most recently bound point that still
 has untried values, skipping the values that fail at the point's own read
-(see `LazyBinder`).  Verification is bounded checking of the plain
-program under the candidate's total assignment over depth-major
-enumerated native inputs, so the first counterexample found is
-depth-minimal.  It has two strategies with the same verdict and
-counterexample: exhaustive enumeration of every input, and, for the
-candidates of a decomposed run that pass `value_class_blocker`, a
-bottom-up check of one witness tree per class of children that the plain
-program cannot tell apart (see `_verify_value_classes`).  Each
-counterexample is re-run once on the reference evaluator.
+(see `LazyBinder`).  An assignment is a plain dict from control id to
+value everywhere: the binder is one, and the candidate it stands for is
+`expanded.defaults | binder`.  Verification is bounded checking of the
+plain program under the candidate over depth-major enumerated native
+inputs, so the first counterexample found is depth-minimal.  It has two
+strategies with the same verdict and counterexample: exhaustive
+enumeration of every input, and, for the candidates of a decomposed run
+that pass `value_class_blocker`, a bottom-up check of one witness tree
+per class of children that the plain program cannot tell apart (see
+`_verify_value_classes`).  Each counterexample is re-run once on the
+reference evaluator.
 
 When inductive decomposition produced a morphism, switch arms of the
 function under synthesis share no control points with each other, so the
@@ -86,7 +88,7 @@ from .indecomp import (
     SpecShape,
     apply_inductive_decomposition,
 )
-from .typesys import TypeEnv, check_type
+from .typesys import typecheck_function
 
 log = logging.getLogger("synrec")
 
@@ -293,27 +295,12 @@ def iter_inputs(program: SurfaceProgram, harness: FuncDecl, cfg: SynthesisConfig
 # Lazy-binding backtracking search
 
 
-class _Bindings(dict):
-    """Control point -> value; reading an unbound point binds it to its
-    first domain value and records it on the trail.  Compiled code reads
-    through `__getitem__`, so a bound read makes no Python call."""
-
-    __slots__ = ("space", "trail")
-
-    def __init__(self, space: tuple[ControlPoint, ...], trail: list[int]):
-        super().__init__()
-        self.space = space
-        self.trail = trail
-
-    def __missing__(self, cp: int) -> int:
-        v = self[cp] = self.space[cp].lo
-        self.trail.append(cp)
-        return v
-
-
-class LazyBinder:
-    """Binds control points in first-read order; `advance` flips the most
-    recent point with untried values and discards later bindings.
+class LazyBinder(dict):
+    """Control point -> value, bound in first-read order: reading an
+    unbound point binds it to its first domain value and records it on
+    the trail.  Compiled code reads through `__getitem__`, so a read of a
+    bound point makes no Python call.  `advance` flips the most recent
+    point with untried values and discards later bindings.
 
     `dead_from` maps a point to the least value from which every value
     fails at the point's own read (`CompiledProgram.dead_from`).  Such a
@@ -322,38 +309,32 @@ class LazyBinder:
     untried in `skipped`.  The first binding stays the domain's first
     value, so the read order and every other candidate stay as they are."""
 
-    __slots__ = ("space", "bound", "trail", "dead_from", "skipped")
+    __slots__ = ("space", "trail", "dead_from", "skipped")
 
     def __init__(self, space: tuple[ControlPoint, ...], dead_from: dict[int, int] | None = None):
+        super().__init__()
         self.space = space
         self.trail: list[int] = []
-        self.bound = _Bindings(space, self.trail)
         self.dead_from = {} if dead_from is None else dead_from
         self.skipped = 0
 
-    def read(self, cp: int) -> int:
-        return self.bound[cp]
+    def __missing__(self, cp: int) -> int:
+        v = self[cp] = self.space[cp].lo
+        self.trail.append(cp)
+        return v
 
     def advance(self) -> bool:
-        bound, trail = self.bound, self.trail
+        trail = self.trail
         while trail:
             cp = trail[-1]
-            value, hi = bound[cp] + 1, self.space[cp].hi
+            value, hi = self[cp] + 1, self.space[cp].hi
             if value <= hi and value < self.dead_from.get(cp, value + 1):
-                bound[cp] = value
+                self[cp] = value
                 return True
             self.skipped += hi + 1 - value
             trail.pop()
-            del bound[cp]
+            del self[cp]
         return False
-
-
-def total_assignment(expanded: ExpandedProgram, partial: dict[int, int]) -> dict[int, int]:
-    """Complete a partial assignment of `expanded`'s control space with
-    first-domain-value defaults, keyed in the order of the space."""
-    phi = expanded.defaults.copy()
-    phi.update(partial)
-    return phi
 
 
 def _passes(compiled: CompiledProgram, run, cexs: list[tuple], stats: SynthesisStats) -> bool:
@@ -397,7 +378,7 @@ def _search(
         binder = LazyBinder(expanded.control_space, compiled.dead_from)
     if not cexs:
         return binder, True
-    compiled.bind_controls(binder.bound.__getitem__)
+    compiled.bind_controls(binder.__getitem__)
     run = compiled.func(expanded.program.harnesses[0].name)
     todo = cexs[passed:]
     while True:
@@ -427,7 +408,7 @@ def synthesize_inductive(
     binder, found = _search(expanded, compiled, cexs, deadline, stats)
     if not found:
         return None
-    return total_assignment(expanded, binder.bound)
+    return expanded.defaults | binder
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +453,6 @@ def verify(
     the translation (`CompiledProgram.bind_boxes`).
     """
     harness = expanded.program.harnesses[0]
-    if len(phi) != len(expanded.control_space):
-        phi = total_assignment(expanded, phi)
     if compiled is None:
         compiled = compile_concrete(expanded.program, None, cfg.effective_unroll)
     compiled.bind_controls(phi.__getitem__)
@@ -669,8 +648,6 @@ def concretize(expanded: ExpandedProgram, phi: dict[int, int]) -> SurfaceProgram
     signature, and keeps let bindings whose values could have observable
     effects.
     """
-    if len(phi) != len(expanded.control_space):
-        phi = total_assignment(expanded, phi)
 
     def go(e: Expr) -> Expr:
         if isinstance(e, Hole):
@@ -689,10 +666,7 @@ def concretize(expanded: ExpandedProgram, phi: dict[int, int]) -> SurfaceProgram
                 raise InternalError(
                     f"concretize left a {type(node).__name__} node in {f.name!r}"
                 )
-        env = TypeEnv(out)
-        for pname, pty in f.params:
-            env = env.bind(pname, pty)
-        check_type(env, f.body, f.ret)
+        typecheck_function(out, f)
     return out
 
 
@@ -837,11 +811,11 @@ def _solve_per_arm(
     # the arm solutions must bind disjoint control points
     merged: dict[int, int] = {}
     for arm in stats.per_arm:
-        frag = arm.binder.bound if arm.binder is not None else {}
+        frag = arm.binder if arm.binder is not None else {}
         if merged.keys() & frag.keys():
             return "fallback"
         merged.update(frag)
-    phi = total_assignment(expanded, merged)
+    phi = expanded.defaults | merged
     compiled.bind_controls(phi.__getitem__)
     if not _passes(compiled, compiled.func(harness.name), cexs, stats):
         return "fallback"
@@ -934,7 +908,7 @@ def run_cegis(
 
     def finish(status, assignment=None, solution=None) -> SynthesisResult:
         stats.wall_ms = int((time.monotonic() - start) * 1000)
-        stats.run = expanded, compiled.compiler.compiled
+        stats.run = expanded, compiled.compiled
         # The compiled functions and their namespace refer to each other:
         # clearing it frees them now, not at the collector's next run,
         # which would fall in whatever the caller does next.

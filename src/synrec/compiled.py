@@ -17,15 +17,16 @@ call right there and runs as the plain program: the check.  So a
 decomposed run compiles one program for both.
 
 What the expansion holds outside choice arms is compiled up front, in one
-piece.  A template instance that stays a `_Use` in a choice arm (see
-`expand`) compiles only when it first runs: its call goes to a stub that
-compiles the instance into the namespace in its place (`_Compiler.stub`),
-so an arm that no candidate selects is never compiled.  Such an instance
-is compiled straight to its shared form, a chunk: its locals are named by
-position, its control reads and its calls of other instances are
-numbered placeholders, and equal texts compile once.  Each instance runs
-a copy of the chunk's code object with its own control ids and callees
-in the placeholders' places (see `_Compiler.arm`).  An expression whose
+piece, into the namespace of one `CompiledProgram`.  A template instance
+that stays a `_Use` in a choice arm (see `expand`) compiles only when it
+first runs: its call goes to a stub that compiles the instance into the
+namespace in its place (`CompiledProgram.stub`), so an arm that no
+candidate selects is never compiled.  Such an instance is compiled
+straight to its shared form, a chunk: its locals are named by position,
+its control reads and its calls of other instances are numbered
+placeholders, and equal texts compile once.  Each instance runs a copy of
+the chunk's code object with its own control ids and callees in the
+placeholders' places (see `CompiledProgram.arm`).  An expression whose
 first operand is `unreachable` compiles to the failure alone.
 
 Some control values fail right at their point's read, whatever the other
@@ -71,7 +72,6 @@ periodically to bound memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import CodeType, FunctionType
 
 from .ast import (
@@ -133,22 +133,39 @@ class CExhausted(Exception):
     pass
 
 
-@dataclass
 class CompiledProgram:
-    namespace: dict
-    program: SurfaceProgram
-    memos: list[dict]
-    # the tables of `memos` whose entries hold only under the candidate
-    # that made them (see the module docstring)
-    candidate_memos: list[dict]
-    # the decomposition's translation, if compiled with a shape
-    trans: str | None = None
-    # its compiler, which compiles instances left in choice arms on their
-    # first run (see `_Compiler.stub`)
-    compiler: "_Compiler | None" = field(default=None, repr=False)
-    # control point -> the least value from which every value fails at the
-    # point's read; an arm compiled on its first run adds its points then
-    dead_from: dict[int, int] = field(default_factory=dict)
+    """A program compiled into one namespace, with what its compilation
+    found: the recursive functions, the memo tables, and the dead values
+    of its control points.  It compiles an instance left in a choice arm
+    on the instance's first run (`stub`, `arm`)."""
+
+    def __init__(self, program: SurfaceProgram, shape, max_depth: int):
+        self.program = program
+        self.shape = shape
+        self.max_depth = max_depth
+        self.recursive: set[str] = set()
+        # for each function, the recursive functions its calls can reach
+        self.reach: dict[str, set[str]] = {}
+        self.namespace: dict = {
+            "Box": Box,
+            "_box": Box,
+            "CAssertFail": CAssertFail,
+            "CInfeasible": CInfeasible,
+            "CExhausted": CExhausted,
+            "InternalError": InternalError,
+            "_wrap64": wrap64,
+        }
+        self.memos: list[dict] = []
+        # the tables of `memos` whose entries hold only under the candidate
+        # that made them (see the module docstring)
+        self.candidate_memos: list[dict] = []
+        # control point -> the least value from which every value fails at
+        # the point's read; an arm compiled on its first run adds its
+        # points then
+        self.dead_from: dict[int, int] = {}
+        self.stubs = 0
+        self.compiled = 0  # how many stubs have run
+        self.codes: dict[str, CodeType] = {}  # chunk text -> its code
 
     def func(self, name: str):
         return self.namespace[f"f_{name}"]
@@ -188,9 +205,40 @@ class CompiledProgram:
         translation (`boxed`, as compiled), or make that call right there,
         which runs the plain program.  Memo entries and depth counters are
         dropped as by `bind_controls`."""
-        self.namespace["_box"] = Box if boxed else self.func(self.trans)
+        self.namespace["_box"] = Box if boxed else self.func(self.shape.trans)
         self.namespace["_reset_depths"]()
         self.clear_memos()
+
+    def stub(self, tpl: _Template, base: int, lengths: dict) -> str:
+        """Name the instance of `tpl` at control id `base`, bound to a stub
+        that compiles it on its first call and then calls it.  Compiling it
+        records its points' dead values before any of them is read.
+        `lengths`: see `_FnCompiler`."""
+        name = f"_u{self.stubs}"
+        self.stubs += 1
+
+        def first(*args):
+            return self.arm(name, tpl, base, lengths)(*args)
+
+        self.namespace[name] = first
+        return name
+
+    def arm(self, name: str, tpl: _Template, base: int, lengths: dict):
+        """Compile an instance that stayed a `_Use` as a chunk taking the
+        variables of its template's key, in place of its stub.  Instances
+        of equal text, of one template or of several, compile once, and
+        each runs its own copy of the code (see `_instance`)."""
+        self.compiled += 1
+        fn = FuncDecl(STANDARD, name, (), tuple(tpl.env.items()), tpl.required, tpl.tree)
+        fc = _FnCompiler(self, fn, base, lengths, chunk=True)
+        body = "\n".join(fc.lines + [f"    return {fc.result}"])
+        text = f"def chunk({', '.join(fc.params)}):\n{body}"
+        code = self.codes.get(text)
+        if code is None:
+            _exec(text, self.namespace)
+            code = self.codes[text] = self.namespace.pop("chunk").__code__
+        fn = self.namespace[name] = _instance(code, fc.reads, fc.calls, self.namespace, name)
+        return fn
 
 
 class _FnCompiler:
@@ -199,9 +247,9 @@ class _FnCompiler:
     a box it makes or forces); `compile` adds the depth and memo
     bookkeeping once the whole call graph is known.
 
-    For an instance that stays a `_Use` (see `_Compiler.arm`), `fn` is its
-    template's tree over the variables of the template's key, and its
-    control ids count from `base`.  An instance inside it stays a call of
+    For an instance that stays a `_Use` (see `CompiledProgram.arm`), `fn`
+    is its template's tree over the variables of the template's key, and
+    its control ids count from `base`.  An instance inside it stays a call of
     its own when it lies in a choice arm, and is compiled in place
     otherwise.  `lengths` gives the static lengths of the array parameters
     that have one, by position.  Such an instance compiles as a `chunk`:
@@ -210,8 +258,8 @@ class _FnCompiler:
     `branches` re-emits included), and `reads` and `calls` hold the real
     control ids and stub names."""
 
-    def __init__(self, comp: "_Compiler", fn: FuncDecl, base=0, lengths=None, chunk=False):
-        self.comp = comp
+    def __init__(self, prog: CompiledProgram, fn: FuncDecl, base=0, lengths=None, chunk=False):
+        self.prog = prog
         self.fn = fn
         self.base = base
         self.reads: list[int] | None = [] if chunk else None
@@ -219,11 +267,10 @@ class _FnCompiler:
         self.choices = 0  # how many choices the current node lies in
         self.lines: list[str] = []
         self.tmp = 0
-        self.scope: dict[str, str] = {}
         self.callees: set[str] = set()
         self.variants: set[str] = set()
         # the destination interpreter's rewrite forces boxes
-        shape = comp.shape
+        shape = prog.shape
         self.reads_candidate = shape is not None and fn.name == shape.interp_d
         # Python expressions that raise, after their reads, as soon as they
         # run, or whose statements have already raised when they run (see
@@ -231,13 +278,10 @@ class _FnCompiler:
         # is one fails the same way, so it compiles to that operand alone.
         self.failing = {_FAIL}
         self.params = [self.temp() for _ in fn.params]
+        self.scope = {n: py for (n, _), py in zip(fn.params, self.params)}
         # the static length of each array variable bound to a literal
         self.lengths = {self.params[i]: n for i, n in (lengths or {}).items()}
-        env = TypeEnv(comp.program)
-        for (n, t), py in zip(fn.params, self.params):
-            self.scope[n] = py
-            env = env.bind(n, t)
-        self.result = self.expr(fn.body, env, 1)
+        self.result = self.expr(fn.body, TypeEnv(prog.program, dict(fn.params)), 1)
 
     def temp(self) -> str:
         """A new local, named by position so that equal instances compile
@@ -333,7 +377,7 @@ class _FnCompiler:
             n = self.length(e.base) if type(idx) is Hole else None
             if n is not None:
                 # every index from the array's length on fails at this read
-                self.comp.dead_from[idx.cp + self.base] = n
+                self.prog.dead_from[idx.cp + self.base] = n
                 if n == 0:
                     failed = f"_fail({index})"
                     self.failing.add(failed)
@@ -371,9 +415,10 @@ class _FnCompiler:
         raise InternalError(f"compile: unsupported node {t.__name__}")
 
     def use(self, e: _Use, env: TypeEnv, indent: int) -> str:
-        """Call an instance that stays a `_Use` in a choice arm, compiled on
-        its first run (`_Compiler.stub`).  It takes the variables of its
-        template's key, and can call and build what its template can."""
+        """Call an instance that stays a `_Use` in a choice arm, compiled
+        on its first run (`CompiledProgram.stub`).  It takes the variables
+        of its template's key, and can call and build what its template
+        can."""
         tpl = e.template
         if not (self.choices and tpl.lazy):
             self.base += e.offset
@@ -385,7 +430,7 @@ class _FnCompiler:
         self.variants |= variants
         args = [self.scope[e.names.get(n, n)] for n in tpl.env]
         lengths = {i: self.lengths[a] for i, a in enumerate(args) if a in self.lengths}
-        name = self.comp.stub(tpl, self.base + e.offset, lengths)
+        name = self.prog.stub(tpl, self.base + e.offset, lengths)
         if self.reads is not None:
             self.calls.append(name)
             name = f"n{len(self.calls) - 1}"
@@ -408,7 +453,7 @@ class _FnCompiler:
         live = [i for i, v in enumerate(values) if v not in self.failing]
         if cp is not None and (not live or live[-1] + 1 < len(values)):
             # every value after the last arm that does not fail at once
-            self.comp.dead_from[cp] = live[-1] + 1 if live else 1
+            self.prog.dead_from[cp] = live[-1] + 1 if live else 1
         if len(self.lines) == mark:
             if cp is None:
                 return f"(({values[0]}) if ({test}) else ({values[1]}))"
@@ -471,7 +516,7 @@ class _FnCompiler:
                 neg = "not " if op == "!=" else ""
                 lhs, rhs = self.operands((e.lhs, e.rhs), env, indent)
                 if not isinstance(lt, PrimType):
-                    if self.comp.shape is not None:
+                    if self.prog.shape is not None:
                         self.reads_candidate = True  # `_eq` forces boxes
                     return f"({neg}_eq({lhs}, {rhs}))"
                 return f"({lhs} {op} {rhs})"
@@ -493,7 +538,7 @@ class _FnCompiler:
         scrut_py = self.scope[e.scrutinee]
         st = env.lookup(e.scrutinee)
         adt = env.program.adt(st.name)
-        shape = self.comp.shape
+        shape = self.prog.shape
         if shape is not None and st.name == shape.dest_adt:
             # the arms see the forced value; the variable keeps the box
             self.reads_candidate = True
@@ -517,14 +562,14 @@ class _FnCompiler:
 
     def compile(self) -> str:
         fn = self.fn
-        comp = self.comp
+        prog = self.prog
         params = self.params
         body, self.lines = self.lines, []
         dvar = f"_d_{fn.name}"
-        recursive = fn.name in comp.recursive
+        recursive = fn.name in prog.recursive
         header = f"def f_{fn.name}({', '.join(params)}):"
         self.emit(0, header)
-        shape = comp.shape
+        shape = prog.shape
         memo = recursive and self._memoizable()
         if recursive:
             self.emit(1, f"global {dvar}")
@@ -533,7 +578,7 @@ class _FnCompiler:
             # within a table the key adds the entry values of the other
             # counters the call can reach.  Root calls (counter 0) are never
             # stored, so they skip the lookup.
-            others = [f"_d_{g}" for g in sorted(comp.reach[fn.name]) if g != fn.name]
+            others = [f"_d_{g}" for g in sorted(prog.reach[fn.name]) if g != fn.name]
             key = f"(id({params[0]}), {', '.join(others)})" if others else f"id({params[0]})"
             self.emit(1, f"if {dvar}:")
             self.emit(2, f"_k = {key}")
@@ -553,7 +598,7 @@ class _FnCompiler:
         if recursive:
             # No try/finally: the caller runs `_reset_depths` after an
             # escaping exception, before any reuse.
-            self.emit(1, f"if {dvar} >= {comp.max_depth}: raise CExhausted")
+            self.emit(1, f"if {dvar} >= {prog.max_depth}: raise CExhausted")
             self.emit(1, f"{dvar} += 1")
         self.lines += body
         self.emit(1, f"_r = {self.result}")
@@ -570,59 +615,6 @@ class _FnCompiler:
 
 
 _FAIL = "_fail()"  # `unreachable`
-
-
-class _Compiler:
-    def __init__(self, program: SurfaceProgram, shape, max_depth: int):
-        self.program = program
-        self.shape = shape
-        self.max_depth = max_depth
-        self.recursive: set[str] = set()
-        self.reach: dict[str, set[str]] = {}
-        self.namespace: dict = {
-            "Box": Box,
-            "_box": Box,
-            "CAssertFail": CAssertFail,
-            "CInfeasible": CInfeasible,
-            "CExhausted": CExhausted,
-            "InternalError": InternalError,
-            "_wrap64": wrap64,
-        }
-        self.stubs = 0
-        self.compiled = 0  # how many stubs have run
-        self.codes: dict[str, CodeType] = {}  # chunk text -> its code
-        self.dead_from: dict[int, int] = {}  # see `CompiledProgram.dead_from`
-
-    def stub(self, tpl: _Template, base: int, lengths: dict) -> str:
-        """Name the instance of `tpl` at control id `base`, bound to a stub
-        that compiles it on its first call and then calls it.  Compiling it
-        records its points' dead values before any of them is read.
-        `lengths`: see `_FnCompiler`."""
-        name = f"_u{self.stubs}"
-        self.stubs += 1
-
-        def first(*args):
-            return self.arm(name, tpl, base, lengths)(*args)
-
-        self.namespace[name] = first
-        return name
-
-    def arm(self, name: str, tpl: _Template, base: int, lengths: dict):
-        """Compile an instance that stayed a `_Use` as a chunk taking the
-        variables of its template's key, in place of its stub.  Instances
-        of equal text, of one template or of several, compile once, and
-        each runs its own copy of the code (see `_instance`)."""
-        self.compiled += 1
-        fn = FuncDecl(STANDARD, name, (), tuple(tpl.env.items()), tpl.required, tpl.tree)
-        fc = _FnCompiler(self, fn, base, lengths, chunk=True)
-        body = "\n".join(fc.lines + [f"    return {fc.result}"])
-        text = f"def chunk({', '.join(fc.params)}):\n{body}"
-        code = self.codes.get(text)
-        if code is None:
-            _exec(text, self.namespace)
-            code = self.codes[text] = self.namespace.pop("chunk").__code__
-        fn = self.namespace[name] = _instance(code, fc.reads, fc.calls, self.namespace, name)
-        return fn
 
 
 def _instance(code: CodeType, cps: list[int], stubs: list[str], namespace: dict, name: str):
@@ -738,10 +730,10 @@ def compile_concrete(
     `shape` enables the decomposition rewrite for boxed values; `max_depth`
     is the per-function recursion limit.
     """
-    comp = _Compiler(program, shape, max_depth)
-    namespace = comp.namespace
-    fns = [_FnCompiler(comp, f) for f in program.functions]
-    comp.recursive, comp.reach, reachable = _recursive_functions(
+    prog = CompiledProgram(program, shape, max_depth)
+    namespace = prog.namespace
+    fns = [_FnCompiler(prog, f) for f in program.functions]
+    prog.recursive, prog.reach, reachable = _recursive_functions(
         {fc.fn.name: fc.callees for fc in fns}, shape
     )
     # what a memo table needs to be input-only (see the module docstring)
@@ -749,21 +741,19 @@ def compile_concrete(
     built = {program.variant_owner(v).name for fc in fns for v in fc.variants}
     pieces = []
     depth_vars = []
-    memos: list[dict] = []
-    candidate_memos: list[dict] = []
     for fc in fns:
         name = fc.fn.name
-        if name in comp.recursive:
+        if name in prog.recursive:
             pieces.append(f"_d_{name} = 0")
             depth_vars.append(f"_d_{name}")
             if fc._memoizable():
                 tables = [{} for _ in range(max_depth + 1)]
                 namespace[f"_memo_{name}"] = tables
-                memos += tables
+                prog.memos += tables
                 if (reachable[name] | {name}) & reads_candidate or (
                     fc.fn.params[0][1].name in built
                 ):
-                    candidate_memos += tables
+                    prog.candidate_memos += tables
         pieces.append(fc.compile())
     if depth_vars:
         pieces.append("def _reset_depths():")
@@ -784,6 +774,5 @@ def compile_concrete(
         namespace["_FORCE_FN"] = _force_fn
     else:
         namespace["_FORCE_FN"] = None
-    trans = None if shape is None else shape.trans
-    return CompiledProgram(namespace, program, memos, candidate_memos, trans, comp, comp.dead_from)
+    return prog
 

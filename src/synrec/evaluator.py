@@ -149,18 +149,6 @@ class _Exhausted(Exception):
         self.which = which
 
 
-class FixedControls:
-    """Total control assignment backed by a mapping id -> value."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        self.values = values
-
-    def read(self, cp: int) -> int:
-        return self.values[cp]
-
-
 class _Ctx:
     __slots__ = (
         "functable",
@@ -318,10 +306,9 @@ def eval_expr_ctx(ctx: _Ctx, env: dict, e: Expr):
         cond = eval_expr_ctx(ctx, env, e.cond)
         return eval_expr_ctx(ctx, env, e.then if cond != 0 else e.els)
     if t is Hole:
-        return ctx.controls.read(e.cp)
+        return ctx.controls[e.cp]
     if t is Choice:
-        k = ctx.controls.read(e.cp)
-        return eval_expr_ctx(ctx, env, e.arms[k])
+        return eval_expr_ctx(ctx, env, e.arms[ctx.controls[e.cp]])
     if t is AlwaysFail:
         raise _Infeasible("inlining bound placeholder reached")
     if t is BoxMake:
@@ -375,18 +362,15 @@ def evaluate_harness(
 ) -> Outcome:
     """Run a harness; deterministic in (program, controls, sigma, limits).
 
-    `controls` is either a mapping id -> value or an object with a
-    ``read(cp)`` method (the synthesizer's lazy binder).  Internal type
-    mismatches raise InternalError: they indicate an expander bug, not a
-    property of the input.
+    `controls` maps control ids to values; the synthesizer's lazy binder
+    is such a mapping.  Internal type mismatches raise InternalError: they
+    indicate an expander bug, not a property of the input.
     """
     if harness is None:
         harnesses = program.harnesses
         if not harnesses:
             raise InternalError("program has no harness")
         harness = harnesses[0]
-    if not hasattr(controls, "read"):
-        controls = FixedControls(controls)
     # The tree walk recurses deeply; raise the limit for this call only.
     recursion_limit = sys.getrecursionlimit()
     if recursion_limit < 100_000:

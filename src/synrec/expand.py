@@ -89,7 +89,6 @@ from .typesys import (
     BOOL_OPS,
     EQ_OPS,
     REL_OPS,
-    Substitution,
     TypeEnv,
     apply_subst,
     is_concrete,
@@ -729,7 +728,7 @@ class Expander:
                     f"cannot instantiate {f.name!r}: {err.message}", e.span
                 ) from None
         else:
-            subst = Substitution(())
+            subst = {}
             if f.ret != required:
                 raise ExpandError(
                     f"generator {f.name!r} returns {f.ret}, required {required}", e.span
@@ -777,7 +776,7 @@ class Expander:
         return result
 
     def _instantiate_body(
-        self, body: Expr, mapping: dict[str, Expr], subst: Substitution
+        self, body: Expr, mapping: dict[str, Expr], subst: dict[str, TypeExpr]
     ) -> Expr:
         """Alpha-rename lets, substitute parameters, and apply the type subst.
         A generator lambda's call becomes its body, expanded as its caller's
@@ -867,9 +866,7 @@ def expand_program(program: SurfaceProgram, ctx: ExpansionContext) -> ExpandedPr
                 )
         if not (is_concrete(f.ret) or isinstance(f.ret, UnitType)):
             raise ExpandError(f"{f.name!r} must have a concrete return type", f.span, f.source)
-        env = TypeEnv(program)
-        for pname, pty in f.params:
-            env = env.bind(pname, pty)
+        env = TypeEnv(program, dict(f.params))
         body = expander.expand_in(f.source, env, f.body, f.ret, _Path())
         funcs.append(replace(f, body=body))
     out = ExpandedProgram(

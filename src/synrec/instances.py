@@ -347,10 +347,7 @@ def validate_expansion(expanded: "ExpandedProgram") -> None:
     check = _Postconditions(program, len(ids), set(), "")
     for f in expanded.functions:
         check.fn = f.name
-        env = TypeEnv(program)
-        for pname, pty in f.params:
-            env = env.bind(pname, pty)
         try:
-            check.check(env, f.body, f.ret)
+            check.check(TypeEnv(program, dict(f.params)), f.body, f.ret)
         except TypeCheckError as err:
             raise err.located(f.source)

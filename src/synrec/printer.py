@@ -4,10 +4,12 @@ Strict mode emits concrete programs only and is the inverse of the parser:
 ``parse_program(pretty_print_program(p))`` is structurally equal to ``p``
 (spans aside) for a self-contained program.  Names resolve after the
 library merge, so a program that calls into a library round-trips through
-``load_with_library`` with that library instead.  Debug mode additionally renders synthesis constructs and
-expansion artifacts (``??#k``, ``choose#k(...)``) and is used by the
-`expand` subcommand; its output is a stable dump format, not re-parseable
-input.
+``load_with_library`` with that library instead.  Debug mode additionally
+renders the holes and choices of an expansion (``??#k``,
+``choose#k(...)``), and statements in expression position.  The `expand`
+subcommand uses it on a validated expansion, which holds no other
+synthesis construct.  Its output is a stable dump format, not
+re-parseable input.
 """
 
 from __future__ import annotations
@@ -19,17 +21,14 @@ from .ast import (
     ArrayType,
     Assert,
     BinOp,
-    BoxMake,
     Call,
     Choice,
     Ctor,
     Expr,
     FieldAccess,
-    FieldsOf,
     FlexSwitch,
     FuncDecl,
     FuncRef,
-    GenLambda,
     Hole,
     If,
     Index,
@@ -40,7 +39,6 @@ from .ast import (
     TypeExpr,
     UnitLit,
     UnitType,
-    UnknownCtor,
     UnOp,
     Var,
 )
@@ -119,23 +117,6 @@ class _Printer:
                 tag = "" if e.cp is None else f"#{e.cp}"
                 return f"choose{tag}({inner})"
             raise PrintError("cannot print a choice in a concrete program", e.span)
-        if isinstance(e, FieldsOf):
-            if self.debug:
-                return f"{self.expr(e.base, _POSTFIX_PREC)}.fields?"
-            raise PrintError("cannot print a fields? construct", e.span)
-        if isinstance(e, UnknownCtor):
-            if self.debug:
-                return "new cons?(" + ", ".join(self.expr(a) for a in e.args) + ")"
-            raise PrintError("cannot print a cons? construct", e.span)
-        if isinstance(e, GenLambda):
-            if self.debug:
-                return f"genlambda({self.expr(e.body)})"
-            raise PrintError("cannot print a generator lambda", e.span)
-        if isinstance(e, BoxMake):
-            if self.debug:
-                extra = "" if e.gamma is None else f", {self.expr(e.gamma)}"
-                return f"box[{e.trans}]({self.expr(e.term)}{extra})"
-            raise PrintError("cannot print an internal decomposition node", e.span)
         if isinstance(e, (If, Switch, FlexSwitch, Let)):
             if self.debug:
                 return self._inline_stmtish(e)

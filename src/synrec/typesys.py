@@ -10,8 +10,6 @@ types during inlining.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ast import (
     BIT,
     INT,
@@ -69,9 +67,9 @@ class TypeEnv:
 
     __slots__ = ("program", "_bindings")
 
-    def __init__(self, program: SurfaceProgram, _bindings: dict[str, TypeExpr] | None = None):
+    def __init__(self, program: SurfaceProgram, bindings: dict[str, TypeExpr] | None = None):
         self.program = program
-        self._bindings = _bindings or {}
+        self._bindings = {} if bindings is None else bindings
 
     def bind(self, name: str, ty: TypeExpr) -> "TypeEnv":
         new = dict(self._bindings)
@@ -101,29 +99,8 @@ def is_concrete(t: TypeExpr) -> bool:
 # Substitution and unification
 
 
-@dataclass(frozen=True)
-class Substitution:
-    mapping: tuple[tuple[str, TypeExpr], ...]
-
-    @staticmethod
-    def of(d: dict[str, TypeExpr]) -> "Substitution":
-        return Substitution(tuple(sorted(d.items())))
-
-    def as_dict(self) -> dict[str, TypeExpr]:
-        return dict(self.mapping)
-
-    def get(self, name: str) -> TypeExpr | None:
-        for k, v in self.mapping:
-            if k == name:
-                return v
-        return None
-
-
-EMPTY_SUBST = Substitution(())
-
-
-def apply_subst(s: Substitution, t: TypeExpr) -> TypeExpr:
-    """Simultaneous substitution of type variables."""
+def apply_subst(s: dict[str, TypeExpr], t: TypeExpr) -> TypeExpr:
+    """Simultaneous substitution of the type variables that `s` maps."""
     if isinstance(t, TypeVarRef):
         r = s.get(t.name)
         return t if r is None else r
@@ -148,7 +125,7 @@ def _occurs(name: str, t: TypeExpr) -> bool:
     return False
 
 
-def unify(pairs: list[tuple[TypeExpr, TypeExpr]]) -> Substitution:
+def unify(pairs: list[tuple[TypeExpr, TypeExpr]]) -> dict[str, TypeExpr]:
     """Most general unifier of all pairs, or UnifyError.
 
     `fun` unifies with `fun` or any arrow without producing bindings;
@@ -156,13 +133,9 @@ def unify(pairs: list[tuple[TypeExpr, TypeExpr]]) -> Substitution:
     """
     subst: dict[str, TypeExpr] = {}
     work = list(pairs)
-
-    def sub1(t: TypeExpr) -> TypeExpr:
-        return apply_subst(Substitution.of(subst), t)
-
     while work:
         a, b = work.pop()
-        a, b = sub1(a), sub1(b)
+        a, b = apply_subst(subst, a), apply_subst(subst, b)
         if a == b:
             continue
         if isinstance(a, TypeVarRef) or isinstance(b, TypeVarRef):
@@ -170,7 +143,7 @@ def unify(pairs: list[tuple[TypeExpr, TypeExpr]]) -> Substitution:
                 a, b = b, a
             if _occurs(a.name, b):
                 raise UnifyError(f"occurs check: {a} in {b}")
-            binding = Substitution.of({a.name: b})
+            binding = {a.name: b}
             subst = {k: apply_subst(binding, v) for k, v in subst.items()}
             subst[a.name] = b
             continue
@@ -197,7 +170,7 @@ def unify(pairs: list[tuple[TypeExpr, TypeExpr]]) -> Substitution:
             work.extend((ft, db[l]) for l, ft in a.fields)
             continue
         raise UnifyError(f"cannot unify {a} with {b}")
-    return Substitution.of(subst)
+    return subst
 
 
 # ---------------------------------------------------------------------------
@@ -484,10 +457,7 @@ type_of = _TYPER.type_of
 
 def typecheck_function(program: SurfaceProgram, f: FuncDecl) -> None:
     """Check a PSC-free standard function body against its signature."""
-    env = TypeEnv(program)
-    for name, ty in f.params:
-        env = env.bind(name, ty)
-    check_type(env, f.body, f.ret)
+    check_type(TypeEnv(program, dict(f.params)), f.body, f.ret)
 
 
 def typecheck_program(program: SurfaceProgram) -> None:

@@ -26,7 +26,6 @@ from synrec.cegis import (
     VerifyResult,
     _to_reference,
     iter_inputs,
-    total_assignment,
 )
 from synrec.compiled import compile_concrete
 from synrec.evaluator import evaluate_harness
@@ -82,7 +81,7 @@ def reference_verify(expanded, phi, cfg) -> VerifyResult:
     harness = expanded.program.harnesses[0]
     limits = cfg.eval_limits()
     if len(phi) != len(expanded.control_space):
-        phi = total_assignment(expanded, phi)
+        phi = expanded.defaults | phi
     evals = 0
     for args in iter_inputs(expanded.program, harness, cfg):
         sigma = reference_sigma(expanded.program, harness, args)

@@ -83,6 +83,61 @@ def test_enumerate_deterministic(lang_program):
     assert [format_value(x) for x in a] == [format_value(x) for x in b]
 
 
+def _exact_by_plain_product(program, ty, depth, cfg):
+    """The values of `ty` of depth exactly `depth`, by definition: for each
+    variant in declaration order, the plain product of its fields' values
+    of lower depth, each pool depth-major, filtered to the combinations
+    with a field of depth `depth - 1`."""
+
+    def depth_of(v):
+        return 1 + max(map(depth_of, v[1:]), default=0) if type(v) is tuple else 0
+
+    if ty == BIT:
+        return [0, 1] if depth == 0 else []
+    if not isinstance(ty, AdtType):
+        return list(cfg.int_domain) if depth == 0 else []
+    out = []
+    for variant in program.adt(ty.name).variants:
+        pools = [
+            [v for d in range(depth) for v in _exact_by_plain_product(program, t, d, cfg)]
+            for _, t in variant.fields
+        ]
+        for combo in itertools.product(*pools):
+            if depth_of((variant.name, *combo)) == depth:
+                out.append((variant.name, *combo))
+    return out
+
+
+def test_enumerate_four_fields_is_the_filtered_plain_product():
+    """A variant of four fields takes the general product of `_combos`."""
+    p = parse_program(
+        "adt Q { Leaf {} Four { Q a; bit b; Q c; int d; } }\n"
+        "harness void m(Q q) { assert(1); }"
+    )
+    cfg = SynthesisConfig(int_domain=(0, 1), input_depth=3)
+    en = cegis.Enumerator(p, cfg)
+    for depth in (1, 2, 3):
+        want = _exact_by_plain_product(p, AdtType("Q"), depth, cfg)
+        assert list(en.iter_exact(AdtType("Q"), depth)) == want
+    assert len(want) == 5 * 2 * 5 * 2 - 1 * 2 * 1 * 2
+    inputs = list(cegis.iter_inputs(p, p.harnesses[0], cfg))
+    assert inputs == [
+        (v,) for d in (1, 2, 3) for v in _exact_by_plain_product(p, AdtType("Q"), d, cfg)
+    ]
+
+
+def test_inputs_of_a_harness_without_parameters():
+    p = parse_program("adt U { MkU {} } harness void m() { assert(1); }")
+    assert list(cegis.iter_inputs(p, p.harnesses[0], SynthesisConfig())) == [()]
+
+
+def test_inputs_of_a_harness_with_only_primitive_parameters():
+    p = parse_program("adt U { MkU {} } harness void m(int x, bit b, int y) { assert(1); }")
+    cfg = SynthesisConfig(int_domain=(0, 1, 2))
+    got = list(cegis.iter_inputs(p, p.harnesses[0], cfg))
+    assert got == list(itertools.product((0, 1, 2), (0, 1), (0, 1, 2)))
+
+
 # -- synthesize_inductive -----------------------------------------------------------
 
 

@@ -1,6 +1,9 @@
 import json
 import logging
+import os
 import platform
+import subprocess
+import sys
 
 import pytest
 
@@ -8,7 +11,7 @@ from synrec.cli import main
 from synrec.parser import parse_program
 
 import toys
-from conftest import CORPUS, time_out_at_verify
+from conftest import CORPUS, ROOT, time_out_at_verify
 
 
 def run_cli(*argv):
@@ -455,3 +458,28 @@ def test_expand_error_in_a_generator_lambda_names_its_caller(tmp_path, capsys):
     )
     assert run_cli("synth", f, "--lib", lib) == 1
     assert capsys.readouterr().err == f"error: {f}:2:27: literal 5 cannot have type bit\n"
+
+
+def run_script(name, *args, cwd):
+    """Run `scripts/<name>` as from a bare checkout: without site packages
+    and without PYTHONPATH, so only the script can put `src/` on the path."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    return subprocess.run(
+        [sys.executable, "-S", str(ROOT / "scripts" / name), *map(str, args)],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_scripts_run_from_a_bare_checkout(tmp_path):
+    done = run_script("scaling_experiment.py", "--min", "2", "--max", "2", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    header, row = done.stdout.splitlines()
+    assert row.split("\t")[:2] == ["2", "solved"]
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "lIns.synrec").write_text((CORPUS / "lIns.synrec").read_text())
+    done = run_script("run_bench.py", corpus, "--json", tmp_path / "bench.json", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    [entry] = json.loads((tmp_path / "bench.json").read_text())["rows"]
+    assert entry["benchmark"] == "lIns"
+    assert entry["opt"]["status"] == entry["noopt"]["status"] == "solved"

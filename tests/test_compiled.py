@@ -14,7 +14,6 @@ from synrec.cegis import (
     compile_run,
     iter_inputs,
     run_cegis,
-    total_assignment,
     verify,
 )
 from synrec import compiled
@@ -48,7 +47,7 @@ LIMITS = EvalLimits(max_depth=MAX_DEPTH)
 
 def outcomes_for(exp, phi, decomp, sigmas_ref, sigmas_native, harness):
     prog = compile_concrete(exp.program, shape=decomp, max_depth=MAX_DEPTH)
-    read = total_assignment(exp, phi).__getitem__
+    read = (exp.defaults | phi).__getitem__
     runner = prog.func(harness.name)
     got = []
     for args in sigmas_native:
@@ -70,7 +69,7 @@ def outcomes_for(exp, phi, decomp, sigmas_ref, sigmas_native, harness):
 
 
 def sample_phis(exp, rng, n):
-    phis = [total_assignment(exp, {})]
+    phis = [exp.defaults | {}]
     for _ in range(n):
         phis.append(
             {p.id: rng.randint(p.lo, p.hi) for p in exp.control_space}
@@ -105,6 +104,39 @@ def test_compiled_matches_reference(source, decompose):
     sigmas_ref = [reference_sigma(exp.program, harness, args) for args in sigmas_native]
     rng = random.Random(7)
     for phi in sample_phis(exp, rng, 12):
+        got, want = outcomes_for(exp, phi, decomp, sigmas_ref, sigmas_native, harness)
+        assert got == want
+
+
+# toys that each run a compiler path no program above runs, decomposed
+# too where the toy has the inductive shape
+PATH_TOYS = [
+    ("CHOICE_STATEMENTS", False),
+    ("CHOICE_STATEMENTS", True),
+    ("ADT_EQ", False),
+    ("ADT_EQ", True),
+    ("NOT_VALUE", False),
+    ("ARRAY_HEAD_FAIL", False),
+    ("SPILLED_FAIL", False),
+]
+
+
+@pytest.mark.parametrize("source,decompose", PATH_TOYS)
+def test_compiled_matches_reference_on_path_toys(source, decompose):
+    """Under the first-value assignment and random ones, the compiled toy
+    gives the reference evaluator's outcome on every input to depth 2."""
+    program = parse_program(getattr(toys, source))
+    exp = expand_program(program, SynthesisConfig().expansion_context())
+    decomp = None
+    if decompose:
+        shape = detect_spec_shape(exp.program, exp.program.harnesses[0])
+        report = classify_transformer(exp.program.function(shape.trans), shape.source_adt)
+        exp = apply_inductive_decomposition(exp, shape, report)
+        decomp = shape
+    harness = exp.program.harnesses[0]
+    sigmas_native = list(iter_inputs(exp.program, harness, SynthesisConfig(input_depth=2)))
+    sigmas_ref = [reference_sigma(exp.program, harness, args) for args in sigmas_native]
+    for phi in sample_phis(exp, random.Random(source), 12):
         got, want = outcomes_for(exp, phi, decomp, sigmas_ref, sigmas_native, harness)
         assert got == want
 
@@ -293,13 +325,13 @@ def test_scaling8_unary_arms_share_one_chunk(monkeypatch):
 
     monkeypatch.setattr(compiled, "compile", counting_compile, raising=False)
     templates = []
-    compile_arm = compiled._Compiler.arm
+    compile_arm = compiled.CompiledProgram.arm
 
     def recording_arm(self, name, tpl, *args):
         templates.append(tpl)
         return compile_arm(self, name, tpl, *args)
 
-    monkeypatch.setattr(compiled._Compiler, "arm", recording_arm)
+    monkeypatch.setattr(compiled.CompiledProgram, "arm", recording_arm)
     prog = compile_concrete(exp.program)
     assert len(sources) == 1  # the program's functions
     phi = dict(exp.defaults)
@@ -439,7 +471,7 @@ def test_compiled_search_takes_reference_path(name, decompose):
         binder, found = _search(exp, compiled, cexs, None, got)
         ref, ref_found = reference_search(exp, sigmas, cfg, shape, None, want, harness)
         assert found == ref_found
-        assert binder.bound == ref.bound
+        assert binder == ref
         assert binder.trail == ref.trail
         assert got.search_evaluations == want.search_evaluations
 
@@ -463,7 +495,7 @@ def test_resumed_search_ends_where_a_fresh_one_does(name, decompose):
             if found:
                 binder, found = _search(exp, compiled, cexs, None, resumed, binder, k)
             assert found == want_found
-            assert binder.bound == want.bound
+            assert binder == want
             assert binder.trail == want.trail
             assert fresh.search_evaluations == (
                 first.search_evaluations + resumed.search_evaluations

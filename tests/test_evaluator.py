@@ -176,7 +176,7 @@ def test_interp_d_on_boxed_becomes_interp_s(decomposed_lang):
     from synrec.evaluator import _Ctx, _call
 
     for term in (num(2), TRUE_S, between(num(0), num(1), num(2))):
-        ctx = _Ctx(prog, __import__("synrec.evaluator", fromlist=["FixedControls"]).FixedControls({}), LIMITS, shape)
+        ctx = _Ctx(prog, {}, LIMITS, shape)
         got = _call(ctx, shape.interp_d, (VBoxed(term),))
         ctx2 = _Ctx(prog, ctx.controls, LIMITS, shape)
         want = _call(ctx2, shape.interp_s, (term,))
@@ -187,12 +187,12 @@ def test_boxed_forced_in_other_context(decomposed_lang):
     """A boxed value consumed structurally falls back to running trans."""
     dec, shape = decomposed_lang
     from synrec.cegis import SynthesisConfig, synthesize_inductive
-    from synrec.evaluator import FixedControls, _Ctx, _force
+    from synrec.evaluator import _Ctx, _force
 
     cfg = SynthesisConfig(input_depth=1, timeout_secs=30)
     phi = synthesize_inductive(dec, search_program(dec, cfg, shape), [(("TrueS",),)])
     assert phi is not None
-    ctx = _Ctx(dec.program, FixedControls(phi), LIMITS, shape)
+    ctx = _Ctx(dec.program, phi, LIMITS, shape)
     forced = _force(ctx, VBoxed(TRUE_S))
     assert isinstance(forced, VRecord)
     assert forced.variant in {"NumD", "BoolD", "BinaryD"}

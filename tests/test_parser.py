@@ -17,7 +17,7 @@ from synrec.ast import (
     walk,
 )
 from synrec.cegis import SOLVED, SynthesisConfig
-from synrec.errors import ParseError, ResolveError
+from synrec.errors import ParseError, PrintError, ResolveError
 from synrec.parser import parse_program
 from synrec.pipeline import check_concrete, load_with_library, synthesize
 from synrec.prelude import prelude_text
@@ -269,6 +269,27 @@ def test_pscs_parse():
     body = p.function("g").body
     kinds = {type(n).__name__ for n in walk(body)}
     assert {"FlexSwitch", "UnknownCtor", "FieldsOf", "Hole", "Choice"} <= kinds
+
+
+def test_printing_a_template_raises_print_error():
+    """A strict print takes concrete programs only, and a debug print
+    renders the holes and choices of an expansion but no construct that
+    expansion removes."""
+    with pytest.raises(PrintError, match="hole"):
+        pretty_print_program(parse_program("int f(int x) { return x + ??; }"))
+    template = parse_program(
+        """
+        adt L { N {} }
+        generator T g<T>(L src) {
+          switch (src) {
+            case?: return new cons?(src.fields?);
+          }
+        }
+        """
+    )
+    for debug in (False, True):
+        with pytest.raises(PrintError, match="UnknownCtor"):
+            pretty_print_program(template, debug=debug)
 
 
 def test_syntax_error_has_position():

@@ -15,7 +15,6 @@ from synrec.ast import (
 from synrec.errors import TypeCheckError, UnifyError
 from synrec.parser import parse_program
 from synrec.typesys import (
-    Substitution,
     TypeEnv,
     apply_subst,
     is_concrete,
@@ -71,16 +70,16 @@ def test_interpreters_typecheck(lang):
 
 def test_unify_spec_examples():
     s = unify([(TypeVarRef("T"), DST), (TypeVarRef("Q"), SRC)])
-    assert s.as_dict() == {"T": DST, "Q": SRC}
+    assert s == {"T": DST, "Q": SRC}
     s = unify([(ArrayType(TypeVarRef("T")), ArrayType(INT))])
-    assert s.as_dict() == {"T": INT}
+    assert s == {"T": INT}
     with pytest.raises(UnifyError):
         unify([(INT, BIT)])
 
 
 def test_unify_fun_with_arrow_binds_nothing():
     s = unify([(FunType(), ArrowType((SRC,), DST))])
-    assert s.as_dict() == {}
+    assert s == {}
     with pytest.raises(UnifyError):
         unify([(FunType(), INT)])
 
@@ -91,12 +90,12 @@ def test_unify_occurs_check():
 
 
 def test_apply_subst():
-    s = Substitution.of({"T": DST, "Q": SRC})
+    s = {"T": DST, "Q": SRC}
     assert apply_subst(s, ArrowType((TypeVarRef("Q"),), TypeVarRef("T"))) == ArrowType(
         (SRC,), DST
     )
-    assert apply_subst(Substitution.of({"T": DST}), ArrayType(TypeVarRef("T"))) == ArrayType(DST)
-    assert apply_subst(Substitution.of({}), SRC) == SRC
+    assert apply_subst({"T": DST}, ArrayType(TypeVarRef("T"))) == ArrayType(DST)
+    assert apply_subst({}, SRC) == SRC
 
 
 def test_is_concrete():
@@ -154,7 +153,7 @@ def test_unifier_generality_vs_bruteforce(a, b):
 
     found = None
     for combo in itertools.product(ground, repeat=len(names)):
-        u = Substitution.of(dict(zip(names, combo)))
+        u = dict(zip(names, combo))
         if apply_subst(u, a) == apply_subst(u, b):
             found = u
             break

@@ -150,3 +150,139 @@ harness void main(slist x) {
   assert(slen(x) == dlen(copy(x)));
 }
 """
+
+# The following toys each run a path of the compiler that the programs
+# above do not.
+
+# The second arm of the `S1` choice needs statements (the `let` of the
+# inlined `wrap`), so the choice compiles to an if/elif block on its read.
+CHOICE_STATEMENTS = """
+adt nat { Z {} S1 { nat p; } }
+adt flag { TrueV {} FalseV {} NotV { flag b; } }
+
+int parity(nat x) {
+  switch (x) {
+    case Z: return 0;
+    case S1: if (parity(x.p) != 0) { return 0; } else { return 1; }
+  }
+}
+
+int flagRun(flag f) {
+  switch (f) {
+    case TrueV: return 1;
+    case FalseV: return 0;
+    case NotV: if (flagRun(f.b) != 0) { return 0; } else { return 1; }
+  }
+}
+
+generator flag wrap(fun e) {
+  flag r = e();
+  return new NotV(b = r);
+}
+
+flag encode(nat x) {
+  switch (x) {
+    case Z: return choose(new TrueV(), new FalseV());
+    case S1: return choose(new TrueV(), wrap(encode(x.p)));
+  }
+}
+
+harness void main(nat x) {
+  assert(parity(x) == flagRun(encode(x)));
+}
+"""
+
+# `==` on ADT values, which compares them structurally: in the harness,
+# and in `runB`, where the decomposed program makes the field a box, which
+# `==` forces.  The shortcut in `runB` gives what its last line would.
+ADT_EQ = """
+adt nat { Z {} S1 { nat p; } }
+adt bits { BZ {} BS { bits p; } }
+
+nat idS(nat x) {
+  switch (x) {
+    case Z: return new Z();
+    case S1: return new S1(p = idS(x.p));
+  }
+}
+
+nat runB(bits b) {
+  switch (b) {
+    case BZ: return new Z();
+    case BS:
+      if (b.p == new BS(p = new BZ())) {
+        return new S1(p = new S1(p = new Z()));
+      } else {
+        return new S1(p = runB(b.p));
+      }
+  }
+}
+
+bits conv(nat x) {
+  switch (x) {
+    case Z: return choose(new BS(p = new BZ()), new BZ());
+    case S1: return choose(new BZ(), new BS(p = conv(x.p)));
+  }
+}
+
+harness void main(nat x) {
+  assert(idS(x) == runB(conv(x)));
+}
+"""
+
+# `!` as a value: returned, and as an operand of `==`; and, in the second
+# assertion, as a condition.
+NOT_VALUE = """
+adt nat { Z {} S1 { nat p; } }
+
+bit even(nat x) {
+  switch (x) {
+    case Z: return 1;
+    case S1: return !even(x.p);
+  }
+}
+
+bit odd(nat x) {
+  switch (x) {
+    case Z: return !??;
+    case S1: return choose(odd(x.p), !odd(x.p));
+  }
+}
+
+harness void main(nat x) {
+  assert(odd(x) == !even(x));
+  assert(!(odd(x) == even(x)));
+}
+"""
+
+# The second arm is an array literal whose first element fails at once,
+# so the arm fails at once.
+ARRAY_HEAD_FAIL = """
+adt nat { Z {} S1 { nat p; } }
+int count(nat x) { switch (x) { case Z: return 0; case S1: return 1 + count(x.p); } }
+
+harness void main(nat x) {
+  int k = ??;
+  int[] a = choose({count(x) + k}, {unreachable<int>, count(x)});
+  assert(a[0] == count(x) + 1);
+}
+"""
+
+# As `ARRAY_HEAD_FAIL`, but the second element needs statements (the `let`
+# of the inlined `counted`), so the failing first one is spilled to a
+# temporary ahead of them, and that temporary fails at once.
+SPILLED_FAIL = """
+adt nat { Z {} S1 { nat p; } }
+int count(nat x) { switch (x) { case Z: return 0; case S1: return 1 + count(x.p); } }
+
+generator int counted(nat x) {
+  int c = count(x);
+  return c;
+}
+
+harness void main(nat x) {
+  int k = ??;
+  int[] a = choose({count(x) + k}, {unreachable<int>, counted(x)});
+  assert(a[0] == count(x) + 1);
+}
+"""
