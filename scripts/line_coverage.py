@@ -12,10 +12,12 @@ A line counts as code when the compiled module maps an instruction to it
 (`co_lines`); so a `def` or `class` line counts, run at import, and a
 function's docstring does not.  Code that pytest runs in other processes
 or in threads started before the tracer is not seen.  Tracing slows the
-tests down; deselect criterion 6, whose exhaustive scan would dominate:
+tests down; deselect criterion 6, whose exhaustive scan would dominate,
+and criterion 7, whose wall-time ratios mean little under the tracer:
 
     python scripts/line_coverage.py -q tests \
-        --deselect tests/test_acceptance.py::test_criterion_6_acceleration_proxy
+        --deselect tests/test_acceptance.py::test_criterion_6_acceleration_proxy \
+        --deselect tests/test_acceptance.py::test_criterion_7_scaling_trend
 """
 
 import sys

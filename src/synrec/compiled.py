@@ -24,7 +24,8 @@ namespace in its place (`CompiledProgram.stub`), so an arm that no
 candidate selects is never compiled.  Such an instance is compiled
 straight to its shared form, a chunk: its locals are named by position,
 its control reads and its calls of other instances are numbered
-placeholders, and equal texts compile once.  Each instance runs a copy of
+placeholders, the chunk is generated once per template and static
+lengths, and equal texts compile once.  Each instance runs a copy of
 the chunk's code object with its own control ids and callees in the
 placeholders' places (see `CompiledProgram.arm`).  An expression whose
 first operand is `unreachable` compiles to the failure alone.
@@ -166,6 +167,9 @@ class CompiledProgram:
         self.stubs = 0
         self.compiled = 0  # how many stubs have run
         self.codes: dict[str, CodeType] = {}  # chunk text -> its code
+        # (template, lengths) -> its chunk's code, and its reads, calls and
+        # dead values relative to an instance's first control id
+        self.chunks: dict[tuple, tuple] = {}
 
     def func(self, name: str):
         return self.namespace[f"f_{name}"]
@@ -179,7 +183,7 @@ class CompiledProgram:
         escaping exception left raised, and drop the memo entries that
         hold only under its bindings.  Input-only entries stay."""
         self.namespace["_reset_depths"]()
-        for table in self.candidate_memos:
+        for table in filter(None, self.candidate_memos):
             table.clear()
 
     def call_at(self, name: str, depth: int, *args):
@@ -225,19 +229,30 @@ class CompiledProgram:
 
     def arm(self, name: str, tpl: _Template, base: int, lengths: dict):
         """Compile an instance that stayed a `_Use` as a chunk taking the
-        variables of its template's key, in place of its stub.  Instances
-        of equal text, of one template or of several, compile once, and
-        each runs its own copy of the code (see `_instance`)."""
+        variables of its template's key, in place of its stub.  The code is
+        generated once per template and lengths, with its reads, calls and
+        dead values relative to the instance's first control id; equal
+        texts, of one template or of several, compile once, and each
+        instance runs its own copy of the code (see `_instance`)."""
         self.compiled += 1
-        fn = FuncDecl(STANDARD, name, (), tuple(tpl.env.items()), tpl.required, tpl.tree)
-        fc = _FnCompiler(self, fn, base, lengths, chunk=True)
-        body = "\n".join(fc.lines + [f"    return {fc.result}"])
-        text = f"def chunk({', '.join(fc.params)}):\n{body}"
-        code = self.codes.get(text)
-        if code is None:
-            _exec(text, self.namespace)
-            code = self.codes[text] = self.namespace.pop("chunk").__code__
-        fn = self.namespace[name] = _instance(code, fc.reads, fc.calls, self.namespace, name)
+        key = tpl, tuple(lengths.items())
+        chunk = self.chunks.get(key)
+        if chunk is None:
+            fn = FuncDecl(STANDARD, name, (), tuple(tpl.env.items()), tpl.required, tpl.tree)
+            fc = _FnCompiler(self, fn, lengths, chunk=True)
+            body = "\n".join(fc.lines + [f"    return {fc.result}"])
+            text = f"def chunk({', '.join(fc.params)}):\n{body}"
+            code = self.codes.get(text)
+            if code is None:
+                _exec(text, self.namespace)
+                code = self.codes[text] = self.namespace.pop("chunk").__code__
+            chunk = self.chunks[key] = code, fc.reads, fc.calls, fc.dead
+        code, reads, calls, dead = chunk
+        for cp, n in dead.items():
+            self.dead_from[base + cp] = n
+        stubs = [self.stub(t, base + offset, ls) for t, offset, ls in calls]
+        cps = [base + cp for cp in reads]
+        fn = self.namespace[name] = _instance(code, cps, stubs, self.namespace, name)
         return fn
 
 
@@ -248,22 +263,25 @@ class _FnCompiler:
     bookkeeping once the whole call graph is known.
 
     For an instance that stays a `_Use` (see `CompiledProgram.arm`), `fn`
-    is its template's tree over the variables of the template's key, and
-    its control ids count from `base`.  An instance inside it stays a call of
-    its own when it lies in a choice arm, and is compiled in place
-    otherwise.  `lengths` gives the static lengths of the array parameters
-    that have one, by position.  Such an instance compiles as a `chunk`:
-    its k-th control read is the placeholder `_rd(k.5)` and its j-th call
-    of an instance `nj`, numbered in emission order (those of arms that
-    `branches` re-emits included), and `reads` and `calls` hold the real
-    control ids and stub names."""
+    is its template's tree over the variables of the template's key.  An
+    instance inside it stays a call of its own when it lies in a choice
+    arm, and is compiled in place otherwise.  `lengths` gives the static
+    lengths of the array parameters that have one, by position.  Such an
+    instance compiles as a `chunk`, with control ids relative to its
+    first: its k-th control read is the placeholder `_rd(k.5)` and its
+    j-th call of an instance `nj`, numbered in emission order (those of
+    arms that `branches` re-emits included).  `reads` holds the control
+    ids read, `calls` the (template, offset, lengths) of each instance
+    called, and `dead` the dead values found, which the program's
+    compilation adds to `CompiledProgram.dead_from` as it goes."""
 
-    def __init__(self, prog: CompiledProgram, fn: FuncDecl, base=0, lengths=None, chunk=False):
+    def __init__(self, prog: CompiledProgram, fn: FuncDecl, lengths=None, chunk=False):
         self.prog = prog
         self.fn = fn
-        self.base = base
+        self.base = 0
         self.reads: list[int] | None = [] if chunk else None
-        self.calls: list[str] = []
+        self.calls: list[tuple] = []
+        self.dead: dict[int, int] = {} if chunk else prog.dead_from
         self.choices = 0  # how many choices the current node lies in
         self.lines: list[str] = []
         self.tmp = 0
@@ -377,7 +395,7 @@ class _FnCompiler:
             n = self.length(e.base) if type(idx) is Hole else None
             if n is not None:
                 # every index from the array's length on fails at this read
-                self.prog.dead_from[idx.cp + self.base] = n
+                self.dead[idx.cp + self.base] = n
                 if n == 0:
                     failed = f"_fail({index})"
                     self.failing.add(failed)
@@ -430,9 +448,10 @@ class _FnCompiler:
         self.variants |= variants
         args = [self.scope[e.names.get(n, n)] for n in tpl.env]
         lengths = {i: self.lengths[a] for i, a in enumerate(args) if a in self.lengths}
-        name = self.prog.stub(tpl, self.base + e.offset, lengths)
-        if self.reads is not None:
-            self.calls.append(name)
+        if self.reads is None:
+            name = self.prog.stub(tpl, self.base + e.offset, lengths)
+        else:
+            self.calls.append((tpl, self.base + e.offset, lengths))
             name = f"n{len(self.calls) - 1}"
         return f"{name}({', '.join(args)})"
 
@@ -453,7 +472,7 @@ class _FnCompiler:
         live = [i for i, v in enumerate(values) if v not in self.failing]
         if cp is not None and (not live or live[-1] + 1 < len(values)):
             # every value after the last arm that does not fail at once
-            self.prog.dead_from[cp] = live[-1] + 1 if live else 1
+            self.dead[cp] = live[-1] + 1 if live else 1
         if len(self.lines) == mark:
             if cp is None:
                 return f"(({values[0]}) if ({test}) else ({values[1]}))"

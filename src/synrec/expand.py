@@ -12,8 +12,11 @@ them.
 A generator call is expanded once per key, into a template (hash-consing):
 the key is everything its expansion depends on, namely the call with its
 spans, the types of the names it uses, the required type and the path's
-inlining counters.  The template's control ids count from 0, its origin
-trails start at the call site, and labels stand for its fresh names.
+inlining counters.  A record type enters the key as its field list and
+the index of its variant among the key's, so `case?` arms over variants
+with equal fields share a template, unless it is `exact` (see `_build`).
+The template's control ids count from 0, its origin trails start at the
+call site, and labels stand for its fresh names.
 Every call with the key, the first one included, instantiates the
 template at the next control id, and makes its fresh names in the order
 the expansion made them; a failed expansion adds its control points and
@@ -181,6 +184,34 @@ def _flatten(points: list, base: int, trail: tuple, out: list) -> None:
             out.append(ControlPoint(p.id + base, p.kind, p.lo, p.hi, p.ty, (span, trail + rel)))
 
 
+def _loose(t: TypeExpr | None, variants: dict[str, int]):
+    """`t` for a template's key: each record type in it as its field list
+    and the index of its variant among those of the key met so far
+    (`variants`), so that two keys match when one renames the other's
+    variants one-to-one."""
+    k = type(t)
+    if k is RecordType:
+        return variants.setdefault(t.variant, len(variants)), t.fields
+    if k is ArrayType:
+        elem = _loose(t.elem, variants)
+        return t if elem is t.elem else ("[]", elem)
+    return t
+
+
+def _has_record(t: TypeExpr) -> bool:
+    while type(t) is ArrayType:
+        t = t.elem
+    return type(t) is RecordType
+
+
+def _renders_record(e: Expr) -> bool:
+    """Whether the node holds a type with a record in it."""
+    t = type(e)
+    if t is Let or t is AlwaysFail:
+        return _has_record(e.ty)
+    return t is ArrayLit and _has_record(e.elem_ty)
+
+
 # the fields of each expression node, for the structural key of a call
 _FIELDS = {
     cls: tuple(f.name for f in fields(cls))
@@ -218,6 +249,9 @@ class Expander:
         self.bases: list[str] | None = None
         self.frame = 0
         self._frames = 0
+        # whether the frame bound a switch arm or used an exact template
+        # (see `_build`)
+        self.pinned = False
         self.source: str | None = None  # the file of the body being expanded
         self._spliced: dict[int, GenLambda] = {}  # lambdas called, by body id
         self._templates: dict = {}
@@ -510,6 +544,7 @@ class Expander:
                 f"case? scrutinee {e.scrutinee!r} has non-ADT type {st}", e.span
             )
         adt = self.program.adt(st.name)
+        self.pinned = True
         arms = []
         for variant in adt.variants:
             arm_env = env.bind(e.scrutinee, variant.record_type())
@@ -529,6 +564,7 @@ class Expander:
             raise ExpandError(
                 f"switch must cover exactly the variants of {adt.name}", e.span
             )
+        self.pinned = True
         arms = []
         for arm in e.arms:
             variant = adt.variant(arm.variant)
@@ -646,8 +682,11 @@ class Expander:
     ) -> Expr:
         """Instantiate the template of this call, building it on the first
         call with its key: the call's structure (spans included), the types
-        of the names it uses, the required type and the inlining counters.
-        Nothing else the expansion reads changes between such calls."""
+        of the names it uses and the required type, each record type in
+        them by its field list (see `_loose`), and the inlining counters.
+        Nothing else the expansion reads changes between such calls, unless
+        the template is `exact`: then it serves only the exact types it was
+        built at."""
         if path.count(f.name) >= self.ctx.inline_bound:
             return AlwaysFail(required, span=e.span)
         memo = self._shapes.get(id(e))
@@ -656,23 +695,38 @@ class Expander:
             memo = self._shapes[id(e)] = (e, _shape(e, names), tuple(dict.fromkeys(names)))
         _, shape, names = memo
         types = tuple([env.lookup(n) for n in names])
-        key = (shape, types, required, path.counters)
-        template = self._templates.get(key)
+        variants: dict[str, int] = {}
+        loose = tuple([_loose(t, variants) for t in types]), _loose(required, variants)
+        key = (shape, loose, path.counters)
+        entry = self._templates.get(key)
+        template = entry.get((types, required)) if type(entry) is dict else entry
         if template is None:
             variables = {n: t for n, t in zip(names, types) if t is not None}
-            template = self._build(env, e, f, required, path, variables)
-            self._templates[key] = template
+            template = self._build(env, e, f, required, path, variables, bool(variants))
+            if entry is None and not template.exact:
+                self._templates[key] = template
+            else:
+                self._templates.setdefault(key, {})[(types, required)] = template
         return self._instantiate(template, path)
 
     def _build(
         self, env: TypeEnv, e: Call, f: FuncDecl, required: TypeExpr, path: _Path,
-        variables: dict,
+        variables: dict, records: bool,
     ) -> _Template:
         """Expand the call in a frame of its own: control ids from 0,
-        origin trails from the call site, and labels for fresh names."""
-        saved = self.points, self.size, self.bases, self.frame
+        origin trails from the call site, and labels for fresh names.
+
+        With `records` (a record type in the key), the template is `exact`
+        when its expansion can tell the key's variants apart: when it
+        renders a record type (as its required type, in its tree's types
+        or in its error, where only a record renders with a brace), binds a
+        switch arm (whose records may meet the key's), or uses an exact
+        template.  Otherwise every key that renames its variants one-to-one
+        expands the same way."""
+        saved = self.points, self.size, self.bases, self.frame, self.pinned
         self._frames += 1
         self.points, self.size, self.bases, self.frame = [], 0, [], self._frames
+        self.pinned = False
         tree = error = None
         try:
             tree = self._inline(env, e, f, required, _Path(path.counters))
@@ -680,9 +734,16 @@ class Expander:
             error = err
         finally:
             points, size, bases, frame = self.points, self.size, self.bases, self.frame
-            self.points, self.size, self.bases, self.frame = saved
+            pinned = self.pinned
+            self.points, self.size, self.bases, self.frame, self.pinned = saved
+        exact = records and (
+            pinned
+            or _has_record(required)
+            or (error is not None and "{" in error.message)
+            or (tree is not None and any(map(_renders_record, walk(tree))))
+        )
         labels = [f"#{frame}.{k}" for k in range(len(bases))]
-        return _Template(tree, error, points, size, bases, labels, required, variables)
+        return _Template(tree, error, points, size, bases, labels, required, variables, exact)
 
     def _instantiate(self, template: _Template, path: _Path) -> Expr:
         """The template at the next control id: make its fresh names in
@@ -699,6 +760,8 @@ class Expander:
             use = _Use(template, offset, renames, path.trail)
             self.points.append(use)
             self.size += template.size
+        if template.exact:
+            self.pinned = True
         if template.error is not None:
             err = template.error
             message = _LABEL.sub(lambda m: renames.get(m.group(0), m.group(0)), err.message)

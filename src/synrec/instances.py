@@ -2,9 +2,10 @@
 
 A generator call is expanded once per key into a `_Template` (see
 `expand`): its tree names control points by ids relative to its first
-point and fresh names by labels.  Inside a template, an instance of
-another template stays a `_Use` reference, so each node is copied once,
-when the outermost template is instantiated in the program.
+point and fresh names by labels.  Calls whose record types differ only in
+their variants share a template, unless it is exact.  Inside a template,
+an instance of another template stays a `_Use` reference, so each node is
+copied once, when the outermost template is instantiated in the program.
 
 Only the choice arms that the search selects need their nodes, so an
 instantiation in the program copies a template's tree down to its
@@ -54,7 +55,10 @@ class _Template:
     `size` counts them all.  `dynamic` holds the ids of the tree's nodes
     that an instance must copy: those with a control point, a label or a
     `_Use` below them.  `required` is the type the call was expanded at,
-    and `env` the types of the names of its key that are variables.  An
+    and `env` the types of the names of its key that are variables, as
+    the first call with the key had them: a later call may have records
+    of other variants with the same fields there, unless the template is
+    `exact`, whose expansion can tell the variants apart.  An
     instance in a choice arm stays a `_Use` when its template is `lazy`:
     when its tree has a choice or an instance of its own and it holds at
     least `_LAZY_POINTS` control points, work that the search may never
@@ -63,10 +67,10 @@ class _Template:
 
     __slots__ = (
         "tree", "error", "points", "size", "bases", "labels", "dynamic", "required", "env",
-        "facts", "lazy", "held",
+        "facts", "lazy", "held", "exact",
     )
 
-    def __init__(self, tree, error, points, size, bases, labels, required, env):
+    def __init__(self, tree, error, points, size, bases, labels, required, env, exact):
         self.tree = tree
         self.error = error
         self.points = points
@@ -75,6 +79,7 @@ class _Template:
         self.labels = labels
         self.required = required
         self.env = env
+        self.exact = exact
         self.facts = None  # see `compiled._template_facts`
         self.dynamic: set[int] = set()
         self.held = [None, None]  # see `_held`

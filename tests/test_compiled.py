@@ -118,6 +118,9 @@ PATH_TOYS = [
     ("NOT_VALUE", False),
     ("ARRAY_HEAD_FAIL", False),
     ("SPILLED_FAIL", False),
+    ("GAMMA_EQ", False),
+    ("GAMMA_EQ", True),
+    ("LAZY_CALL", False),
 ]
 
 
@@ -139,6 +142,34 @@ def test_compiled_matches_reference_on_path_toys(source, decompose):
     for phi in sample_phis(exp, random.Random(source), 12):
         got, want = outcomes_for(exp, phi, decomp, sigmas_ref, sigmas_native, harness)
         assert got == want
+
+
+def test_equality_forces_a_box_with_its_environment_value():
+    """In decomposed `GAMMA_EQ`, `==` forces the box that `e.a` holds, and
+    the lowering runs on the box's term and environment value."""
+    exp = expand_program(parse_program(toys.GAMMA_EQ), SynthesisConfig().expansion_context())
+    shape = detect_spec_shape(exp.program, exp.program.harnesses[0])
+    report = classify_transformer(exp.program.function(shape.trans), shape.source_adt)
+    exp = apply_inductive_decomposition(exp, shape, report)
+    prog = compile_concrete(exp.program, shape=shape, max_depth=MAX_DEPTH)
+    force, forced = prog.namespace["_FORCE_FN"], []
+
+    def recording(box):
+        forced.append(box.gamma)
+        return force(box)
+
+    prog.namespace["_FORCE_FN"] = recording
+    prog.bind_controls(exp.defaults.__getitem__)
+    prog.func("main")(("Add2", ("Num2", 0), ("Num2", 1)), 5)
+    assert forced == [5]
+
+
+def test_lazy_instance_calls_count_in_the_callers_reach():
+    """`walk` reaches `count` only through the instance of `guess` that
+    stays a `_Use`, so its memo key holds `count`'s depth counter."""
+    exp = expand_program(parse_program(toys.LAZY_CALL), SynthesisConfig().expansion_context())
+    prog = compile_concrete(exp.program)
+    assert prog.reach["walk"] == {"walk", "count"}
 
 
 def test_compiled_matches_reference_on_lang_solution(lang_expected_text):
@@ -310,10 +341,10 @@ def test_scaling8_unary_arms_share_one_chunk(monkeypatch):
     `_Use` in a choice arm compiles on its first run.  Selecting `cons?`
     and `AddD` in each unary arm of `lower` runs the two instances that
     build its fields (the literal arm builds `LitD` from `e.v`).  The
-    fourteen instances differ only in control ids and names, so their chunk
-    is compiled once, and each runs the same bytecode with its own control
-    ids.  They come from several templates: instances share a chunk by
-    their compiled text, not by their template."""
+    fourteen instances differ only in control ids and names: the unary
+    variants have equal field lists, so the instances share one template,
+    whose chunk is generated and compiled once, and each runs the same
+    bytecode with its own control ids."""
     exp = expand_program(
         load_with_library(scaling_benchmark(8)), SynthesisConfig().expansion_context()
     )
@@ -332,6 +363,15 @@ def test_scaling8_unary_arms_share_one_chunk(monkeypatch):
         return compile_arm(self, name, tpl, *args)
 
     monkeypatch.setattr(compiled.CompiledProgram, "arm", recording_arm)
+    generated = []
+    fn_compiler = compiled._FnCompiler
+
+    def recording_fn_compiler(prog, fn, *args, **kwargs):
+        if kwargs.get("chunk"):
+            generated.append(fn)
+        return fn_compiler(prog, fn, *args, **kwargs)
+
+    monkeypatch.setattr(compiled, "_FnCompiler", recording_fn_compiler)
     prog = compile_concrete(exp.program)
     assert len(sources) == 1  # the program's functions
     phi = dict(exp.defaults)
@@ -353,7 +393,8 @@ def test_scaling8_unary_arms_share_one_chunk(monkeypatch):
     assert len(made) == 14
     assert len({c.co_code for c in made}) == 1
     assert len({c.co_consts for c in made}) == 14
-    assert len(templates) == 14 and len(set(map(id, templates))) > 1
+    assert len(templates) == 14 and len(set(map(id, templates))) == 1
+    assert len(generated) == 1
 
 
 # The constructor's first field reads a hole, and its second holds the

@@ -333,3 +333,154 @@ def test_validation_retypes_an_equality_operand_without_false_duplicates():
     """
     out = expand_program(parse_program(src), SynthesisConfig().expansion_context())
     assert [p.kind for p in out.control_space] == ["hole", "choice"]
+
+
+# Templates whose keys hold record types with equal field lists.  Each toy
+# is pinned by the digest its expansion had when every template was keyed
+# by the exact types of its names.  `keep` lets a name of type `S` (a
+# record), so its tree renders the variant, and `wrap` only calls `keep`;
+# in `two`, `choose(x, y)` keeps both arms when `x` and `y` are records of
+# one variant and drops `y` otherwise; `probe` compares its record
+# parameter with a record that its own `case?` binds.
+RECORD_KEYS = {
+    "keep": (
+        """
+adt src { A { int v; } B { int v; } }
+adt dst { D { int w; } }
+
+generator T keep<T, S>(S e) {
+  S y = e;
+  return new cons?((y.fields?)[??], ??);
+}
+
+dst f(src e) {
+  switch (e) {
+    case?: return keep(e);
+  }
+}
+""",
+        "aa2b7e579ce10abd",
+    ),
+    "wrap": (
+        """
+adt src { A { int v; } B { int v; } }
+adt dst { D { int w; } }
+
+generator T keep<T, S>(S e) {
+  S y = e;
+  return new cons?((y.fields?)[??], ??);
+}
+
+generator T wrap<T, S>(S e) {
+  return keep(e);
+}
+
+dst f(src e) {
+  switch (e) {
+    case?: return wrap(e);
+  }
+}
+""",
+        "74fff56e774ea33e",
+    ),
+    "two": (
+        """
+adt src { P { int v; } Q { int v; } }
+
+generator int two<S>(S a, S b) {
+  return a.v + b.v;
+}
+
+int f(src x, src y) {
+  switch (x) {
+    case P: return 0;
+    case Q:
+      switch (y) {
+        case?: return two(x, choose(x, y));
+      }
+  }
+}
+""",
+        "910c9bfdc477fc0d",
+    ),
+    "probe": (
+        """
+adt src { P { int v; } Q { int v; } }
+
+generator int probe<S>(S a, src z) {
+  switch (z) {
+    case?: if (choose(a == z, 1)) { return 1; } else { return 0; }
+  }
+}
+
+int f(src x, src y) {
+  switch (x) {
+    case?: return probe(x, y);
+  }
+}
+""",
+        "888151505a25a9c2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_KEYS))
+def test_templates_over_records_of_equal_fields_keep_their_expansion(name):
+    from test_expansion_pin import _fingerprint
+
+    text, digest = RECORD_KEYS[name]
+    expanded = expand_program(parse_program(text), SynthesisConfig().expansion_context())
+    assert _fingerprint(force_expansion(expanded)) == digest
+
+
+def test_failed_template_names_the_record_of_its_call():
+    """`bad(x)` fails with a message that names `x`'s record type.  In
+    `split`'s arm `A` a choice drops it; in arm `B` its error escapes, and
+    must name `B`, not the `A` of the first failure."""
+    text = """
+adt src { A { int v; } B { int v; } }
+
+generator int bad<S>(S e) {
+  return e;
+}
+
+generator int split(src e, fun f) {
+  switch (e) {
+    case A: return choose(f(), e.v);
+    case B: return f();
+  }
+}
+
+int f(src x) {
+  return split(x, bad(x));
+}
+"""
+    with pytest.raises(ExpandError) as exc:
+        expand_program(parse_program(text), SynthesisConfig().expansion_context())
+    assert str(exc.value) == "16:23: 'x' has type B{v: int}, required int"
+
+
+@pytest.mark.parametrize(
+    "source,builds,instances",
+    [("scaling8", 21, 39), ("elimBool", 31, 45), ("lang", 73, 82)],
+)
+def test_templates_are_built_once_per_record_shape(monkeypatch, source, builds, instances):
+    """The unary variants of the scaling family, and the variants of
+    `elimBool` and `lang` with equal field lists, share their templates."""
+    from synrec.scaling import scaling_benchmark
+
+    counts = {"build": 0, "instantiate": 0}
+    for method in counts:
+        wrapped = getattr(Expander, "_" + method)
+
+        def counting(self, *args, _method=method, _wrapped=wrapped):
+            counts[_method] += 1
+            return _wrapped(self, *args)
+
+        monkeypatch.setattr(Expander, "_" + method, counting)
+    if source.startswith("scaling"):
+        program = load_with_library(scaling_benchmark(int(source.removeprefix("scaling"))))
+    else:
+        program = load_with_library(corpus_text(source))
+    expand_program(program, SynthesisConfig().expansion_context())
+    assert (counts["build"], counts["instantiate"]) == (builds, instances)

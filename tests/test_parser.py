@@ -302,3 +302,26 @@ def test_unreachable_round_trips():
     src = "adt L { N {} } L f(L l) { return unreachable<L>; }"
     p = parse_program(src)
     assert parse_program(pretty_print_program(p)) == p
+
+
+def test_not_round_trips():
+    """`!` as a value, on a call, on a parenthesized comparison, and twice."""
+    src = """
+adt nat { Z {} S1 { nat p; } }
+
+bit even(nat x) {
+  switch (x) {
+    case Z: return 1;
+    case S1: return !even(x.p);
+  }
+}
+
+harness void main(nat x, bit b) {
+  assert(!(even(x) == b) || !!b == b);
+}
+"""
+    p = parse_program(src)
+    printed = pretty_print_program(p)
+    assert printed.count("!") == 4
+    assert parse_program(printed) == p
+    assert pretty_print_program(parse_program(printed)) == printed

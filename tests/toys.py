@@ -286,3 +286,47 @@ harness void main(nat x) {
   assert(a[0] == count(x) + 1);
 }
 """
+
+# As `GAMMA`, but `runD` compares its left operand with a literal tree
+# before it adds: the decomposed program makes that operand a box with an
+# environment value, which `==` forces through the lowering.  The shortcut
+# gives what the sum would.
+GAMMA_EQ = GAMMA.replace(
+    "case DAdd: return runD(e.a, s) + runD(e.b, s);",
+    "case DAdd:\n"
+    "      if (e.a == new DNum(v = 0)) { return runD(e.b, s); }\n"
+    "      else { return runD(e.a, s) + runD(e.b, s); }",
+)
+
+# `guess` holds a choice and eight control points, so its instance in a
+# choice arm of `pick` stays a `_Use`, compiled on its first run; it calls
+# the recursive `count`, which `walk` then reaches only through it.
+LAZY_CALL = """
+adt nat { Z {} S1 { nat p; } }
+
+int count(nat x) {
+  switch (x) {
+    case Z: return 0;
+    case S1: return 1 + count(x.p);
+  }
+}
+
+generator int guess(nat x) {
+  return choose(count(x) + ??, count(x) - ??, ??, count(x) * ??, count(x) + ?? * ??, ?? - count(x));
+}
+
+generator int pick(nat x, int k) {
+  return choose(k, guess(x));
+}
+
+int walk(nat x) {
+  switch (x) {
+    case Z: return 0;
+    case S1: return 1 + pick(x.p, walk(x.p));
+  }
+}
+
+harness void main(nat x) {
+  assert(walk(x) == count(x));
+}
+"""
