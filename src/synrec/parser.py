@@ -21,7 +21,8 @@ import dataclasses
 import functools
 import logging
 import re
-from typing import NamedTuple
+from bisect import bisect_right
+from itertools import accumulate
 
 from .ast import (
     BIT,
@@ -101,6 +102,9 @@ KEYWORDS = {
     "unreachable",
 }
 
+# the types named by a keyword
+_BASE_TYPES = {"int": INT, "bit": BIT, "fun": FUN}
+
 # `map` is a built-in higher-order function handled by the expander.
 BUILTIN_FUNCS = ("map",)
 
@@ -123,92 +127,96 @@ _TOKEN_RE = re.compile(
 # the parser looks at most one token past the current one
 _LOOKAHEAD = 1
 
+# A token is a plain tuple (kind, value, offset): the kind is "ident",
+# "int", "op" or "eof", and the offset is where the value starts in the
+# source.  A token has no line:col; the parser makes a `Span` from the
+# offset only for a node or an error that takes one.
+Token = tuple[str, str, int]
 
-class Token(NamedTuple):
-    kind: str  # "ident" | "int" | "op" | "eof"
-    value: str
-    span: Span
-
-
-# Build from a tuple without the Python-level `__new__` of a NamedTuple:
-# the tokenizer makes one of each per token.
-_token = functools.partial(tuple.__new__, Token)
+# Build a Span from a tuple without the Python-level `__new__` of a NamedTuple.
 _span = functools.partial(tuple.__new__, Span)
+
+
+def _line_starts(text: str) -> list[int]:
+    """The offset of the first character of each line of `text`."""
+    return list(accumulate([len(line) + 1 for line in text.split("\n")], initial=0))
+
+
+def _span_at(starts: list[int], pos: int) -> Span:
+    """The line:col of offset `pos`, given the line starts of its source."""
+    line = bisect_right(starts, pos)
+    return _span((line, pos - starts[line - 1] + 1))
 
 
 def tokenize(text: str) -> list[Token]:
     """The tokens of `text`, then `_LOOKAHEAD + 1` copies of `eof`."""
     tokens: list[Token] = []
-    line, line_start = 1, 0
+    append = tokens.append
     pos = 0
     for skipped, num, ident, op, bad in _TOKEN_RE.findall(text):
-        if skipped:
-            nl = skipped.count("\n")
-            if nl:
-                line += nl
-                line_start = pos + skipped.rfind("\n") + 1
-            pos += len(skipped)
-        span = _span((line, pos - line_start + 1))
-        if ident:
+        pos += len(skipped)
+        if op:
+            append(("op", op, pos))
+            pos += len(op)
+        elif ident:
             if ident[-1] == "?" and ident[:-1] not in ("case", "fields", "cons"):
-                raise ParseError(f"stray '?' after {ident[:-1]!r}", span)
-            kind, value = "ident", ident
-        elif op:
-            kind, value = "op", op
+                raise ParseError(
+                    f"stray '?' after {ident[:-1]!r}", _span_at(_line_starts(text), pos)
+                )
+            append(("ident", ident, pos))
+            pos += len(ident)
         elif num:
-            kind, value = "int", num
+            append(("int", num, pos))
+            pos += len(num)
         elif bad:
-            raise ParseError(f"unexpected character {bad!r}", span)
-        else:
-            break
-        tokens.append(_token((kind, value, span)))
-        pos += len(value)
-    tokens.extend([_token(("eof", "", span))] * (_LOOKAHEAD + 1))
+            raise ParseError(f"unexpected character {bad!r}", _span_at(_line_starts(text), pos))
+    tokens.extend([("eof", "", pos)] * (_LOOKAHEAD + 1))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], source: str | None = None):
-        self.toks = tokens
+    """A recursive-descent parser that reads `toks[i]` in place; the hot
+    paths (statements and expressions) index the token list themselves
+    instead of going through the helpers below."""
+
+    def __init__(self, text: str, source: str | None = None):
+        self.toks = tokenize(text)
+        self.span = functools.partial(_span_at, _line_starts(text))
         self.source = source
         self.i = 0
         self.assert_counter = 0
 
     # -- token helpers -----------------------------------------------------
 
-    def peek(self, off: int = 0) -> Token:
-        return self.toks[self.i + off]
-
-    def next(self) -> Token:
-        t = self.toks[self.i]
-        if t.kind != "eof":
-            self.i += 1
-        return t
-
-    def at(self, value: str, off: int = 0) -> bool:
+    def at(self, value: str) -> bool:
         # only an op or an identifier can have the value of an op or a keyword
-        return self.toks[self.i + off].value == value
+        return self.toks[self.i][1] == value
 
-    def expect(self, value: str) -> Token:
-        t = self.toks[self.i]
-        if t.value != value:
-            raise ParseError(f"expected {value!r}, found {t.value or 'end of input'!r}", t.span)
+    def expect(self, value: str) -> int:
+        """Consume the token `value`; return its offset."""
+        _, found, pos = self.toks[self.i]
+        if found != value:
+            raise ParseError(
+                f"expected {value!r}, found {found or 'end of input'!r}", self.span(pos)
+            )
         self.i += 1
-        return t
+        return pos
 
-    def expect_ident(self, what: str = "identifier") -> Token:
-        t = self.toks[self.i]
-        if t.kind != "ident" or t.value in KEYWORDS or t.value.endswith("?"):
-            raise ParseError(f"expected {what}, found {t.value or 'end of input'!r}", t.span)
+    def expect_ident(self, what: str = "identifier") -> str:
+        kind, value, pos = self.toks[self.i]
+        if kind != "ident" or value in KEYWORDS or value[-1] == "?":
+            raise ParseError(
+                f"expected {what}, found {value or 'end of input'!r}", self.span(pos)
+            )
         self.i += 1
-        return t
+        return value
 
     # -- program structure ---------------------------------------------------
 
     def parse_program(self) -> SurfaceProgram:
         adts: list[AdtDecl] = []
         funcs: list[FuncDecl] = []
-        while self.peek().kind != "eof":
+        while self.toks[self.i][0] != "eof":
             if self.at("adt"):
                 adts.append(self.parse_adt())
             else:
@@ -216,83 +224,82 @@ class _Parser:
         return SurfaceProgram(tuple(adts), tuple(funcs))
 
     def parse_adt(self) -> AdtDecl:
-        span = self.expect("adt").span
-        name = self.expect_ident("ADT name").value
+        pos = self.expect("adt")
+        name = self.expect_ident("ADT name")
         self.expect("{")
         variants: list[VariantDecl] = []
         while not self.at("}"):
             variants.append(self.parse_variant())
         self.expect("}")
         if not variants:
-            raise ParseError(f"ADT {name!r} declares no variants", span)
-        return AdtDecl(name, tuple(variants), span=span, source=self.source)
+            raise ParseError(f"ADT {name!r} declares no variants", self.span(pos))
+        return AdtDecl(name, tuple(variants), span=self.span(pos), source=self.source)
 
     def parse_variant(self) -> VariantDecl:
-        name_tok = self.expect_ident("variant name")
+        pos = self.toks[self.i][2]
+        name = self.expect_ident("variant name")
         self.expect("{")
         fields: list[tuple[str, TypeExpr]] = []
         while not self.at("}"):
             ty = self.parse_type()
-            label = self.expect_ident("field name").value
+            label = self.expect_ident("field name")
             self.expect(";")
             fields.append((label, ty))
         self.expect("}")
-        return VariantDecl(name_tok.value, tuple(fields), span=name_tok.span)
+        return VariantDecl(name, tuple(fields), span=self.span(pos))
 
     def parse_annotation(self) -> Annotation:
-        span = self.expect("@").span
-        name = self.expect_ident("annotation name").value
+        pos = self.expect("@")
+        name = self.expect_ident("annotation name")
         args: list[str] = []
         self.expect("(")
         if not self.at(")"):
-            args.append(self.expect_ident().value)
+            args.append(self.expect_ident())
             while self.at(","):
-                self.next()
-                args.append(self.expect_ident().value)
+                self.i += 1
+                args.append(self.expect_ident())
         self.expect(")")
-        return Annotation(name, tuple(args), span=span)
+        return Annotation(name, tuple(args), span=self.span(pos))
 
     def parse_func(self) -> FuncDecl:
         annotations: list[Annotation] = []
         while self.at("@"):
             annotations.append(self.parse_annotation())
-        span = self.peek().span
+        pos = self.toks[self.i][2]
         is_harness = False
         kind = STANDARD
         if self.at("harness"):
-            self.next()
+            self.i += 1
             is_harness = True
         if self.at("generator"):
-            self.next()
+            self.i += 1
             kind = GENERATOR
         if self.at("void"):
-            self.next()
+            self.i += 1
             ret: TypeExpr = UNIT
         else:
             ret = self.parse_type()
-        name = self.expect_ident("function name").value
+        name = self.expect_ident("function name")
         type_params: list[str] = []
         if self.at("<"):
-            self.next()
-            type_params.append(self.expect_ident("type variable").value)
+            self.i += 1
+            type_params.append(self.expect_ident("type variable"))
             while self.at(","):
-                self.next()
-                type_params.append(self.expect_ident("type variable").value)
+                self.i += 1
+                type_params.append(self.expect_ident("type variable"))
             self.expect(">")
             if kind != GENERATOR:
-                raise ParseError("type parameters are only allowed on generators", span)
+                raise ParseError("type parameters are only allowed on generators", self.span(pos))
             kind = POLYGEN
         params: list[tuple[str, TypeExpr]] = []
         self.expect("(")
         if not self.at(")"):
             while True:
                 pty = self.parse_type()
-                pname = self.expect_ident("parameter name").value
-                params.append((pname, pty))
-                if self.at(","):
-                    self.next()
-                    continue
-                break
+                params.append((self.expect_ident("parameter name"), pty))
+                if not self.at(","):
+                    break
+                self.i += 1
         self.expect(")")
         body = self.parse_block()
         return FuncDecl(
@@ -304,119 +311,123 @@ class _Parser:
             body,
             is_harness=is_harness,
             annotations=tuple(annotations),
-            span=span,
+            span=self.span(pos),
             source=self.source,
         )
 
     # -- types ---------------------------------------------------------------
 
     def parse_type(self) -> TypeExpr:
-        t = self.peek()
-        if t.value == "int":
-            self.next()
-            ty: TypeExpr = INT
-        elif t.value == "bit":
-            self.next()
-            ty = BIT
-        elif t.value == "fun":
-            self.next()
-            ty = FUN
-        elif t.kind == "ident" and t.value not in KEYWORDS:
-            self.next()
-            ty = AdtType(t.value)  # may be re-classified as a type variable later
-        else:
-            raise ParseError(f"expected a type, found {t.value!r}", t.span)
-        while self.at("[") and self.at("]", 1):
-            self.next()
-            self.next()
+        toks = self.toks
+        kind, value, pos = toks[self.i]
+        ty = _BASE_TYPES.get(value)
+        if ty is None:
+            if kind != "ident" or value in KEYWORDS:
+                raise ParseError(f"expected a type, found {value!r}", self.span(pos))
+            ty = AdtType(value)  # may be re-classified as a type variable later
+        self.i += 1
+        while toks[self.i][1] == "[" and toks[self.i + 1][1] == "]":
+            self.i += 2
             ty = ArrayType(ty)
         return ty
 
     def looks_like_decl(self) -> bool:
         """Lookahead: `type name =` starts a local declaration."""
-        t = self.peek()
-        if t.kind != "ident":
+        toks = self.toks
+        kind, value, _ = toks[self.i]
+        if kind != "ident":
             return False
-        if t.value in ("int", "bit", "fun"):
+        if value in _BASE_TYPES:
             return True
-        if t.value in KEYWORDS:
+        if value in KEYWORDS:
             return False
-        j = 1
-        while self.peek(j).value == "[" and self.peek(j + 1).value == "]":
+        j = self.i + 1
+        while toks[j][1] == "[" and toks[j + 1][1] == "]":
             j += 2
-        nxt = self.peek(j)
-        return nxt.kind == "ident" and nxt.value not in KEYWORDS and self.peek(j + 1).value == "="
+        kind, value, _ = toks[j]
+        return kind == "ident" and value not in KEYWORDS and toks[j + 1][1] == "="
 
     # -- statements ------------------------------------------------------------
 
     def parse_block(self) -> Expr:
         self.expect("{")
-        stmts = self.parse_stmts_until("}")
+        body = self.parse_stmts_until("}")
         self.expect("}")
-        return stmts
+        return body
 
     def parse_stmts_until(self, *closers: str) -> Expr:
-        stmts: list[tuple[str, object, Span]] = []
-        while self.peek().value not in closers and self.peek().kind != "eof":
+        toks = self.toks
+        stmts: list[tuple[str, object, int]] = []
+        while True:
+            kind, value, pos = toks[self.i]
+            if value in closers or kind == "eof":
+                return self._desugar_stmts(stmts, pos)
             stmts.append(self.parse_stmt())
-        return self._desugar_stmts(stmts, self.peek().span)
 
-    def parse_stmt(self) -> tuple[str, object, Span]:
-        t = self.peek()
-        if t.value == "{":
-            return ("block", self.parse_block(), t.span)
-        if t.value == "return":
-            self.next()
-            if self.at(";"):
-                self.next()
-                return ("return", UnitLit(span=t.span), t.span)
+    def parse_stmt(self) -> tuple[str, object, int]:
+        """One statement as (kind, payload, offset): a `return` with its
+        value, a `decl` with its name, type and value, or any other
+        statement (`stmt`) with its node."""
+        toks = self.toks
+        _, value, pos = toks[self.i]
+        if value == "{":
+            return ("stmt", self.parse_block(), pos)
+        if value == "return":
+            self.i += 1
+            if toks[self.i][1] == ";":
+                self.i += 1
+                return ("return", UnitLit(span=self.span(pos)), pos)
             e = self.parse_expr()
             self.expect(";")
-            return ("return", e, t.span)
-        if t.value == "if":
-            self.next()
+            return ("return", e, pos)
+        if value == "if":
+            self.i += 1
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
             then = self.parse_block_or_stmt()
-            els = None
-            if self.at("else"):
-                self.next()
+            span = self.span(pos)
+            if toks[self.i][1] == "else":
+                self.i += 1
                 els = self.parse_block_or_stmt()
-            return ("if", (cond, then, els), t.span)
-        if t.value == "switch":
-            self.next()
-            self.expect("(")
-            scrut = self.expect_ident("switch scrutinee (a variable)").value
-            self.expect(")")
-            self.expect("{")
-            if self.at("case?"):
-                self.next()
-                self.expect(":")
-                body = self.parse_stmts_until("}", "case", "case?")
-                self.expect("}")
-                return ("switch", FlexSwitch(scrut, body, span=t.span), t.span)
-            arms: list[SwitchArm] = []
-            while self.at("case"):
-                self.next()
-                vname = self.expect_ident("variant name").value
-                self.expect(":")
-                body = self.parse_stmts_until("}", "case", "case?")
-                arms.append(SwitchArm(vname, body))
-            self.expect("}")
-            if not arms:
-                raise ParseError("switch with no cases", t.span)
-            return ("switch", Switch(scrut, tuple(arms), span=t.span), t.span)
+            else:
+                els = UnitLit(span=span)
+            return ("stmt", If(cond, then, els, span=span), pos)
+        if value == "switch":
+            return ("stmt", self.parse_switch(), pos)
         if self.looks_like_decl():
             ty = self.parse_type()
-            name = self.expect_ident("variable name").value
+            name = self.expect_ident("variable name")
             self.expect("=")
             value = self.parse_expr()
             self.expect(";")
-            return ("decl", (name, ty, value), t.span)
+            return ("decl", (name, ty, value), pos)
         e = self.parse_expr()
         self.expect(";")
-        return ("expr", e, t.span)
+        return ("stmt", e, pos)
+
+    def parse_switch(self) -> Expr:
+        span = self.span(self.expect("switch"))
+        self.expect("(")
+        scrut = self.expect_ident("switch scrutinee (a variable)")
+        self.expect(")")
+        self.expect("{")
+        if self.at("case?"):
+            self.i += 1
+            self.expect(":")
+            body = self.parse_stmts_until("}", "case", "case?")
+            self.expect("}")
+            return FlexSwitch(scrut, body, span=span)
+        arms: list[SwitchArm] = []
+        while self.at("case"):
+            self.i += 1
+            vname = self.expect_ident("variant name")
+            self.expect(":")
+            arms.append(SwitchArm(vname, self.parse_stmts_until("}", "case", "case?")))
+        self.expect("}")
+        if not arms:
+            raise ParseError("switch with no cases", span)
+        return Switch(scrut, tuple(arms), span=span)
 
     def parse_block_or_stmt(self) -> Expr:
         if self.at("{"):
@@ -424,62 +435,56 @@ class _Parser:
         stmt = self.parse_stmt()
         return self._desugar_stmts([stmt], stmt[2])
 
-    def _desugar_stmts(self, stmts: list, end_span: Span) -> Expr:
-        """Turn a statement list into a kernel expression.
+    def _desugar_stmts(self, stmts: list, end: int) -> Expr:
+        """Turn a statement list into a kernel expression; `end` is the
+        offset of the token that closes the list.
 
         A `return` ends the block; trailing statements without a return
         leave the block unit-valued (the harness case).  Unit-valued
         statements are sequenced through `_`-named lets.
         """
         if not stmts:
-            return UnitLit(span=end_span)
-        kind, payload, span = stmts[0]
+            return UnitLit(span=self.span(end))
+        kind, payload, pos = stmts[0]
         rest = stmts[1:]
         if kind == "return":
             if rest:
-                raise ParseError("unreachable code after return", rest[0][2])
+                raise ParseError("unreachable code after return", self.span(rest[0][2]))
             return payload
         if kind == "decl":
             name, ty, value = payload
-            return Let(name, ty, value, self._desugar_stmts(rest, end_span), span=span)
-        if kind == "if":
-            cond, then, els = payload
-            if els is None:
-                els = UnitLit(span=span)
-            node = If(cond, then, els, span=span)
-            if not rest:
-                return node
-            return Let("_", UNIT, node, self._desugar_stmts(rest, end_span), span=span)
-        if kind in ("switch", "block"):
-            if not rest:
-                return payload
-            return Let("_", UNIT, payload, self._desugar_stmts(rest, end_span), span=span)
-        # expression statement
+            return Let(name, ty, value, self._desugar_stmts(rest, end), span=self.span(pos))
         if not rest:
             return payload
-        return Let("_", UNIT, payload, self._desugar_stmts(rest, end_span), span=span)
+        return Let("_", UNIT, payload, self._desugar_stmts(rest, end), span=self.span(pos))
 
     # -- expressions -------------------------------------------------------------
 
     def parse_expr(self, level: int = 1) -> Expr:
         """A chain of binary operators of precedence `level` or tighter;
         each precedence level associates to the left."""
-        e = self.parse_unary()
+        toks = self.toks
+        if toks[self.i][1] in ("!", "-"):
+            e = self.parse_unary()
+        else:
+            e = self.parse_postfix()
         while True:
-            t = self.toks[self.i]
-            prec = _BINARY.get(t.value, 0)
+            _, value, pos = toks[self.i]
+            prec = _BINARY.get(value, 0)
             if prec < level:
                 return e
             self.i += 1
-            e = BinOp(t.value, e, self.parse_expr(prec + 1), span=t.span)
+            e = BinOp(value, e, self.parse_expr(prec + 1), span=self.span(pos))
 
     def parse_unary(self) -> Expr:
-        if self.at("!"):
-            span = self.next().span
-            return UnOp("!", self.parse_unary(), span=span)
-        if self.at("-"):
-            span = self.next().span
+        _, value, pos = self.toks[self.i]
+        if value == "!":
+            self.i += 1
+            return UnOp("!", self.parse_unary(), span=self.span(pos))
+        if value == "-":
+            self.i += 1
             operand = self.parse_unary()
+            span = self.span(pos)
             if isinstance(operand, IntLit):
                 return IntLit(-operand.value, span=span)
             return BinOp("-", IntLit(0, span=span), operand, span=span)
@@ -487,106 +492,105 @@ class _Parser:
 
     def parse_postfix(self) -> Expr:
         e = self.parse_atom()
+        toks = self.toks
         while True:
-            op = self.peek().value
-            if op == ".":
-                self.next()
-                t = self.peek()
-                if t.value == "fields?":
-                    self.next()
-                    e = FieldsOf(e, span=t.span)
+            _, value, pos = toks[self.i]
+            if value == ".":
+                _, label, pos = toks[self.i + 1]
+                if label == "fields?":
+                    self.i += 2
+                    e = FieldsOf(e, span=self.span(pos))
                 else:
-                    label = self.expect_ident("field name").value
-                    e = FieldAccess(e, label, span=t.span)
-            elif op == "[":
-                span = self.next().span
+                    self.i += 1
+                    e = FieldAccess(e, self.expect_ident("field name"), span=self.span(pos))
+            elif value == "[":
+                self.i += 1
                 idx = self.parse_expr()
                 self.expect("]")
-                e = Index(e, idx, span=span)
+                e = Index(e, idx, span=self.span(pos))
             else:
                 return e
 
     def parse_args(self) -> tuple[Expr, ...]:
         self.expect("(")
+        toks = self.toks
         args: list[Expr] = []
-        if not self.at(")"):
+        if toks[self.i][1] != ")":
             args.append(self.parse_expr())
-            while self.at(","):
-                self.next()
+            while toks[self.i][1] == ",":
+                self.i += 1
                 args.append(self.parse_expr())
         self.expect(")")
         return tuple(args)
 
     def parse_atom(self) -> Expr:
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            return IntLit(int(t.value), span=t.span)
-        if t.value == "??":
-            self.next()
-            return Hole(span=t.span)
-        if t.value == "choose":
-            self.next()
+        toks = self.toks
+        kind, value, pos = toks[self.i]
+        if kind == "ident" and value not in KEYWORDS and value[-1] != "?":
+            self.i += 1
+            if toks[self.i][1] == "(":
+                return Call(value, self.parse_args(), span=self.span(pos))
+            return Var(value, span=self.span(pos))
+        if kind == "int":
+            self.i += 1
+            return IntLit(int(value), span=self.span(pos))
+        if value == "??":
+            self.i += 1
+            return Hole(span=self.span(pos))
+        if value == "choose":
+            self.i += 1
             args = self.parse_args()
             if not args:
-                raise ParseError("choose needs at least one alternative", t.span)
-            return Choice(args, span=t.span)
-        if t.value == "assert":
-            self.next()
+                raise ParseError("choose needs at least one alternative", self.span(pos))
+            return Choice(args, span=self.span(pos))
+        if value == "assert":
+            self.i += 1
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
             aid = self.assert_counter
             self.assert_counter += 1
-            return Assert(cond, aid=aid, span=t.span)
-        if t.value == "unreachable":
-            self.next()
+            return Assert(cond, aid=aid, span=self.span(pos))
+        if value == "unreachable":
+            self.i += 1
             self.expect("<")
             ty = self.parse_type()
             self.expect(">")
-            return AlwaysFail(ty, span=t.span)
-        if t.value == "new":
-            self.next()
+            return AlwaysFail(ty, span=self.span(pos))
+        if value == "new":
+            self.i += 1
             if self.at("cons?"):
-                self.next()
-                args = self.parse_args()
-                return UnknownCtor(args, span=t.span)
-            vname = self.expect_ident("variant name").value
+                self.i += 1
+                return UnknownCtor(self.parse_args(), span=self.span(pos))
+            vname = self.expect_ident("variant name")
             self.expect("(")
             fields: list[tuple[str, Expr]] = []
             if not self.at(")"):
                 while True:
-                    label = self.expect_ident("field label").value
+                    label = self.expect_ident("field label")
                     self.expect("=")
                     fields.append((label, self.parse_expr()))
-                    if self.at(","):
-                        self.next()
-                        continue
-                    break
+                    if not self.at(","):
+                        break
+                    self.i += 1
             self.expect(")")
-            return Ctor(vname, tuple(fields), span=t.span)
-        if t.value == "(":
-            self.next()
+            return Ctor(vname, tuple(fields), span=self.span(pos))
+        if value == "(":
+            self.i += 1
             e = self.parse_expr()
             self.expect(")")
             return e
-        if t.value == "{":
-            self.next()
+        if value == "{":
+            self.i += 1
             items: list[Expr] = []
             if not self.at("}"):
                 items.append(self.parse_expr())
                 while self.at(","):
-                    self.next()
+                    self.i += 1
                     items.append(self.parse_expr())
             self.expect("}")
-            return ArrayLit(tuple(items), span=t.span)
-        if t.kind == "ident" and t.value not in KEYWORDS and not t.value.endswith("?"):
-            self.next()
-            if self.at("("):
-                args = self.parse_args()
-                return Call(t.value, args, span=t.span)
-            return Var(t.value, span=t.span)
-        raise ParseError(f"unexpected token {t.value or 'end of input'!r}", t.span)
+            return ArrayLit(tuple(items), span=self.span(pos))
+        raise ParseError(f"unexpected token {value or 'end of input'!r}", self.span(pos))
 
 
 # ---------------------------------------------------------------------------
@@ -594,79 +598,103 @@ class _Parser:
 
 
 def _resolve_type(
-    ty: TypeExpr, program: SurfaceProgram, type_params: tuple[str, ...], span: Span
+    ty: TypeExpr, adts: set[str], type_params: tuple[str, ...], span: Span
 ) -> TypeExpr:
     if isinstance(ty, ArrayType):
-        return ArrayType(_resolve_type(ty.elem, program, type_params, span))
+        return ArrayType(_resolve_type(ty.elem, adts, type_params, span))
     if isinstance(ty, AdtType):
         if ty.name in type_params:
             return TypeVarRef(ty.name)
-        if program.adt(ty.name) is None:
+        if ty.name not in adts:
             raise ResolveError(f"unknown type {ty.name!r}", span)
-        return ty
     return ty
 
 
-def _resolve_expr(
-    e: Expr, scope: set[str], program: SurfaceProgram, func: FuncDecl
-) -> Expr:
-    """Resolve the type names in an expression and disambiguate its
-    identifiers into variables vs. function references."""
-    if isinstance(e, Var):
-        if e.name in scope:
-            return e
-        if program.function(e.name) is not None:
-            return FuncRef(e.name, span=e.span)
-        raise ResolveError(f"unbound identifier {e.name!r} in {func.name!r}", e.span)
-    if isinstance(e, Call):
-        if (
-            e.callee not in scope
-            and e.callee not in BUILTIN_FUNCS
-            and program.function(e.callee) is None
-        ):
-            raise ResolveError(f"call to unknown function {e.callee!r} in {func.name!r}", e.span)
-        args = tuple(_resolve_expr(a, scope, program, func) for a in e.args)
-        return Call(e.callee, args, span=e.span)
-    if isinstance(e, Let):
-        ty = _resolve_type(e.ty, program, func.type_params, e.span)
-        value = _resolve_expr(e.value, scope, program, func)
-        body = _resolve_expr(e.body, scope | {e.name}, program, func)
-        return Let(e.name, ty, value, body, span=e.span)
-    if isinstance(e, AlwaysFail):
-        return AlwaysFail(_resolve_type(e.ty, program, func.type_params, e.span), span=e.span)
-    if isinstance(e, (Switch, FlexSwitch)):
-        if e.scrutinee not in scope:
-            raise ResolveError(
-                f"switch scrutinee {e.scrutinee!r} is not a variable in scope", e.span
-            )
-        if isinstance(e, Switch):
-            for arm in e.arms:
-                if program.variant_owner(arm.variant) is None:
-                    raise ResolveError(f"unknown variant {arm.variant!r}", e.span)
-        return rebuild(e, [_resolve_expr(c, scope, program, func) for c in children(e)])
-    if isinstance(e, Ctor):
-        owner = program.variant_owner(e.variant)
-        if owner is None:
-            raise ResolveError(f"unknown variant {e.variant!r}", e.span)
-        decl = owner.variant(e.variant)
-        declared = [l for l, _ in decl.fields]
-        given = [l for l, _ in e.fields]
-        if sorted(given) != sorted(set(given)):
-            raise ResolveError(f"duplicate field in constructor {e.variant!r}", e.span)
-        if set(given) != set(declared):
-            raise ResolveError(
-                f"constructor {e.variant!r} needs fields {declared}, got {given}", e.span
-            )
-        # normalize to declaration order
-        by_label = dict(e.fields)
-        fields = tuple(
-            (l, _resolve_expr(by_label[l], scope, program, func)) for l in declared
+class _Resolver:
+    """Resolves function bodies against the names a program declares; the
+    program must have passed `_validate`, so each name is declared once."""
+
+    def __init__(self, program: SurfaceProgram):
+        self.adts = {a.name for a in program.adts}
+        self.functions = {f.name for f in program.functions}
+        self.variants = {v.name: v for a in program.adts for v in a.variants}
+
+    def expr(self, e: Expr, scope: set[str], func: FuncDecl) -> Expr:
+        """Resolve the type names in an expression and disambiguate its
+        identifiers into variables vs. function references."""
+        kind = type(e)
+        if kind is Var:
+            if e.name in scope:
+                return e
+            if e.name in self.functions:
+                return FuncRef(e.name, span=e.span)
+            raise ResolveError(f"unbound identifier {e.name!r} in {func.name!r}", e.span)
+        if kind is Call:
+            if (
+                e.callee not in scope
+                and e.callee not in BUILTIN_FUNCS
+                and e.callee not in self.functions
+            ):
+                raise ResolveError(
+                    f"call to unknown function {e.callee!r} in {func.name!r}", e.span
+                )
+            return Call(e.callee, tuple([self.expr(a, scope, func) for a in e.args]), span=e.span)
+        if kind is Let:
+            ty = _resolve_type(e.ty, self.adts, func.type_params, e.span)
+            value = self.expr(e.value, scope, func)
+            body = self.expr(e.body, scope | {e.name}, func)
+            return Let(e.name, ty, value, body, span=e.span)
+        if kind is AlwaysFail:
+            return AlwaysFail(_resolve_type(e.ty, self.adts, func.type_params, e.span), span=e.span)
+        if kind is Switch or kind is FlexSwitch:
+            if e.scrutinee not in scope:
+                raise ResolveError(
+                    f"switch scrutinee {e.scrutinee!r} is not a variable in scope", e.span
+                )
+            if kind is Switch:
+                for arm in e.arms:
+                    if arm.variant not in self.variants:
+                        raise ResolveError(f"unknown variant {arm.variant!r}", e.span)
+        elif kind is Ctor:
+            decl = self.variants.get(e.variant)
+            if decl is None:
+                raise ResolveError(f"unknown variant {e.variant!r}", e.span)
+            declared = [l for l, _ in decl.fields]
+            given = [l for l, _ in e.fields]
+            if sorted(given) != sorted(set(given)):
+                raise ResolveError(f"duplicate field in constructor {e.variant!r}", e.span)
+            if set(given) != set(declared):
+                raise ResolveError(
+                    f"constructor {e.variant!r} needs fields {declared}, got {given}", e.span
+                )
+            # normalize to declaration order
+            by_label = dict(e.fields)
+            fields = tuple((l, self.expr(by_label[l], scope, func)) for l in declared)
+            return Ctor(e.variant, fields, span=e.span)
+        kids = children(e)
+        return rebuild(e, [self.expr(c, scope, func) for c in kids]) if kids else e
+
+    def func(self, f: FuncDecl) -> FuncDecl:
+        params = tuple(
+            (n, _resolve_type(t, self.adts, f.type_params, f.span)) for n, t in f.params
         )
-        return Ctor(e.variant, fields, span=e.span)
-    return rebuild(e, [_resolve_expr(c, scope, program, func) for c in children(e)])
+        for n, t in params:
+            if f.is_harness and not _concrete_surface(t):
+                raise ResolveError(
+                    f"harness {f.name!r} parameter {n!r} must have a concrete type", f.span
+                )
+            if isinstance(t, ArrayType) and isinstance(t.elem, FunType):
+                raise ResolveError("fun[] is not a valid parameter type", f.span)
+        return dataclasses.replace(
+            f,
+            params=params,
+            ret=_resolve_type(f.ret, self.adts, f.type_params, f.span),
+            body=self.expr(f.body, {n for n, _ in params}, f),
+        )
 
 
 def _validate(program: SurfaceProgram) -> None:
+    adts = {a.name for a in program.adts}
     seen_adts: set[str] = set()
     seen_variants: set[str] = set()
     for adt in program.adts:
@@ -684,7 +712,7 @@ def _validate(program: SurfaceProgram) -> None:
                 )
             for _, t in v.fields:
                 try:
-                    _resolve_type(t, program, (), v.span)
+                    _resolve_type(t, adts, (), v.span)
                 except ResolveError as err:
                     raise err.located(adt.source)
     seen_funcs: set[str] = set()
@@ -700,25 +728,6 @@ def _concrete_surface(ty: TypeExpr) -> bool:
     return not isinstance(ty, (TypeVarRef, FunType))
 
 
-def _resolve_func(f: FuncDecl, program: SurfaceProgram) -> FuncDecl:
-    params = tuple(
-        (n, _resolve_type(t, program, f.type_params, f.span)) for n, t in f.params
-    )
-    for n, t in params:
-        if f.is_harness and not _concrete_surface(t):
-            raise ResolveError(
-                f"harness {f.name!r} parameter {n!r} must have a concrete type", f.span
-            )
-        if isinstance(t, ArrayType) and isinstance(t.elem, FunType):
-            raise ResolveError("fun[] is not a valid parameter type", f.span)
-    return dataclasses.replace(
-        f,
-        params=params,
-        ret=_resolve_type(f.ret, program, f.type_params, f.span),
-        body=_resolve_expr(f.body, {n for n, _ in params}, program, f),
-    )
-
-
 def resolve(program: SurfaceProgram) -> SurfaceProgram:
     """Resolve a whole program, library included, in one walk per function.
 
@@ -727,10 +736,11 @@ def resolve(program: SurfaceProgram) -> SurfaceProgram:
     call target a function, a `fun` in scope or a built-in.
     """
     _validate(program)
+    resolver = _Resolver(program)
     funcs = []
     for f in program.functions:
         try:
-            funcs.append(_resolve_func(f, program))
+            funcs.append(resolver.func(f))
         except ResolveError as err:
             raise err.located(f.source)
     return SurfaceProgram(program.adts, tuple(funcs))
@@ -744,7 +754,7 @@ def parse(text: str, source: str | None = None) -> SurfaceProgram:
     """Parse a source without resolving it; raises ParseError with spans,
     naming `source` (a path or `<prelude>`) when it is given."""
     try:
-        return _Parser(tokenize(text), source).parse_program()
+        return _Parser(text, source).parse_program()
     except ParseError as err:
         raise err.located(source)
 
