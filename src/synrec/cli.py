@@ -79,15 +79,21 @@ def _library(args) -> dict:
     pipeline's entry points."""
     path = args.lib or os.environ.get("SYNREC_LIB")
     if path:
-        return {"lib_text": Path(path).read_text(), "lib_source": path}
+        return {"lib_text": _read_text(Path(path)), "lib_source": path}
     return {"lib_text": prelude_text(), "lib_source": PRELUDE}
+
+
+def _read_text(path: Path) -> str:
+    """A source file's text, without the byte-order mark that some editors
+    put at the start of a UTF-8 file."""
+    return path.read_text(encoding="utf-8-sig")
 
 
 def _read_input(path: str) -> str:
     p = Path(path)
     if not p.exists():
         raise SynrecError(f"no such file: {path}")
-    return p.read_text()
+    return _read_text(p)
 
 
 def cmd_synth(args) -> int:
@@ -202,7 +208,7 @@ _BENCH_JSON_KEYS = (
 def _bench_one(path: Path, args) -> tuple[tuple, dict]:
     """One corpus entry's TSV row, and its entry of the `--json` report."""
     name = path.stem
-    text = path.read_text()
+    text = _read_text(path)
     lib = _library(args)
     results = {}
     for label, indecomp in (("opt", True), ("noopt", False)):
@@ -222,7 +228,7 @@ def _bench_one(path: Path, args) -> tuple[tuple, dict]:
     if expected.exists():
         cfg = config_for(text, _cli_overrides(args))
         try:
-            vr = check_concrete(expected.read_text(), cfg, source=str(expected), **lib)
+            vr = check_concrete(_read_text(expected), cfg, source=str(expected), **lib)
             expected_ok = str(vr.passed)
         except SynthesisTimeout:
             expected_ok = "timeout"

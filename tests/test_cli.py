@@ -9,9 +9,10 @@ import pytest
 
 from synrec.cli import main
 from synrec.parser import parse_program
+from synrec.prelude import prelude_text
 
 import toys
-from conftest import CORPUS, ROOT, time_out_at_verify
+from conftest import CORPUS, ROOT, corpus_text, time_out_at_verify
 
 
 def run_cli(*argv):
@@ -386,6 +387,40 @@ def test_syntax_error_names_the_lib_file(tmp_path, capsys):
     lib.write_text("generator int two() { return 2 }\n")
     assert run_cli("synth", CORPUS / "lIns.synrec", "--lib", lib) == 1
     assert capsys.readouterr().err == f"error: {lib}:1:32: expected ';', found '}}'\n"
+
+
+def _with_bom(path, text):
+    """Write `text` to `path` behind a UTF-8 byte-order mark."""
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    return path
+
+
+def test_byte_order_mark_checks_as_the_plain_file(tmp_path, capsys):
+    argv = ["--input-depth", "2"]
+    assert run_cli("check", CORPUS / "lang.synrec", CORPUS / "lang.expected.synrec", *argv) == 0
+    plain = capsys.readouterr()
+    program = _with_bom(tmp_path / "lang.synrec", (CORPUS / "lang.synrec").read_text())
+    solution = _with_bom(tmp_path / "expected.synrec", corpus_text("lang.expected"))
+    lib = _with_bom(tmp_path / "lib.synrec", prelude_text())
+    assert run_cli("check", program, solution, "--lib", lib, *argv) == 0
+    assert capsys.readouterr() == plain
+
+
+@pytest.mark.parametrize("role", ["program", "solution", "lib"])
+def test_byte_order_mark_keeps_error_spans(tmp_path, capsys, role):
+    """A syntax error on the first line of a file with a byte-order mark is
+    at the same line:col as in the plain file."""
+    lib = "generator int two() { return 2 }\n"
+    texts = {"program": BROKEN, "solution": BROKEN, "lib": lib}
+    bad = _with_bom(tmp_path / "bad.synrec", texts[role])
+    argv = {
+        "program": ["synth", bad],
+        "solution": ["check", CORPUS / "lang.synrec", bad, "--input-depth", "1"],
+        "lib": ["synth", CORPUS / "lIns.synrec", "--lib", bad],
+    }[role]
+    assert run_cli(*argv) == 1
+    error = "1:32: expected ';', found '}'" if role == "lib" else "1:41: unexpected token ';'"
+    assert capsys.readouterr().err == f"error: {bad}:{error}\n"
 
 
 # Errors found after the sources are merged name the file of the
