@@ -129,7 +129,7 @@ class _Printer:
             raise PrintError("unit value outside statement position", e.span)
         raise PrintError(f"cannot print node {type(e).__name__}", getattr(e, "span", None))
 
-    def _inline_stmtish(self, e: Expr) -> str:
+    def _inline_stmtish(self, e: If | Let | Switch | FlexSwitch) -> str:
         if isinstance(e, If):
             return (
                 f"if ({self.expr(e.cond)}) {{ {self.expr(e.then)} }}"
@@ -145,9 +145,7 @@ class _Printer:
                 f"case {a.variant}: {self.expr(a.body)};" for a in e.arms
             )
             return f"switch ({e.scrutinee}) {{ {arms} }}"
-        if isinstance(e, FlexSwitch):
-            return f"switch ({e.scrutinee}) {{ case?: {self.expr(e.body)}; }}"
-        raise PrintError("unreachable", e.span)
+        return f"switch ({e.scrutinee}) {{ case?: {self.expr(e.body)}; }}"
 
     # -- statements -----------------------------------------------------------
 
