@@ -8,6 +8,12 @@ angle-bracket type parameters, statement blocks with declarations and
 (`let ... in`, switch-as-expression) during parsing, so every later pass
 works on plain expressions only.
 
+The tokenizer makes each token a plain `(kind, value, offset)` tuple and
+computes no line or column.  The parser reads the token list by index and
+makes a `Span` from an offset, through a table of line starts, only for a
+node or an error that takes one: the line:col of the token that
+introduces the node (its keyword, operator, name or literal).
+
 Parsing does not resolve names.  `pipeline.load_with_library` parses each
 source, merges them (`merge_programs`: earlier sources shadow later ones)
 and then runs `resolve` once on the whole, so user code can name library
@@ -73,8 +79,8 @@ from .errors import ParseError, ResolveError
 
 log = logging.getLogger("synrec")
 
-# binary operator -> precedence, loosest first
-_BINARY = {
+# binary operator -> precedence, loosest first (the printer's too)
+BINARY_PREC = {
     "||": 1,
     "&&": 2,
     "==": 3, "!=": 3,
@@ -399,9 +405,9 @@ class _Parser:
             ty = self.parse_type()
             name = self.expect_ident("variable name")
             self.expect("=")
-            value = self.parse_expr()
+            init = self.parse_expr()
             self.expect(";")
-            return ("decl", (name, ty, value), pos)
+            return ("decl", (name, ty, init), pos)
         e = self.parse_expr()
         self.expect(";")
         return ("stmt", e, pos)
@@ -470,7 +476,7 @@ class _Parser:
             e = self.parse_postfix()
         while True:
             _, value, pos = toks[self.i]
-            prec = _BINARY.get(value, 0)
+            prec = BINARY_PREC.get(value, 0)
             if prec < level:
                 return e
             self.i += 1
@@ -611,13 +617,37 @@ def _resolve_type(
 
 
 class _Resolver:
-    """Resolves function bodies against the names a program declares; the
-    program must have passed `_validate`, so each name is declared once."""
+    """Checks that a program declares each name once and that its variants'
+    fields have declared types, then resolves function bodies against the
+    names it declares."""
 
     def __init__(self, program: SurfaceProgram):
         self.adts = {a.name for a in program.adts}
-        self.functions = {f.name for f in program.functions}
-        self.variants = {v.name: v for a in program.adts for v in a.variants}
+        self.variants: dict[str, VariantDecl] = {}
+        seen_adts: set[str] = set()
+        for adt in program.adts:
+            if adt.name in seen_adts:
+                raise ResolveError(f"duplicate ADT declaration {adt.name!r}", adt.span, adt.source)
+            seen_adts.add(adt.name)
+            for v in adt.variants:
+                if v.name in self.variants:
+                    raise ResolveError(f"duplicate variant name {v.name!r}", v.span, adt.source)
+                self.variants[v.name] = v
+                labels = [l for l, _ in v.fields]
+                if len(labels) != len(set(labels)):
+                    raise ResolveError(
+                        f"duplicate field label in variant {v.name!r}", v.span, adt.source
+                    )
+                for _, t in v.fields:
+                    try:
+                        _resolve_type(t, self.adts, (), v.span)
+                    except ResolveError as err:
+                        raise err.located(adt.source)
+        self.functions: set[str] = set()
+        for f in program.functions:
+            if f.name in self.functions:
+                raise ResolveError(f"duplicate function declaration {f.name!r}", f.span, f.source)
+            self.functions.add(f.name)
 
     def expr(self, e: Expr, scope: set[str], func: FuncDecl) -> Expr:
         """Resolve the type names in an expression and disambiguate its
@@ -693,35 +723,6 @@ class _Resolver:
         )
 
 
-def _validate(program: SurfaceProgram) -> None:
-    adts = {a.name for a in program.adts}
-    seen_adts: set[str] = set()
-    seen_variants: set[str] = set()
-    for adt in program.adts:
-        if adt.name in seen_adts:
-            raise ResolveError(f"duplicate ADT declaration {adt.name!r}", adt.span, adt.source)
-        seen_adts.add(adt.name)
-        for v in adt.variants:
-            if v.name in seen_variants:
-                raise ResolveError(f"duplicate variant name {v.name!r}", v.span, adt.source)
-            seen_variants.add(v.name)
-            labels = [l for l, _ in v.fields]
-            if len(labels) != len(set(labels)):
-                raise ResolveError(
-                    f"duplicate field label in variant {v.name!r}", v.span, adt.source
-                )
-            for _, t in v.fields:
-                try:
-                    _resolve_type(t, adts, (), v.span)
-                except ResolveError as err:
-                    raise err.located(adt.source)
-    seen_funcs: set[str] = set()
-    for f in program.functions:
-        if f.name in seen_funcs:
-            raise ResolveError(f"duplicate function declaration {f.name!r}", f.span, f.source)
-        seen_funcs.add(f.name)
-
-
 def _concrete_surface(ty: TypeExpr) -> bool:
     if isinstance(ty, ArrayType):
         return _concrete_surface(ty.elem)
@@ -735,7 +736,6 @@ def resolve(program: SurfaceProgram) -> SurfaceProgram:
     variables, every identifier a variable in scope or a function, every
     call target a function, a `fun` in scope or a built-in.
     """
-    _validate(program)
     resolver = _Resolver(program)
     funcs = []
     for f in program.functions:
@@ -774,25 +774,23 @@ def merge_programs(
     re-declarations of an ADT merge silently; an ADT redeclared with
     different variants is a hard error that names `lib_name`.
     """
-    user_adt_names = {a.name for a in user.adts}
+    user_adts = {a.name: a for a in user.adts}
     adts = list(user.adts)
     for a in lib.adts:
-        if a.name in user_adt_names:
-            mine = user.adt(a.name)
-            if mine.variants != a.variants:
-                raise ResolveError(
-                    f"ADT {a.name!r} conflicts with its declaration in the {lib_name}",
-                    mine.span,
-                    mine.source,
-                )
-        else:
+        mine = user_adts.get(a.name)
+        if mine is None:
             adts.append(a)
+        elif mine.variants != a.variants:
+            raise ResolveError(
+                f"ADT {a.name!r} conflicts with its declaration in the {lib_name}",
+                mine.span,
+                mine.source,
+            )
     user_func_names = {f.name for f in user.functions}
     funcs = list(user.functions)
     for f in lib.functions:
-        if f.name in user_func_names:
-            if warn:
-                log.warning("user definition of %r shadows the %s version", f.name, lib_name)
-        else:
+        if f.name not in user_func_names:
             funcs.append(f)
+        elif warn:
+            log.warning("user definition of %r shadows the %s version", f.name, lib_name)
     return SurfaceProgram(tuple(adts), tuple(funcs))

@@ -43,20 +43,7 @@ from .ast import (
     Var,
 )
 from .errors import PrintError
-
-_PREC = {
-    "||": 1,
-    "&&": 2,
-    "==": 3,
-    "!=": 3,
-    "<": 4,
-    "<=": 4,
-    ">": 4,
-    ">=": 4,
-    "+": 5,
-    "-": 5,
-    "*": 6,
-}
+from .parser import BINARY_PREC
 
 _UNARY_PREC = 7
 _POSTFIX_PREC = 8
@@ -100,7 +87,7 @@ class _Printer:
         if isinstance(e, Assert):
             return f"assert({self.expr(e.cond)})"
         if isinstance(e, BinOp):
-            p = _PREC[e.op]
+            p = BINARY_PREC[e.op]
             s = f"{self.expr(e.lhs, p)} {e.op} {self.expr(e.rhs, p + 1)}"
             return f"({s})" if p < min_prec else s
         if isinstance(e, UnOp):
