@@ -11,20 +11,20 @@ timeout at the top of the range.
 """
 
 import argparse
-import dataclasses
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from synrec.ast import replace  # noqa: E402
 from synrec.cegis import SynthesisConfig  # noqa: E402
 from synrec.pipeline import synthesize  # noqa: E402
 from synrec.scaling import MAX_VARIANTS, scaling_benchmark  # noqa: E402
 
 
 def run(n: int, timeout: float, indecomp: bool):
-    cfg = dataclasses.replace(
+    cfg = replace(
         SynthesisConfig(), timeout_secs=timeout, indecomp=indecomp
     )
     start = time.monotonic()

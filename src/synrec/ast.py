@@ -8,15 +8,14 @@ Nodes come in three layers that share one tree type:
 * polymorphic synthesis constructs (``case?``, ``fields?``, ``cons?``,
   polymorphic generator calls), which only survive until expansion.
 
-All nodes are dataclasses; source spans are excluded from equality so
-structural comparison ignores layout.  Child sequences are tuples, so a
-parsed program is immutable for practical purposes; passes rebuild nodes
-with :func:`dataclasses.replace`.
+All nodes, types and declarations are records (see :func:`record`); source
+spans are excluded from equality so structural comparison ignores layout.
+Child sequences are tuples, so a parsed program is immutable for practical
+purposes; passes rebuild nodes with :func:`replace` or :func:`rebuild`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 
@@ -32,6 +31,104 @@ NO_SPAN = Span()
 
 
 # ---------------------------------------------------------------------------
+# Records: `record` stands in for `dataclasses.dataclass(eq=True, slots=True)`
+# at a fraction of its import cost: the first construction of a pending
+# record writes the methods of every pending record in one `exec`.
+
+_MISSING = object()
+
+
+class field:
+    """A record field's default, and whether `==` and `repr` read it."""
+
+    __slots__ = ("default", "factory", "compare", "repr")
+
+    def __init__(self, default=_MISSING, *, default_factory=None, compare=True, repr=True):
+        self.default, self.factory = default, default_factory
+        self.compare, self.repr = compare, repr
+
+
+_SPAN = field(NO_SPAN, compare=False, repr=False)
+_pending: list = []
+
+
+def record(cls=None, /, *, frozen=False, slots=True, span=False):
+    """Class decorator: make `cls` a record of its annotated fields, after
+    those of a record it extends, and then of `span` if `span` is set.
+    `record` gives it `__init__`, `__repr__`, `__eq__` and, if frozen,
+    `__hash__`; other records are unhashable.  `cls._fields` maps each
+    field's name to its `field`."""
+    if cls is None:
+        return lambda c: record(c, frozen=frozen, slots=slots, span=span)
+    ns = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
+    own = {n: ns.pop(n, _MISSING) for n in ns.get("__annotations__", ())}
+    own |= {"span": _SPAN} if span else {}
+    if slots:
+        ns["__slots__"] = tuple(own)
+        name, cls = cls.__qualname__, type(cls)(cls.__name__, cls.__bases__, ns)
+        cls.__qualname__ = name
+    cls._fields = getattr(cls, "_fields", {}) | {
+        n: d if type(d) is field else field(d) for n, d in own.items()
+    }
+    cls.__init__, cls.__repr__, cls.__hash__ = _define_then_init, _repr, None
+    if frozen:
+        cls.__setattr__ = cls.__delattr__ = _frozen
+    _pending.append((cls, frozen))
+    return cls
+
+
+node = record(span=True)
+
+
+def _repr(self) -> str:
+    shown = (f"{n}={getattr(self, n)!r}" for n, f in self._fields.items() if f.repr)
+    return f"{self.__class__.__qualname__}({', '.join(shown)})"
+
+
+def _frozen(self, name, *value):
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def _define_then_init(self, *args, **kwargs):
+    """The `__init__` of each pending record: write the `__init__`, `__eq__`
+    and `__hash__` of them all, then run the real one."""
+    lines = []
+    for k, (cls, frozen) in enumerate(_pending):
+        fields = cls._fields.items()
+        params, sets = [], []
+        for i, (n, f) in enumerate(fields):
+            value, param = n, n if f.default is _MISSING else f"{n}=_d[{i}].default"
+            if f.factory:
+                value, param = f"_d[{i}].factory() if {n} is _MISSING else {n}", f"{n}=_MISSING"
+            params.append(param)
+            sets.append(f"_setattr(self, {n!r}, {value})" if frozen else f"self.{n} = {value}")
+        if hasattr(cls, "__post_init__"):
+            sets.append("self.__post_init__()")
+        compared = "".join(f"self.{n}," for n, f in fields if f.compare)
+        lines += [
+            f"def _make{k}(_d):",
+            f" def __init__(self, {', '.join(params)}):", *(f"  {s}" for s in sets or ["pass"]),
+            " def __eq__(self, other):",
+            "  if other.__class__ is not self.__class__: return NotImplemented",
+            f"  return ({compared}) == ({compared.replace('self.', 'other.')})",
+            *([f" def __hash__(self): return hash(({compared}))"] if frozen else []),
+            f" return __init__, __eq__{', __hash__' if frozen else ''}",
+        ]
+    env = {"_MISSING": _MISSING, "_setattr": object.__setattr__}
+    exec("\n".join(lines), env)
+    for k, (cls, _) in enumerate(_pending):
+        for fn in env[f"_make{k}"](tuple(cls._fields.values())):
+            setattr(cls, fn.__name__, fn)
+    _pending.clear()
+    self.__init__(*args, **kwargs)
+
+
+def replace(obj, /, **changes):
+    """A copy of record `obj` with `changes` to its fields, spans kept."""
+    return obj.__class__(**{n: getattr(obj, n) for n in obj._fields} | changes)
+
+
+# ---------------------------------------------------------------------------
 # Types
 
 
@@ -41,7 +138,7 @@ class TypeExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True)
 class PrimType(TypeExpr):
     name: str  # "int" | "bit"
 
@@ -49,7 +146,7 @@ class PrimType(TypeExpr):
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True)
 class UnitType(TypeExpr):
     """Type of asserts and of `void` function bodies."""
 
@@ -57,7 +154,7 @@ class UnitType(TypeExpr):
         return "void"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True)
 class AdtType(TypeExpr):
     name: str
 
@@ -65,7 +162,7 @@ class AdtType(TypeExpr):
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True)
 class RecordType(TypeExpr):
     """Variant record type; a switch arm rebinds the scrutinee at this type.
 
@@ -87,7 +184,7 @@ class RecordType(TypeExpr):
         return None
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True)
 class ArrayType(TypeExpr):
     elem: TypeExpr
 
@@ -95,7 +192,7 @@ class ArrayType(TypeExpr):
         return f"{self.elem}[]"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True)
 class FunType(TypeExpr):
     """The opaque `fun` parameter type; concretized only through inlining."""
 
@@ -103,7 +200,7 @@ class FunType(TypeExpr):
         return "fun"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True)
 class ArrowType(TypeExpr):
     params: tuple[TypeExpr, ...]
     ret: TypeExpr
@@ -113,7 +210,7 @@ class ArrowType(TypeExpr):
         return f"({ps}) -> {self.ret}"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True)
 class TypeVarRef(TypeExpr):
     name: str
 
@@ -135,144 +232,128 @@ class Expr:
     __slots__ = ()
 
 
-@dataclass(eq=True, slots=True)
+@node
 class Var(Expr):
     name: str
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True, slots=True)
+@node
 class FuncRef(Expr):
     """A function name used as a value (passed where `fun` is expected)."""
 
     name: str
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True, slots=True)
+@node
 class IntLit(Expr):
     value: int
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True, slots=True)
+@node
 class UnitLit(Expr):
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
+    """The unit value."""
 
 
-@dataclass(eq=True, slots=True)
+@node
 class Let(Expr):
     name: str
     ty: TypeExpr
     value: Expr
     body: Expr
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True, slots=True)
+@node
 class Call(Expr):
     """Call of a named function, generator, or `fun`-typed parameter."""
 
     callee: str
     args: tuple[Expr, ...]
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True, slots=True)
+@record
 class SwitchArm:
     variant: str
     body: Expr
 
 
-@dataclass(eq=True, slots=True)
+@node
 class Switch(Expr):
     scrutinee: str  # must be a variable, per the static semantics
     arms: tuple[SwitchArm, ...]
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True, slots=True)
+@node
 class FieldAccess(Expr):
     base: Expr
     label: str
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True, slots=True)
+@node
 class Ctor(Expr):
     variant: str
     fields: tuple[tuple[str, Expr], ...]
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True, slots=True)
+@node
 class ArrayLit(Expr):
     items: tuple[Expr, ...]
     # Element type recorded by expansion (required for empty literals);
     # not part of structural equality so parse/print round-trips hold.
     elem_ty: Optional[TypeExpr] = field(default=None, compare=False)
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True, slots=True)
+@node
 class Index(Expr):
     base: Expr
     index: Expr
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True, slots=True)
+@node
 class Assert(Expr):
     cond: Expr
     aid: int = field(default=-1, compare=False)
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True, slots=True)
+@node
 class BinOp(Expr):
     op: str  # + - * == != < <= > >= && ||
     lhs: Expr
     rhs: Expr
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True, slots=True)
+@node
 class UnOp(Expr):
     op: str  # !
     operand: Expr
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True, slots=True)
+@node
 class If(Expr):
     cond: Expr
     then: Expr
     els: Expr
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
 # -- classic synthesis constructs -------------------------------------------
 
 
-@dataclass(eq=True, slots=True)
+@node
 class Hole(Expr):
     """`??`: unknown int/bit constant.  `cp`/`ty` are set by expansion."""
 
     cp: Optional[int] = None
     ty: Optional[TypeExpr] = None
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True, slots=True)
+@node
 class Choice(Expr):
     """`choose(e1,...,en)`.  `cp` is set by expansion."""
 
     arms: tuple[Expr, ...]
     cp: Optional[int] = None
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True, slots=True)
+@node
 class AlwaysFail(Expr):
     """Inline-bound placeholder; evaluating it is a candidate failure.
 
@@ -281,38 +362,34 @@ class AlwaysFail(Expr):
     """
 
     ty: TypeExpr
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
 # -- polymorphic synthesis constructs ----------------------------------------
 
 
-@dataclass(eq=True, slots=True)
+@node
 class FieldsOf(Expr):
     """`e.fields?`"""
 
     base: Expr
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True, slots=True)
+@node
 class FlexSwitch(Expr):
     """`switch(x){case?: e}`"""
 
     scrutinee: str
     body: Expr
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True, slots=True)
+@node
 class UnknownCtor(Expr):
     """`new cons?(e1,...,em)`"""
 
     args: tuple[Expr, ...]
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True, slots=True)
+@record
 class GenLambda(Expr):
     """A zero-argument generator lambda wrapping an expression argument.
 
@@ -323,11 +400,11 @@ class GenLambda(Expr):
     """
 
     body: Expr
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
+    span: Span = _SPAN
     source: str | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(eq=True, slots=True)
+@node
 class BoxMake(Expr):
     """Deferred recursive call installed by inductive decomposition.
 
@@ -339,7 +416,6 @@ class BoxMake(Expr):
     term: Expr
     gamma: Optional[Expr]
     ty: TypeExpr
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
 PSC_NODES = (FieldsOf, FlexSwitch, UnknownCtor, GenLambda)
@@ -349,21 +425,20 @@ PSC_NODES = (FieldsOf, FlexSwitch, UnknownCtor, GenLambda)
 # Declarations
 
 
-@dataclass(eq=True, slots=True)
+@node
 class VariantDecl:
     name: str
     fields: tuple[tuple[str, TypeExpr], ...]
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
     def record_type(self) -> RecordType:
         return RecordType(self.name, self.fields)
 
 
-@dataclass(eq=True, slots=True)
+@record
 class AdtDecl:
     name: str
     variants: tuple[VariantDecl, ...]
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
+    span: Span = _SPAN
     # the input the declaration was parsed from, for diagnostics
     source: Optional[str] = field(default=None, compare=False, repr=False)
 
@@ -379,14 +454,13 @@ GENERATOR = "generator"
 POLYGEN = "polygen"
 
 
-@dataclass(eq=True, slots=True)
+@node
 class Annotation:
     name: str
     args: tuple[str, ...]
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(eq=True, slots=True)
+@record
 class FuncDecl:
     kind: str  # STANDARD | GENERATOR | POLYGEN
     name: str
@@ -396,7 +470,7 @@ class FuncDecl:
     body: Expr
     is_harness: bool = False
     annotations: tuple[Annotation, ...] = ()
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
+    span: Span = _SPAN
     source: Optional[str] = field(default=None, compare=False, repr=False)  # as in AdtDecl
 
     def param_type(self, name: str) -> Optional[TypeExpr]:
@@ -412,7 +486,7 @@ class FuncDecl:
         return None
 
 
-@dataclass(eq=True, slots=True)
+@record
 class SurfaceProgram:
     adts: tuple[AdtDecl, ...]
     functions: tuple[FuncDecl, ...]

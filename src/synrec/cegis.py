@@ -42,7 +42,6 @@ from __future__ import annotations
 import itertools
 import logging
 import time
-from dataclasses import dataclass, field, replace
 
 from .ast import (
     AdtType,
@@ -69,7 +68,10 @@ from .ast import (
     UnknownCtor,
     Var,
     children,
+    field,
     rebuild,
+    record,
+    replace,
     walk,
 )
 from .compiled import CAssertFail, CExhausted, CInfeasible, CompiledProgram, compile_concrete
@@ -93,7 +95,7 @@ from .typesys import typecheck_function
 log = logging.getLogger("synrec")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SynthesisConfig:
     """Bounds and knobs for one synthesis run; all defaults are the
     smallest values at which the running example is distinguishable."""
@@ -110,9 +112,9 @@ class SynthesisConfig:
     indecomp: bool = True
 
     def __post_init__(self):
-        for name in ("input_depth", "inline_bound", "unroll_depth"):
+        for name in ("input_depth", "inline_bound", "unroll_depth", "timeout_secs"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
+            if value is not None and not value > 0:  # NaN included
                 raise SynrecError(f"{name.replace('_', ' ')} must be positive, got {value}")
         if not self.int_domain:
             raise SynrecError("int domain is empty")
@@ -418,7 +420,7 @@ EXHAUSTIVE = "exhaustive"
 VALUE_CLASS = "value-class"
 
 
-@dataclass
+@record
 class VerifyResult:
     passed: bool
     counterexample: dict | None = None
@@ -674,7 +676,7 @@ def concretize(expanded: ExpandedProgram, phi: dict[int, int]) -> SurfaceProgram
 # The CEGIS loop
 
 
-@dataclass
+@record
 class ArmStatus:
     """One switch arm of a decomposed morphism in the per-arm search."""
 
@@ -699,7 +701,7 @@ def add_phase(phases: dict | None, name: str, start: float) -> float:
     return now
 
 
-@dataclass
+@record
 class SynthesisStats:
     iterations: int = 0
     # harness runs of the inductive search, and of the bounded checks
@@ -761,7 +763,7 @@ UNSAT = "unsat"
 TIMEOUT = "timeout"
 
 
-@dataclass
+@record
 class SynthesisResult:
     status: str
     assignment: dict[int, int] | None

@@ -7,15 +7,16 @@ Subcommands: `synth` (run the full pipeline and emit a verified solution),
 
 Exit codes: 0 success/solved, 1 usage or input errors, 2 unsatisfiable or
 failed verification, 3 timeout.
+
+Start-up is most of a one-shot command, so a command imports what only it
+needs (the printer, `json`, `platform`) when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
-import platform
 import sys
 import time
 from pathlib import Path
@@ -23,8 +24,6 @@ from pathlib import Path
 from .cegis import SOLVED, TIMEOUT, UNSAT, VALUE_CLASS, SynthesisTimeout
 from .errors import SynrecError
 from .evaluator import format_value
-from .expand import expand_program
-from .instances import force_expansion
 from .pipeline import (
     SETTINGS,
     check_concrete,
@@ -33,7 +32,6 @@ from .pipeline import (
     setting,
     synthesize,
 )
-from .printer import pretty_print_program
 from .prelude import PRELUDE, prelude_text
 
 log = logging.getLogger("synrec")
@@ -97,12 +95,16 @@ def _read_input(path: str) -> str:
 
 
 def cmd_synth(args) -> int:
+    from .printer import pretty_print_program
+
     text = _read_input(args.input)
     cfg = config_for(text, _cli_overrides(args))
     result = synthesize(text, cfg, source=args.input, **_library(args))
     stats = result.stats.to_json()
     stats["status"] = result.status
     if args.stats:
+        import json
+
         Path(args.stats).write_text(json.dumps(stats, indent=2) + "\n")
     if result.status == SOLVED:
         solution_text = pretty_print_program(result.solution)
@@ -131,6 +133,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_expand(args) -> int:
+    from .expand import expand_program
+    from .instances import force_expansion
+    from .printer import pretty_print_program
+
     text = _read_input(args.input)
     cfg = config_for(text, _cli_overrides(args))
     program = load_with_library(text, source=args.input, **_library(args))
@@ -189,6 +195,9 @@ def cmd_bench(args) -> int:
     for row, _ in runs:
         print("\t".join(str(c) for c in row))
     if args.json:
+        import json
+        import platform
+
         report = {
             "nproc": os.cpu_count(),
             "python": platform.python_version(),

@@ -23,7 +23,6 @@ evaluations may run concurrently over immutable inputs.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
 from .ast import (
     AlwaysFail,
@@ -49,6 +48,7 @@ from .ast import (
     UnitLit,
     UnOp,
     Var,
+    record,
 )
 from .errors import InternalError
 
@@ -98,7 +98,7 @@ def format_value(v) -> str:
     return str(v)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EvalLimits:
     max_depth: int = 5
 
@@ -113,7 +113,7 @@ INFEASIBLE = "infeasible"
 RESOURCE = "resource"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Outcome:
     kind: str
     assert_id: int = -1

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -83,6 +82,8 @@ from .ast import (
     children,
     contains_psc,
     rebuild,
+    record,
+    replace,
     walk,
 )
 from .errors import ExpandError, InternalError, TypeCheckError, UnifyError
@@ -118,7 +119,7 @@ class ControlPoint(NamedTuple):
         return self.hi - self.lo + 1
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExpansionContext:
     """The expansion bounds of a `SynthesisConfig`, which holds their defaults."""
 
@@ -127,7 +128,7 @@ class ExpansionContext:
     hole_hi: int
 
 
-@dataclass
+@record(slots=False)
 class ExpandedProgram:
     """PSC-free, generator-free program plus its control space.  Its
     choice arms may hold instances as `_Use`s (see `force_expansion`)."""
@@ -145,7 +146,7 @@ class ExpandedProgram:
         return {p.id: p.lo for p in self.control_space}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _Path:
     """Per-branch inlining state: counters and the call-site trail."""
 
@@ -214,7 +215,7 @@ def _renders_record(e: Expr) -> bool:
 
 # the fields of each expression node, for the structural key of a call
 _FIELDS = {
-    cls: tuple(f.name for f in fields(cls))
+    cls: tuple(cls._fields)
     for cls in (
         Var, FuncRef, IntLit, UnitLit, Let, Call, Switch, SwitchArm, FieldAccess, Ctor,
         ArrayLit, Index, Assert, BinOp, UnOp, If, Hole, Choice, AlwaysFail, FieldsOf,

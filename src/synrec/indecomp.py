@@ -25,7 +25,6 @@ walking the decomposed translation.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
 
 from .ast import (
     AdtType,
@@ -50,7 +49,10 @@ from .ast import (
     UnOp,
     Var,
     children,
+    field,
     rebuild,
+    record,
+    replace,
 )
 from .expand import ExpandedProgram
 from .instances import _Use, force
@@ -62,7 +64,7 @@ MORPHISM = "RecursiveMorphism"
 OTHER = "Other"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SpecShape:
     """The inductive specification pattern found in a harness."""
 
@@ -77,13 +79,13 @@ class SpecShape:
     abstraction: str | None = None  # F with gamma = F(state)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VariantDetail:
     variant: str
     recursed_fields: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ClassificationReport:
     verdict: str
     details: tuple[VariantDetail, ...] = ()
@@ -210,7 +212,7 @@ _REBOUND = "rebound"  # as the name of a `let`
 _FIELD = "field"  # a field read, other than as the sole self-call argument
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TransFacts:
     """What `classify_transformer`'s pass found in a translation's body,
     for the rewrite and for `value_class_blocker`."""
@@ -357,7 +359,7 @@ def classify_transformer(fn: FuncDecl, adt_name: str) -> ClassificationReport:
 # The rewrite
 
 
-@dataclass
+@record
 class Decomposition(ExpandedProgram):
     """The decomposed program (the expanded one when decomposition was
     refused), with why its candidates cannot be verified by value classes

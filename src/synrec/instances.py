@@ -21,8 +21,6 @@ per instance: an instance is a renaming of its template.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .ast import (
     Call,
     Choice,
@@ -38,6 +36,7 @@ from .ast import (
     Var,
     children,
     rebuild,
+    replace,
 )
 from .errors import InternalError, TypeCheckError
 from .typesys import Typer, TypeEnv

@@ -23,7 +23,6 @@ parses and resolves a self-contained source.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import logging
 import re
@@ -74,6 +73,7 @@ from .ast import (
     VariantDecl,
     children,
     rebuild,
+    replace,
 )
 from .errors import ParseError, ResolveError
 
@@ -715,7 +715,7 @@ class _Resolver:
                 )
             if isinstance(t, ArrayType) and isinstance(t.elem, FunType):
                 raise ResolveError("fun[] is not a valid parameter type", f.span)
-        return dataclasses.replace(
+        return replace(
             f,
             params=params,
             ret=_resolve_type(f.ret, self.adts, f.type_params, f.span),

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
 
-from .ast import FuncDecl, SurfaceProgram
+from .ast import FuncDecl, SurfaceProgram, record
 from .cegis import (
     PHASES,
     SynthesisConfig,
@@ -123,7 +122,7 @@ def load_with_library(
     return resolve(merge_programs(program, lib))
 
 
-@dataclass
+@record
 class Prepared:
     expanded: ExpandedProgram
     shape: SpecShape | None

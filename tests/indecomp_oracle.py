@@ -12,8 +12,6 @@ value its body never reads, counts as tainted.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from synrec.ast import (
     AdtType,
     ArrayLit,
@@ -35,6 +33,7 @@ from synrec.ast import (
     Var,
     children,
     rebuild,
+    replace,
     walk,
 )
 from synrec.indecomp import (

@@ -6,13 +6,12 @@ with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and measured numbers.
 """
 
-import dataclasses
 import itertools
 import time
 
 import pytest
 
-from synrec.ast import INT, AdtType, ArrayType, RecordType
+from synrec.ast import INT, AdtType, ArrayType, RecordType, replace
 from synrec.cegis import (
     _to_reference,
     SynthesisConfig,
@@ -62,7 +61,7 @@ def lang_opt(lang_prepared):
 @pytest.fixture(scope="session")
 def lang_unopt(lang_prepared):
     prep, cfg = lang_prepared
-    cfg = dataclasses.replace(cfg, indecomp=False, timeout_secs=600)
+    cfg = replace(cfg, indecomp=False, timeout_secs=600)
     start = time.monotonic()
     res = run_cegis(prep.expanded, cfg, prep.shape, prep.report)
     return res, time.monotonic() - start
@@ -245,7 +244,7 @@ def test_criterion_6_acceleration_proxy(lang_opt, lang_unopt):
         opt = run_cegis(prep.expanded, SynthesisConfig(), prep.shape, prep.report)
         unopt = run_cegis(
             prep.expanded,
-            dataclasses.replace(SynthesisConfig(), indecomp=False),
+            replace(SynthesisConfig(), indecomp=False),
             prep.shape,
             prep.report,
         )
@@ -302,7 +301,7 @@ def test_criterion_7_scaling_trend():
         unopt, t_unopt = _fastest(
             run_cegis,
             prep.expanded,
-            dataclasses.replace(cfg, indecomp=False),
+            replace(cfg, indecomp=False),
             prep.shape,
             prep.report,
         )

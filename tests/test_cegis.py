@@ -4,7 +4,7 @@ import logging
 import pytest
 
 from synrec import cegis
-from synrec.ast import BIT, AdtType, Choice, Hole, walk
+from synrec.ast import BIT, AdtType, Choice, Hole, replace, walk
 from synrec.cegis import (
     SOLVED,
     TIMEOUT,
@@ -297,7 +297,7 @@ def test_cegis_unsat_on_inconsistent_harness():
 
 def test_cegis_timeout_reports_partial():
     exp = expand_text(toys.PARITY)
-    cfg = SynthesisConfig(timeout_secs=0.0)
+    cfg = SynthesisConfig(timeout_secs=1e-9)
     res = run_cegis(exp, cfg)
     assert res.status == "timeout"
 
@@ -460,9 +460,8 @@ def test_decomposition_reduces_search_evaluations(lang_program):
     shape = detect_spec_shape(exp.program, exp.program.harnesses[0])
     report = classify_transformer(exp.program.function("desugar"), "srcAST")
     with_dec = run_cegis(exp, cfg, shape, report)
-    import dataclasses
 
-    without = run_cegis(exp, dataclasses.replace(cfg, indecomp=False), shape, report)
+    without = run_cegis(exp, replace(cfg, indecomp=False), shape, report)
     assert with_dec.solved and without.solved
     assert (
         with_dec.stats.candidate_evaluations <= without.stats.candidate_evaluations

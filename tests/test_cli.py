@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from synrec.cli import main
+from synrec.errors import SynrecError
 from synrec.parser import parse_program
 from synrec.prelude import prelude_text
 
@@ -186,7 +187,7 @@ def test_unsat_exits_2(tmp_path):
 def test_timeout_exits_3(tmp_path, capsys):
     stats = tmp_path / "stats.json"
     assert (
-        run_cli("synth", CORPUS / "lang.synrec", "--timeout-secs", "0", "--stats", stats)
+        run_cli("synth", CORPUS / "lang.synrec", "--timeout-secs", "1e-9", "--stats", stats)
         == 3
     )
     # no arm was searched, so none counts as solved
@@ -247,12 +248,26 @@ def test_pragma_sets_defaults(tmp_path):
     assert cfg.input_depth == 2
 
 
+@pytest.mark.parametrize("value", [0.0, -5.0, float("nan")])
+def test_config_for_rejects_a_timeout_that_is_not_positive(value):
+    from synrec.pipeline import config_for
+
+    text = "adt L { N {} } harness void m(L l) { assert(1); }"
+    for args in ((f"//! timeout-secs={value}\n" + text,), (text, {"timeout_secs": value})):
+        with pytest.raises(SynrecError) as err:
+            config_for(*args)
+        assert str(err.value) == f"timeout secs must be positive, got {value}"
+
+
 # Malformed and out-of-range settings, by pragma key, with their message.
 BAD_SETTINGS = {
     ("int-domain", "a..b"): "invalid value 'a..b' for int-domain (expected LO..HI)",
     ("input-depth", "0"): "input depth must be positive, got 0",
     ("input-depth", "x"): "invalid value 'x' for input-depth (expected N)",
     ("hole-domain", "3..1"): "hole domain 3..1 is empty",
+    ("timeout-secs", "0"): "timeout secs must be positive, got 0.0",
+    ("timeout-secs", "-5"): "timeout secs must be positive, got -5.0",
+    ("timeout-secs", "nan"): "timeout secs must be positive, got nan",
 }
 
 
@@ -270,7 +285,7 @@ def test_bad_setting_prints_one_error_as_flag_and_as_pragma(tmp_path, capsys, ke
 
 def test_check_timeout_exits_3(capsys):
     # the deadline stops the check before its first input
-    assert run_cli("check", CORPUS / "lang.expected.synrec", "--timeout-secs", "0") == 3
+    assert run_cli("check", CORPUS / "lang.expected.synrec", "--timeout-secs", "1e-9") == 3
     assert capsys.readouterr().err.strip() == "timeout"
 
 
@@ -335,7 +350,7 @@ def test_bench_tiny_corpus(tmp_path, capsys):
 def test_bench_reports_expected_check_timeout(tmp_path, capsys):
     for name in ("lang", "lang.expected"):
         (tmp_path / f"{name}.synrec").write_text((CORPUS / f"{name}.synrec").read_text())
-    assert run_cli("bench", tmp_path, "--timeout-secs", "0") == 0
+    assert run_cli("bench", tmp_path, "--timeout-secs", "1e-9") == 0
     row = capsys.readouterr().out.strip().splitlines()[1].split("\t")
     assert row[0] == "lang" and row[-1] == "timeout"
 
@@ -518,3 +533,22 @@ def test_scripts_run_from_a_bare_checkout(tmp_path):
     [entry] = json.loads((tmp_path / "bench.json").read_text())["rows"]
     assert entry["benchmark"] == "lIns"
     assert entry["opt"]["status"] == entry["noopt"]["status"] == "solved"
+
+
+def test_importing_the_cli_defines_no_dataclass_and_defers_subcommand_code():
+    # start-up is most of a one-shot command: records are defined without
+    # `dataclasses` (which imports `inspect`), and the printer, `json` and
+    # `platform` wait for the commands that use them
+    script = (
+        "import sys, synrec.cli\n"
+        "late = ('dataclasses', 'inspect', 'json', 'platform', 'synrec.printer')\n"
+        "print(*[m for m in late if m in sys.modules])\n"
+        "import synrec.printer, synrec.scaling\n"
+        "print(*[m for m in late[:2] if m in sys.modules])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "\n\n"

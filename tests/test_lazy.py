@@ -16,7 +16,6 @@ inline bounds 1 to 3, and decomposition on and off:
   over ten thousand characters, and it still compiles in one piece.
 """
 
-import dataclasses
 import random
 
 from hypothesis import given, settings
@@ -24,7 +23,7 @@ from hypothesis import strategies as st
 
 from synrec import compiled
 
-from synrec.ast import children, rebuild, walk
+from synrec.ast import children, rebuild, replace, walk
 from synrec.cegis import SynthesisConfig, compile_run, iter_inputs
 from synrec.compiled import CAssertFail, CExhausted, CInfeasible, compile_concrete
 from synrec.evaluator import evaluate_harness
@@ -53,10 +52,8 @@ def test_forced_expansion_is_the_expansion_unfolded_on_demand(n, bound):
     ctx = SynthesisConfig(inline_bound=bound).expansion_context()
     lazy = expand_program(load_with_library(scaling_benchmark(n)), ctx)
     forced = force_expansion(lazy)
-    funcs = tuple(dataclasses.replace(f, body=_unfolded(f.body)) for f in lazy.functions)
-    on_demand = dataclasses.replace(
-        lazy, program=dataclasses.replace(lazy.program, functions=funcs)
-    )
+    funcs = tuple(replace(f, body=_unfolded(f.body)) for f in lazy.functions)
+    on_demand = replace(lazy, program=replace(lazy.program, functions=funcs))
     assert _fingerprint(forced) == _fingerprint(on_demand)
     assert repr(lazy.program) == repr(forced.program)
     # every control node of the full expansion, each once

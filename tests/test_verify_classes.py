@@ -6,12 +6,12 @@ recursion-depth limit, and it must stay out of the way wherever its
 applicability conditions do not hold.
 """
 
-import dataclasses
 import functools
 
 import pytest
 
 from synrec import cegis, pipeline
+from synrec.ast import replace
 from synrec.cegis import EXHAUSTIVE, VALUE_CLASS, SynthesisConfig, run_cegis
 from synrec.compiled import CompiledProgram
 from synrec.evaluator import format_value
@@ -246,7 +246,7 @@ def test_strategy_follows_decomposition(monkeypatch, name):
     cfg = SynthesisConfig(input_depth=2, timeout_secs=120)
     _, _, with_dec = _recorded_run(monkeypatch, corpus_text(name), cfg)
     assert with_dec and all(vr.strategy == VALUE_CLASS for *_, vr in with_dec)
-    plain = dataclasses.replace(cfg, indecomp=False)
+    plain = replace(cfg, indecomp=False)
     _, _, without = _recorded_run(monkeypatch, corpus_text(name), plain)
     assert without and all(vr.strategy == EXHAUSTIVE for *_, vr in without)
 
